@@ -46,7 +46,6 @@ from .lagrangian import (
     LagrangianGrid,
     characteristic_speeds,
     hatted_background,
-    mass_fluxes,
     x2_of_y,
 )
 from .profiles import Profile, as_profile

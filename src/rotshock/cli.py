@@ -27,25 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import build_background, rh_residual, write_background_csv, UpstreamSpec
-from .errors import (
-    CflError,
-    ConfigError,
-    DegenerateBackgroundError,
-    NoAdmissibleShockError,
-    NonConvergenceError,
-    RotshockError,
-)
+from .errors import ConfigError, DegenerateBackgroundError, NoAdmissibleShockError, RotshockError
 from .iteration import (
-    IterationContext,
     IterationState,
     TransonicOptions,
+    build_context,
+    locate,
     residuals,
+    setup_upstream,
     solve_transonic,
 )
-from .lagrangian import Geometry, LagrangianGrid, hatted_background, inlet_maps
+from .lagrangian import Geometry
 from .profiles import profile_from_json
-from .shockfit import coefficients, initial_approximation, selection_bracket
-from .supersonic import PerturbationConfig, solve_linear, solve_nonlinear
+from .supersonic import PerturbationConfig
 from .thermo import GasModel, GasState
 
 SCHEMA_VERSION = 1
@@ -88,7 +82,7 @@ class RunConfig:
         return copy.deepcopy(self.raw)
 
 
-def _merge_validate(data, base_dir):
+def _merge_validate(data):
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
     unknown = set(data) - set(_DEFAULTS)
@@ -145,7 +139,7 @@ def parse_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
-    merged = _merge_validate(data, base_dir)
+    merged = _merge_validate(data)
 
     profiles = {}
     for section, key in _PROFILE_KEYS:
@@ -219,29 +213,17 @@ def cmd_background(cfg: RunConfig, out):
     return 0
 
 
-def cmd_initial(cfg: RunConfig, out, dump_elliptic=False):
+def cmd_initial(cfg: RunConfig, out):
     bg = build_background(cfg.upstream, cfg.gas)
-    opts = cfg.options
-    hat = hatted_background(bg, n2=opts.ny)
-    m, m_bar, _, _ = inlet_maps(bg, cfg.pert, cfg.pert.sigma)
-    grid = LagrangianGrid(opts.nx, opts.ny, 0.0, cfg.geometry.L, m, m_bar)
-    lin, flux = solve_linear(hat, cfg.pert, grid)
-    if opts.psi_bracket:
-        bracket = opts.psi_bracket
-    else:
-        br = selection_bracket(coefficients(hat), lin, cfg.pert, hat, cfg.geometry.L)
-        bracket = (br.lo, br.hi)
-    mid = 0.5 * (bracket[0] + bracket[1])
-    n1_sub = max(9, int(round((cfg.geometry.L - mid) / grid.h1)) + 1)
-    init = initial_approximation(hat, cfg.pert, lin, m, cfg.geometry.L, n1_sub,
-                                 bracket=bracket, defect_tol=opts.defect_tol)
+    hat, m, _, grid_minus = setup_upstream(bg, cfg.pert, cfg.options)
+    init, flux = locate(hat, cfg.pert, grid_minus, m, cfg.options)
     rec = {k: init.diagnostics[k] for k in
            ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
     rec["flux_identity_violation"] = flux.max_violation
     _write_json(os.path.join(out, "initial.json"), rec)
     _write_profile_csv(os.path.join(out, "shock_slope.csv"),
                        {"y2": init.coeffs.y2, "psi_prime": init.front.psi_prime})
-    lin.V.write_csv(os.path.join(out, "linear_minus.csv"))
+    init.V_minus.V.write_csv(os.path.join(out, "linear_minus.csv"))
     init.V_plus.write_csv(os.path.join(out, "linear_plus.csv"))
     print(f"initial approximation: psi_bar = {init.diagnostics['psi_bar']:.10f} "
           f"(defect {init.diagnostics['defect']:.3e}) -> {out}")
@@ -250,11 +232,11 @@ def cmd_initial(cfg: RunConfig, out, dump_elliptic=False):
 
 def _solve(cfg: RunConfig):
     bg = build_background(cfg.upstream, cfg.gas)
-    return bg, solve_transonic(bg, cfg.pert, cfg.options)
+    return solve_transonic(bg, cfg.pert, cfg.options)
 
 
 def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
-    bg, res = _solve(cfg)
+    res = _solve(cfg)
     x2m, x2p = res.eulerian_heights()
     res.sup.V.write_csv(os.path.join(out, "fields_minus.csv"),
                         extra_columns={"x2": x2m})
@@ -310,33 +292,19 @@ def cmd_verify(cfg: RunConfig, out):
     front_csv = read_csv(os.path.join(out, "front.csv"))
     log = read_csv(os.path.join(out, "iteration_log.csv"))
 
-    bg = build_background(cfg.upstream, cfg.gas)
     opts = cfg.options
-    hat = hatted_background(bg, n2=opts.ny)
-    m, m_bar, _, _ = inlet_maps(bg, cfg.pert, cfg.pert.sigma)
-    grid_minus = LagrangianGrid(opts.nx, opts.ny, 0.0, cfg.geometry.L, m, m_bar)
-    sup = solve_nonlinear(hat, cfg.pert, grid_minus, bg)
-
     n2 = opts.ny
     n1s = plus["y1"].size // n2
     psi_bar = plus["y1"].reshape(n1s, n2)[0, 0]
-    grid_plus = LagrangianGrid(n1s, n2, psi_bar, cfg.geometry.L, m, m_bar)
+    bg = build_background(cfg.upstream, cfg.gas)
+    ctx, _ = build_context(bg, cfg.pert, opts, psi_bar=psi_bar, n1=n1s)
+    hat = ctx.hat
     state = IterationState(
         u1=plus["u1"].reshape(n1s, n2) - hat["p", "u"][None, :],
         u2=plus["u2"].reshape(n1s, n2),
         S=plus["S"].reshape(n1s, n2) - hat["p", "S"][None, :],
         psi_prime=front_csv["psi_prime"],
         psi_sharp_dev=float(front_csv["psi"][-1] - psi_bar),
-    )
-    from scipy.interpolate import CubicSpline
-    sup_splines = {k: CubicSpline(grid_minus.y1, sup.V[k], axis=0)
-                   for k in ("u1", "u2", "S", "B")}
-    ctx = IterationContext(
-        gas=cfg.gas, hat=hat, coeffs=coefficients(hat), pert=cfg.pert, bg=bg,
-        m=m, m_bar=m_bar, L=cfg.geometry.L, grid_minus=grid_minus,
-        grid_plus=grid_plus, sup=sup, sup_splines=sup_splines,
-        B_row=sup.V["B"][0, :] - hat["m", "B"],
-        initial_state=state, opts=opts,
     )
     last_defect = log["defect"][-1] if np.ndim(log["defect"]) else float(log["defect"])
     rep = residuals(ctx, state, last_defect=last_defect)
@@ -364,7 +332,7 @@ def _set_by_path(d, path, value):
     cur[keys[-1]] = value
 
 
-def cmd_sweep(cfg: RunConfig, out, key, values, config_path):
+def cmd_sweep(cfg: RunConfig, out, key, values):
     rows = []
     for i, val in enumerate(values):
         raw = cfg.to_dict()
@@ -376,7 +344,7 @@ def cmd_sweep(cfg: RunConfig, out, key, values, config_path):
             json.dump(raw, fh, indent=2, sort_keys=True)
         sub_cfg = parse_config(sub_path)
         try:
-            bg, res = _solve(sub_cfg)
+            res = _solve(sub_cfg)
             rows.append({
                 "index": i, "value": val, "status": 0,
                 "psi_bar": res.psi_bar, "psi_sharp": res.psi_sharp,
@@ -405,8 +373,6 @@ def _exit_code(exc):
         return 2
     if isinstance(exc, NoAdmissibleShockError):
         return 3
-    if isinstance(exc, (NonConvergenceError, CflError)):
-        return 4
     return 4
 
 
@@ -435,7 +401,7 @@ def main(argv=None):
         if args.command == "background":
             return cmd_background(cfg, out)
         if args.command == "initial":
-            return cmd_initial(cfg, out, args.dump_elliptic)
+            return cmd_initial(cfg, out)
         if args.command == "solve":
             return cmd_solve(cfg, out, args.dump_elliptic)
         if args.command == "verify":
@@ -449,7 +415,7 @@ def main(argv=None):
                 raise ConfigError(f"--values is not valid JSON: {exc}") from exc
             if not isinstance(values, list) or not values:
                 raise ConfigError("--values must be a non-empty JSON list")
-            return cmd_sweep(cfg, out, args.key, values, args.config)
+            return cmd_sweep(cfg, out, args.key, values)
     except RotshockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -19,6 +19,13 @@ The map contracts with rate O(sigma); iterates are required to stay in a
 sigma^(3/2)-neighbourhood of the initial approximation.  Sources are
 well balanced: the discrete residual of the exact background is subtracted,
 so sigma = 0 reproduces the background to machine precision.
+
+Every entry point (``solve_transonic`` and the ``initial``/``verify``
+subcommands) shares one setup: ``setup_upstream`` builds the hatted
+profiles, the mass fluxes and the upstream grid, ``locate`` places the shock
+from J1(psi_bar) = J2 and builds the linear two-phase approximation, and
+``build_context`` adds the Picard march and freezes an ``IterationContext``.
+The residual audit evaluates both regions with the same operator.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .shockfit import (
     ShockFront,
     coefficients,
     initial_approximation,
+    selection_bracket,
     subsonic_sb_source,
 )
 from .supersonic import solve_linear, solve_nonlinear
@@ -61,6 +69,9 @@ __all__ = [
     "apply_T",
     "run",
     "residuals",
+    "setup_upstream",
+    "locate",
+    "build_context",
     "solve_transonic",
     "RunResult",
 ]
@@ -189,25 +200,33 @@ class IterationContext:
     grid_minus: LagrangianGrid
     grid_plus: LagrangianGrid
     sup: object                      # nonlinear supersonic solution
-    sup_splines: dict
-    B_row: np.ndarray                # transported downstream Bernoulli perturbation
     initial_state: IterationState
     opts: TransonicOptions
-    E2: np.ndarray = None            # discrete background defect of eq2 (profile)
-    cc_plus: np.ndarray = None       # zero-order coefficient of the linear eq2
+    sup_splines: dict = field(init=False, repr=False)
+    B_row: np.ndarray = field(init=False)  # transported downstream Bernoulli perturbation
+    E2: np.ndarray = field(init=False, repr=False)       # background defect of eq2
+    cc_plus: np.ndarray = field(init=False, repr=False)  # zero-order coefficient of the linear eq2
 
     def __post_init__(self):
         hat = self.hat
         g = self.gas.gamma
         beta = self.gas.beta
         up, rp = hat["p", "u"], hat["p", "rho"]
-        Pp, c2p = hat["p", "P"], hat["p", "c2"]
-        dup, dSp, dBp = hat["p", "du"], hat["p", "dS"], hat["p", "dB"]
+        c2p, dup, dSp = hat["p", "c2"], hat["p", "du"], hat["p", "dS"]
         self.cc_plus = -rp * dup + beta * up / c2p + rp * up * dSp / g
-        h2 = self.grid_plus.h2
-        disc = (rp * up * fd.d2(up, h2) + Pp / (g - 1.0) * fd.d2(hat["p", "S"], h2)
-                - rp * fd.d2(hat["p", "B"], h2))
-        self.E2 = (self.m_bar / self.m) * (beta - disc)
+        self.E2 = _background_defect(hat, "p", self.grid_plus.h2, self.m_bar / self.m)
+        self.sup_splines = {k: CubicSpline(self.grid_minus.y1, self.sup.V[k], axis=0)
+                            for k in ("u1", "u2", "S", "B")}
+        self.B_row = self.sup.V["B"][0, :] - hat["m", "B"]
+
+
+def _background_defect(hat, side, h2, mfac):
+    """Discrete residual of eq2 at the hatted background of one side (y2-profile)."""
+    g = hat.gas.gamma
+    u, rho = hat[side, "u"], hat[side, "rho"]
+    disc = (rho * u * fd.d2(u, h2) + hat[side, "P"] / (g - 1.0) * fd.d2(hat[side, "S"], h2)
+            - rho * fd.d2(hat[side, "B"], h2))
+    return mfac * (hat.gas.beta - disc)
 
 
 def _upstream_trace(ctx, psi_vals):
@@ -229,8 +248,8 @@ def _full_plus(ctx, state):
     return {"u1": u1, "u2": u2, "S": S, "B": B, "rho": rho, "P": P}
 
 
-def _nonlinear_residuals_z(ctx, full, psi_vals, psi_prime, h1, h2):
-    """N1, N2 of the transformed system evaluated on the z-grid.
+def _nonlinear_residuals_z(ctx, grid, full, psi_vals, psi_prime):
+    """N1, N2 of the transformed system evaluated on ``grid``.
 
     The y-derivatives are expressed through z-derivatives of the
     shock-fitted coordinates; for the upstream region pass psi_vals equal to
@@ -240,18 +259,19 @@ def _nonlinear_residuals_z(ctx, full, psi_vals, psi_prime, h1, h2):
     gas = ctx.gas
     g = gas.gamma
     mfac = ctx.m_bar / ctx.m
-    z1 = np.linspace(ctx.grid_plus.y1a, L, full["u1"].shape[0])
+    h1, h2 = grid.h1, grid.h2
+    z1 = grid.y1
     u1, u2, S, B = full["u1"], full["u2"], full["S"], full["B"]
     rho, P = full["rho"], full["P"]
     c2 = g * P / rho
     M1 = u1 / np.sqrt(c2)
     M2 = u2 / np.sqrt(c2)
 
-    fac1 = (L - ctx.grid_plus.y1a) / (L - psi_vals)          # dy1 -> dz1
-    cross = ((L - z1)[:, None] / (L - psi_vals)[None, :]) * psi_prime[None, :]
+    fac1 = (L - grid.y1a) / (L - psi_vals)          # dy1 -> dz1
+    cross = ((L - z1)[:, None] / (L - psi_vals)) * psi_prime
 
     def dy1(q):
-        return fac1[None, :] * fd.d1(q, h1)
+        return fac1 * fd.d1(q, h1)
 
     def dy2(q):
         return fd.d2(q, h2) - cross * fd.d1(q, h1)
@@ -360,7 +380,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     g0 = (ctx.m_bar * co.P_jump / ctx.m) * state.psi_prime - state.u2[0, :] + G0
 
     # ---- interior sources: operator defects of the two momentum equations
-    N1, N2 = _nonlinear_residuals_z(ctx, full, psi_vals, state.psi_prime, h1, h2)
+    N1, N2 = _nonlinear_residuals_z(ctx, grid, full, psi_vals, state.psi_prime)
     Msq_p = hat["p", "Msq"]
     rup_du = hat["p", "rho"] * hat["p", "du"]
     lam1_op = ((1.0 - Msq_p)[None, :] * fd.d1(state.u1, h1)
@@ -510,54 +530,35 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     jump conditions use the upstream state interpolated onto the front.
     """
     gas = ctx.gas
-    g = gas.gamma
     sigma = ctx.pert.sigma
     hat = ctx.hat
     mfac = ctx.m_bar / ctx.m
-    h2 = ctx.grid_plus.h2
+    gm, gp_grid = ctx.grid_minus, ctx.grid_plus
+    h2 = gp_grid.h2
 
-    # --- downstream region (z-grid, shock-fitted derivatives)
     frame = 3  # reach of the one-sided boundary closures
     core = (slice(frame, -frame), slice(frame, -frame))
 
-    front = ShockFront(ctx.grid_plus.y1a, state.psi_sharp_dev, state.psi_prime,
-                       ctx.grid_plus.y2)
+    def region_maxima(N1, N2, E2):
+        """(well-balanced core, raw core, well-balanced whole-region) maxima."""
+        R = np.maximum(np.abs(N1), np.abs(N2 - E2[None, :]))
+        return R[core].max(), max(np.abs(N1)[core].max(), np.abs(N2)[core].max()), R.max()
+
+    # --- downstream region (z-grid, shock-fitted derivatives)
+    front = ShockFront(gp_grid.y1a, state.psi_sharp_dev, state.psi_prime, gp_grid.y2)
     psi_vals = front.psi()
     full = _full_plus(ctx, state)
-    N1p, N2p = _nonlinear_residuals_z(ctx, full, psi_vals, state.psi_prime,
-                                      ctx.grid_plus.h1, h2)
-    Rp = np.maximum(np.abs(N1p), np.abs(N2p - ctx.E2[None, :]))
-    raw_p = max(np.abs(N1p)[core].max(), np.abs(N2p)[core].max())
-    wb_p = Rp[core].max()
-    frame_p = Rp.max()
+    wb_p, raw_p, frame_p = region_maxima(
+        *_nonlinear_residuals_z(ctx, gp_grid, full, psi_vals, state.psi_prime), ctx.E2)
 
     # --- upstream region (identity map)
-    gm = ctx.grid_minus
     Vm = ctx.sup.V
     rho_m, P_m = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], gas)
     fullm = {"u1": Vm["u1"], "u2": Vm["u2"], "S": Vm["S"], "B": Vm["B"],
              "rho": rho_m, "P": P_m}
-    c2 = g * P_m / rho_m
-    M1 = Vm["u1"] / np.sqrt(c2)
-    M2 = Vm["u2"] / np.sqrt(c2)
-    d1u1 = fd.d1(Vm["u1"], gm.h1)
-    d1u2 = fd.d1(Vm["u2"], gm.h1)
-    d2u1 = fd.d2(Vm["u1"], gm.h2)
-    d2u2 = fd.d2(Vm["u2"], gm.h2)
-    N1m = ((1.0 - M1**2) * d1u1 - M1 * M2 * d1u2
-           - mfac * rho_m * Vm["u2"] * d2u1 + mfac * rho_m * Vm["u1"] * d2u2)
-    N2m = (d1u2 - mfac * rho_m * Vm["u2"] * d2u2 - mfac * rho_m * Vm["u1"] * d2u1
-           + gas.beta
-           - mfac * (P_m / (g - 1.0) * fd.d2(Vm["S"], gm.h2) - rho_m * fd.d2(Vm["B"], gm.h2)))
-    um, rm_hat = hat["m", "u"], hat["m", "rho"]
-    disc_m = (rm_hat * um * fd.d2(um, gm.h2)
-              + hat["m", "P"] / (g - 1.0) * fd.d2(hat["m", "S"], gm.h2)
-              - rm_hat * fd.d2(hat["m", "B"], gm.h2))
-    E2m = mfac * (gas.beta - disc_m)
-    Rm = np.maximum(np.abs(N1m), np.abs(N2m - E2m[None, :]))
-    raw_m = max(np.abs(N1m)[core].max(), np.abs(N2m)[core].max())
-    wb_m = Rm[core].max()
-    frame_m = Rm.max()
+    wb_m, raw_m, frame_m = region_maxima(
+        *_nonlinear_residuals_z(ctx, gm, fullm, gm.y1a, 0.0),
+        _background_defect(hat, "m", gm.h2, mfac))
 
     # --- jump conditions on the front
     minus = _upstream_trace(ctx, psi_vals)
@@ -584,8 +585,8 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     # --- wall slip conditions
     gp = ctx.pert.geometry.g.deriv(1)
     wall_m = np.abs(Vm["u2"][:, -1] / Vm["u1"][:, -1] - sigma * gp(gm.y1)).max()
-    z1 = ctx.grid_plus.y1
-    Y1w = z1 + (ctx.L - z1) * state.psi_sharp_dev / (ctx.L - ctx.grid_plus.y1a)
+    z1 = gp_grid.y1
+    Y1w = z1 + (ctx.L - z1) * state.psi_sharp_dev / (ctx.L - gp_grid.y1a)
     wall_p = np.abs(full["u2"][:, -1] / full["u1"][:, -1] - sigma * gp(Y1w)).max()
     wall_b = max(np.abs(Vm["u2"][:, 0]).max(), np.abs(full["u2"][:, 0]).max())
     wall = float(max(wall_m, wall_p, wall_b))
@@ -655,50 +656,60 @@ class RunResult:
         return x2m, x2p
 
 
-def _zero_initial_state(grid_plus, n2):
-    return IterationState(
-        u1=np.zeros((grid_plus.n1, n2)), u2=np.zeros((grid_plus.n1, n2)),
-        S=np.zeros((grid_plus.n1, n2)), psi_prime=np.zeros(n2),
-        psi_sharp_dev=0.0,
-    )
-
-
-def solve_transonic(bg, pert, opts: TransonicOptions = None) -> RunResult:
-    """Full pipeline: supersonic solves, shock location, nonlinear iteration."""
-    opts = opts or TransonicOptions()
-    L = pert.geometry.L
-    sigma = pert.sigma
+def setup_upstream(bg, pert, opts: TransonicOptions):
+    """Hatted profiles, mass fluxes and the upstream grid: (hat, m, m_bar, grid_minus)."""
     hat = hatted_background(bg, n2=opts.ny)
-    m, m_bar, _, _ = inlet_maps(bg, pert, sigma)
-    grid_minus = LagrangianGrid(opts.nx, opts.ny, 0.0, L, m, m_bar)
+    m, m_bar, _, _ = inlet_maps(bg, pert, pert.sigma)
+    grid_minus = LagrangianGrid(opts.nx, opts.ny, 0.0, pert.geometry.L, m, m_bar)
+    return hat, m, m_bar, grid_minus
 
+
+def _n1_sub(L, psi, h1):
+    """Downstream node count matching the upstream y1 spacing on [psi, L]."""
+    return max(9, int(round((L - psi) / h1)) + 1)
+
+
+def locate(hat, pert, grid_minus, m, opts: TransonicOptions):
+    """Shock position from J1(psi_bar) = J2 and the linear two-phase approximation.
+
+    Returns the initial approximation and the flux-identity report of the
+    linear upstream march.
+    """
+    L = pert.geometry.L
+    lin, flux = solve_linear(hat, pert, grid_minus)
+    if opts.psi_bracket:
+        bracket = tuple(opts.psi_bracket)
+    else:
+        br = selection_bracket(coefficients(hat), lin, pert, hat, L)
+        bracket = (br.lo, br.hi)
+    n1_sub = _n1_sub(L, 0.5 * (bracket[0] + bracket[1]), grid_minus.h1)
+    initial = initial_approximation(hat, pert, lin, m, L, n1_sub,
+                                    bracket=bracket, defect_tol=opts.defect_tol)
+    return initial, flux
+
+
+def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
+    """Upstream setup, Picard march and front placement; returns (ctx, initial).
+
+    Without ``psi_bar`` the front is located from J1(psi_bar) = J2 and the
+    loop starts from the linear approximation (``initial``); at sigma = 0 it
+    sits at ``opts.psi_bar_fallback`` (default: mid-bracket or L/2).  Given
+    ``psi_bar``, the front is fixed there on ``n1`` downstream nodes (default:
+    the upstream spacing) and the loop starts from zero perturbation with
+    ``initial`` None.
+    """
+    L = pert.geometry.L
+    hat, m, m_bar, grid_minus = setup_upstream(bg, pert, opts)
     sup = solve_nonlinear(hat, pert, grid_minus, bg, tol=opts.picard_tol,
                           max_iter=opts.picard_max_iter,
                           sigma_threshold=opts.sigma_threshold)
-
-    if sigma == 0.0:
+    if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar_fallback
         if psi_bar is None:
             psi_bar = (0.5 * (opts.psi_bracket[0] + opts.psi_bracket[1])
                        if opts.psi_bracket else 0.5 * L)
-        n1_sub = max(9, int(round((L - psi_bar) / grid_minus.h1)) + 1)
-        co = coefficients(hat)
-        grid_plus = LagrangianGrid(n1_sub, opts.ny, psi_bar, L, m, m_bar)
-        init_state = _zero_initial_state(grid_plus, opts.ny)
-        initial = None
-    else:
-        lin, _flux = solve_linear(hat, pert, grid_minus)
-        if opts.psi_bracket:
-            bracket = tuple(opts.psi_bracket)
-        else:
-            from .shockfit import selection_bracket
-            br = selection_bracket(coefficients(hat), lin, pert, hat, L)
-            bracket = (br.lo, br.hi)
-        mid = 0.5 * (bracket[0] + bracket[1])
-        n1_sub = max(9, int(round((L - mid) / grid_minus.h1)) + 1)
-        initial = initial_approximation(hat, pert, lin, m, L, n1_sub,
-                                        bracket=bracket, defect_tol=opts.defect_tol)
-        psi_bar = initial.front.psi_bar
+    if psi_bar is None:
+        initial, _ = locate(hat, pert, grid_minus, m, opts)
         co = initial.coeffs
         grid_plus = initial.V_plus.grid
         init_state = IterationState(
@@ -706,24 +717,37 @@ def solve_transonic(bg, pert, opts: TransonicOptions = None) -> RunResult:
             S=initial.V_plus["S"].copy(),
             psi_prime=initial.front.psi_prime.copy(), psi_sharp_dev=0.0,
         )
-
-    sup_splines = {k: CubicSpline(grid_minus.y1, sup.V[k], axis=0)
-                   for k in ("u1", "u2", "S", "B")}
-    B_row = sup.V["B"][0, :] - hat["m", "B"]
+    else:
+        initial = None
+        co = coefficients(hat)
+        n1 = n1 or _n1_sub(L, psi_bar, grid_minus.h1)
+        grid_plus = LagrangianGrid(n1, opts.ny, psi_bar, L, m, m_bar)
+        shape = (n1, opts.ny)
+        init_state = IterationState(u1=np.zeros(shape), u2=np.zeros(shape),
+                                    S=np.zeros(shape), psi_prime=np.zeros(opts.ny),
+                                    psi_sharp_dev=0.0)
     ctx = IterationContext(
         gas=bg.gas, hat=hat, coeffs=co, pert=pert, bg=bg, m=m, m_bar=m_bar,
         L=L, grid_minus=grid_minus, grid_plus=grid_plus, sup=sup,
-        sup_splines=sup_splines, B_row=B_row, initial_state=init_state,
-        opts=opts,
+        initial_state=init_state, opts=opts,
     )
+    return ctx, initial
+
+
+def solve_transonic(bg, pert, opts: TransonicOptions = None) -> RunResult:
+    """Full pipeline: supersonic solves, shock location, nonlinear iteration."""
+    opts = opts or TransonicOptions()
+    ctx, initial = build_context(bg, pert, opts)
     state, log = run(ctx)
     report = residuals(ctx, state, last_defect=log[-1]["defect"])
+    psi_bar = ctx.grid_plus.y1a
     front = ShockFront(psi_bar, state.psi_sharp_dev, state.psi_prime,
-                       grid_plus.y2)
+                       ctx.grid_plus.y2)
+    sigma = pert.sigma
     C1 = abs(log[0]["psi_sharp"] - psi_bar) / sigma if sigma > 0.0 else 0.0
     kappas = [row["kappa_estimate"] for row in log if np.isfinite(row["kappa_estimate"])]
     return RunResult(
-        state=state, front=front, report=report, log=log, sup=sup,
+        state=state, front=front, report=report, log=log, sup=ctx.sup,
         initial=initial, ctx=ctx, C1_measured=C1,
         kappa_final=(max(kappas) if kappas else np.nan),
     )

@@ -35,7 +35,6 @@ __all__ = [
     "LagrangianGrid",
     "Field",
     "CharSpeeds",
-    "mass_fluxes",
     "x2_of_y",
     "hatted_background",
     "HattedProfiles",
@@ -141,33 +140,6 @@ class Field:
             fh.write(",".join(header) + "\n")
             for row in zip(*cols):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def mass_fluxes(bg, pert):
-    """Total mass fluxes (m, m_bar) through the nozzle entrance.
-
-    ``pert`` needs attributes sigma and the inflow profiles u1_en, u2_en,
-    S_en, B_en on [0,1].  rho_en is the density of the perturbed inflow
-    state recovered from its characteristic variables.
-    """
-    x2 = bg.x2
-    flux0 = bg.mass_flux
-    m_bar = float(cumulative_simpson(flux0, x=x2, initial=0.0)[-1])
-    sigma = pert.sigma
-    if sigma == 0.0:
-        return m_bar, m_bar
-    u1 = bg.u_m + sigma * pert.u1_en(x2)
-    u2 = sigma * pert.u2_en(x2)
-    S = bg.S_m + sigma * pert.S_en(x2)
-    B = bg.B_m + sigma * pert.B_en(x2)
-    rho_en, _ = rho_P(S, B, u1, u2, bg.gas)
-    integrand = flux0 + sigma * rho_en * pert.u1_en(x2)
-    if np.any(integrand <= 0.0):
-        raise InvalidStateError(
-            f"inflow mass-flux density not positive (min {integrand.min():.3e})"
-        )
-    m = float(cumulative_simpson(integrand, x=x2, initial=0.0)[-1])
-    return m, m_bar
 
 
 def _cumtrap(vals, x):

@@ -23,7 +23,7 @@ the root of J1 - J2 is exactly the discretely compatible position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -81,11 +81,12 @@ def b_coefficients(hat, side):
 
 @dataclass
 class ShockCoefficients:
-    """Nodal profiles of every shock-linearization coefficient.
+    """Nodal profiles of the shock-linearization coefficients.
 
-    fa1, fa2, fa3 couple the downstream traces to u1dot_minus; a0p/a0m and
-    the a1/a2 vectors are the gradients of the jump functionals G0, G1, G2
-    with respect to (u1, u2, S, B) on either side.
+    b1p..b4p and b1m..b4m are the integrating factors of either side;
+    fa1, fa2, fa3 couple the downstream traces to u1dot_minus.  P_jump, the
+    squared Mach numbers of either side and the common mass flux rho*u feed
+    the trace corrections and the slope update of the iteration.
     """
 
     y2: np.ndarray
@@ -100,43 +101,18 @@ class ShockCoefficients:
     fa1: np.ndarray
     fa2: np.ndarray
     fa3: np.ndarray
-    a0p: np.ndarray
-    a0m: np.ndarray
-    a1p_vec: np.ndarray
-    a1m_vec: np.ndarray
-    a2p_vec: np.ndarray
-    a2m_vec: np.ndarray
     P_jump: np.ndarray
     Mp_sq: np.ndarray
     Mm_sq: np.ndarray
     mass_flux: np.ndarray
 
-    def trace_matrix(self, side):
-        """2x2 matrix coupling (u1dot, Sdot) in the linearized G1, G2."""
-        Msq = self.Mp_sq if side == "p" else self.Mm_sq
-        u = self._u_p if side == "p" else self._u_m
-        g = self._gamma
-        n = len(self.y2)
-        M = np.empty((n, 2, 2))
-        M[:, 0, 0] = (Msq - 1.0) / u
-        M[:, 0, 1] = 1.0 / (g - 1.0)
-        M[:, 1, 0] = (Msq - 1.0) / (g * Msq)
-        M[:, 1, 1] = 0.0
-        return M
-
-    _u_p: np.ndarray = field(default=None, repr=False)
-    _u_m: np.ndarray = field(default=None, repr=False)
-    _gamma: float = field(default=1.4, repr=False)
-
 
 def coefficients(hat) -> ShockCoefficients:
     """All shock-linearization coefficient profiles for a hatted background."""
     g = hat.gas.gamma
-    y2 = hat.y2
     up, um = hat["p", "u"], hat["m", "u"]
-    rp, rm = hat["p", "rho"], hat["m", "rho"]
+    rp = hat["p", "rho"]
     Pp, Pm = hat["p", "P"], hat["m", "P"]
-    c2p, c2m = hat["p", "c2"], hat["m", "c2"]
     Mp, Mm = hat["p", "Msq"], hat["m", "Msq"]
     if np.any(np.abs(Mp - 1.0) < 1e-12) or np.any(np.abs(Mm - 1.0) < 1e-12):
         raise DegenerateBackgroundError("sonic background state on the shock trace")
@@ -146,59 +122,17 @@ def coefficients(hat) -> ShockCoefficients:
         raise DegenerateBackgroundError("downstream b1 must be positive (subsonic side)")
 
     Pj = Pp - Pm
-    mu = rp * up  # common mass flux
     # trace coupling from the explicit 2x2 inverse:
     # (u1dot+, Sdot+) = Minv_plus * Mminus * (u1dot-, Sdot-)
     fa1 = (Mp / Mm) * (Mm - 1.0) / (Mp - 1.0)
     fa2 = (g - 1.0) * (Mm - 1.0) * Pj / (Pp * um)
     fa3 = -(Mm - 1.0) * Pj / (rp * up * um)
-
-    n = len(y2)
-    a0p = np.tile(np.array([0.0, 1.0, 0.0, 0.0]), (n, 1))
-    a0m = -a0p
-    a1p_vec = np.column_stack([
-        (Mp - 1.0) / up, np.zeros(n), np.full(n, 1.0 / (g - 1.0)), -1.0 / c2p,
-    ]) / mu[:, None]
-    a1m_vec = -np.column_stack([
-        (Mm - 1.0) / um, np.zeros(n), np.full(n, 1.0 / (g - 1.0)), -1.0 / c2m,
-    ]) / (rm * um)[:, None]
-    a2p_vec = np.column_stack([
-        (Mp - 1.0) / (g * Mp), np.zeros(n), np.zeros(n), (g - 1.0) / (g * up),
-    ])
-    a2m_vec = -np.column_stack([
-        (Mm - 1.0) / (g * Mm), np.zeros(n), np.zeros(n), (g - 1.0) / (g * um),
-    ])
-
-    co = ShockCoefficients(
-        y2=y2, b1p=b1p, b2p=b2p, b3p=b3p, b4p=b4p,
+    return ShockCoefficients(
+        y2=hat.y2, b1p=b1p, b2p=b2p, b3p=b3p, b4p=b4p,
         b1m=b1m, b2m=b2m, b3m=b3m, b4m=b4m,
         fa1=fa1, fa2=fa2, fa3=fa3,
-        a0p=a0p, a0m=a0m,
-        a1p_vec=a1p_vec, a1m_vec=a1m_vec, a2p_vec=a2p_vec, a2m_vec=a2m_vec,
-        P_jump=Pj, Mp_sq=Mp, Mm_sq=Mm, mass_flux=mu,
-        _u_p=up, _u_m=um, _gamma=g,
+        P_jump=Pj, Mp_sq=Mp, Mm_sq=Mm, mass_flux=rp * up,
     )
-    # cross-check fa1, fa2 against the matrix product they came from
-    Minv = _inv2(co.trace_matrix("p"))
-    prod = Minv @ co.trace_matrix("m")
-    if not (np.allclose(prod[:, 0, 0], fa1, rtol=1e-12, atol=1e-12)
-            and np.allclose(prod[:, 1, 0], fa2, rtol=1e-11, atol=1e-12)
-            and np.allclose(prod[:, 0, 1], 0.0, atol=1e-12)
-            and np.allclose(prod[:, 1, 1], 1.0, rtol=1e-12)):
-        raise DegenerateBackgroundError("trace coefficients inconsistent with the 2x2 inverse")
-    return co
-
-
-def _inv2(M):
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    if np.any(np.abs(det) < 1e-300):
-        raise DegenerateBackgroundError("singular trace matrix on the shock")
-    inv = np.empty_like(M)
-    inv[:, 0, 0] = M[:, 1, 1] / det
-    inv[:, 0, 1] = -M[:, 0, 1] / det
-    inv[:, 1, 0] = -M[:, 1, 0] / det
-    inv[:, 1, 1] = M[:, 0, 0] / det
-    return inv
 
 
 @dataclass
@@ -214,9 +148,6 @@ class JFunctionals:
     J1: callable
     J2: float
     J1_closed_form_at0: float
-    n1_sub: int
-    weights: np.ndarray
-    u1dot_interp: object
 
 
 def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
@@ -256,8 +187,7 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
         (_trap(w_int * interp(grid.y1a), h2) / sigma if sigma > 0.0 else 0.0)
         + wall_c * (float(gfun(L)) - float(gfun(grid.y1a)))
     )
-    return JFunctionals(J1=J1, J2=J2, J1_closed_form_at0=J1_at0_closed,
-                        n1_sub=n1_sub, weights=w_int, u1dot_interp=interp)
+    return JFunctionals(J1=J1, J2=J2, J1_closed_form_at0=J1_at0_closed)
 
 
 @dataclass

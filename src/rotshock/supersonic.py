@@ -284,12 +284,10 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     P_hat = hat["m", "P"]
 
     def bg_residual(forward):
-        # discrete background residual of the same operators (well balancing)
-        r2 = (rho_hat * u_hat * d2u_hat[forward] - beta
-              + (P_hat / (g - 1.0) * d2S_hat[forward] - rho_hat * d2B_hat[forward]))
-        r1 = (-rho_hat * u_hat * d2u_hat[forward] * 0.0)  # u2=0 background
-        # eq1 at the background: + rho*u1*d2(0) - rho*0*d2(u) = 0 identically
-        return r1, r2
+        # discrete background residual of eq2 (well balancing); eq1 vanishes
+        # identically at the background, where u2 = 0
+        return (rho_hat * u_hat * d2u_hat[forward] - beta
+                + (P_hat / (g - 1.0) * d2S_hat[forward] - rho_hat * d2B_hat[forward]))
 
     rbg = {fw: bg_residual(fw) for fw in (True, False)}
 
@@ -338,7 +336,7 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
             d2u2 = _d2dir(u2_row, grid.h2, forward)
             r2 = (mfac * rho * (u2k * d2u2 + u1k * d2u1) - beta
                   + mfac * (P / (g - 1.0) * d2S[forward] - rho * d2B[forward]))
-            r2 = r2 - rbg[forward][1]
+            r2 = r2 - rbg[forward]
             r1 = (M12 * r2 + mfac * rho * (u2k * d2u1 - u1k * d2u2)) / (1.0 - M1sq)
             return r1, r2
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock.cli import main, parse_config
+from rotshock import errors
+from rotshock.cli import _exit_code, cmd_verify, main, parse_config
 from tests.conftest import BUMP, GP_MILD, L_DUCT
 
 
@@ -176,3 +177,47 @@ def test_sweep_requires_key(tmp_path, capsys):
     p = tmp_path / "c.json"
     write_config(p)
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """Config path and output directory of one `solve` run."""
+    base = tmp_path_factory.mktemp("solved")
+    p = base / "c.json"
+    write_config(p)
+    out = base / "out"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+    return p, out
+
+
+def test_verify_reproduces_solve(solved, capsys):
+    p, out = solved
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+    rep = json.load(open(out / "report.json"))
+    vr = json.load(open(out / "verify_report.json"))
+    for key in ("pde_residual", "pde_residual_raw", "rh_residual",
+                "exit_residual", "defect"):
+        assert vr[key] == pytest.approx(rep[key], rel=1e-12, abs=0.0), key
+    # the stored fields pass through a 17-digit CSV round trip
+    assert abs(vr["wall_residual"] - rep["wall_residual"]) <= 1e-15
+
+
+def test_verify_uses_picard_options(solved, capsys):
+    # the Picard march needs several sweeps on this configuration
+    p, out = solved
+    cfg = parse_config(p)
+    cfg.options.picard_max_iter = 1
+    with pytest.raises(rs.NonConvergenceError):
+        cmd_verify(cfg, str(out))
+
+
+EXIT_CODES = {"ConfigError": 1, "DegenerateBackgroundError": 2,
+              "NoAdmissibleShockError": 3, "DegenerateSelectionError": 3}
+ERRORS = sorted((c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, rs.RotshockError)
+                 and c is not rs.RotshockError), key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
+def test_exit_code_of_every_error(cls):
+    assert _exit_code(cls.__new__(cls)) == EXIT_CODES.get(cls.__name__, 4)

@@ -3,45 +3,21 @@ import pytest
 
 import rotshock as rs
 from rotshock.iteration import (
-    IterationContext,
-    IterationState,
     apply_T,
     assemble_step_data,
+    build_context,
     fix_coordinates,
     residuals,
     solve_psi_sharp,
     solve_transonic,
 )
-from rotshock.profiles import Profile
 from rotshock.shockfit import ShockFront
 from tests.conftest import L_DUCT, make_pert
 
 
-def build_ctx(bg, pert, nx=129, ny=65, psi_bar=0.6, psi_bracket=None):
+def build_ctx(bg, pert, psi_bar=0.6):
     """Context around an arbitrary fixed shock position (no root search)."""
-    from scipy.interpolate import CubicSpline
-
-    from rotshock.lagrangian import LagrangianGrid, hatted_background, inlet_maps
-    from rotshock.shockfit import coefficients
-    from rotshock.supersonic import solve_nonlinear
-
-    opts = rs.TransonicOptions(nx=nx, ny=ny, psi_bracket=psi_bracket)
-    hat = hatted_background(bg, n2=ny)
-    m, m_bar, _, _ = inlet_maps(bg, pert, pert.sigma)
-    grid_minus = LagrangianGrid(nx, ny, 0.0, L_DUCT, m, m_bar)
-    sup = solve_nonlinear(hat, pert, grid_minus, bg)
-    n1_sub = max(9, int(round((L_DUCT - psi_bar) / grid_minus.h1)) + 1)
-    grid_plus = LagrangianGrid(n1_sub, ny, psi_bar, L_DUCT, m, m_bar)
-    state0 = IterationState(
-        u1=np.zeros((n1_sub, ny)), u2=np.zeros((n1_sub, ny)),
-        S=np.zeros((n1_sub, ny)), psi_prime=np.zeros(ny), psi_sharp_dev=0.0)
-    splines = {k: CubicSpline(grid_minus.y1, sup.V[k], axis=0)
-               for k in ("u1", "u2", "S", "B")}
-    return IterationContext(
-        gas=bg.gas, hat=hat, coeffs=coefficients(hat), pert=pert, bg=bg,
-        m=m, m_bar=m_bar, L=L_DUCT, grid_minus=grid_minus, grid_plus=grid_plus,
-        sup=sup, sup_splines=splines, B_row=sup.V["B"][0, :] - hat["m", "B"],
-        initial_state=state0, opts=opts)
+    return build_context(bg, pert, rs.TransonicOptions(nx=129, ny=65), psi_bar=psi_bar)[0]
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +102,8 @@ def test_step_data_quadratic_in_state(bg_rot):
     for t in ts:
         from dataclasses import replace
 
-        ctx_t = replace(ctx, B_row=t * ctx.B_row)
+        ctx_t = replace(ctx)
+        ctx_t.B_row = t * ctx.B_row
         s2 = st.copy()
         s2.u1 = t * st.u1
         s2.u2 = t * st.u2

@@ -47,6 +47,30 @@ def test_fa2_closed_form(hat_rot):
     assert np.abs(co.fa3 - expect_fa3).max() <= 1e-13
 
 
+def _trace_matrix(hat, side):
+    """2x2 matrices coupling (u1dot, Sdot) in the linearized G1, G2 of one side."""
+    Msq, u, g = hat[side, "Msq"], hat[side, "u"], hat.gas.gamma
+    M = np.empty((len(u), 2, 2))
+    M[:, 0, 0] = (Msq - 1.0) / u
+    M[:, 0, 1] = 1.0 / (g - 1.0)
+    M[:, 1, 0] = (Msq - 1.0) / (g * Msq)
+    M[:, 1, 1] = 0.0
+    return M
+
+
+@pytest.mark.parametrize("bg_name", ["bg_rot", "bg_classic"])
+def test_trace_coefficients_match_2x2_inverse(bg_name, request):
+    # fa1, fa2 are the first column of Minv_plus @ M_minus, written out in
+    # closed form in coefficients()
+    hat = rs.hatted_background(request.getfixturevalue(bg_name), n2=65)
+    co = coefficients(hat)
+    prod = np.linalg.inv(_trace_matrix(hat, "p")) @ _trace_matrix(hat, "m")
+    assert np.allclose(prod[:, 0, 0], co.fa1, rtol=1e-12, atol=1e-12)
+    assert np.allclose(prod[:, 1, 0], co.fa2, rtol=1e-11, atol=1e-12)
+    assert np.allclose(prod[:, 0, 1], 0.0, atol=1e-12)
+    assert np.allclose(prod[:, 1, 1], 1.0, rtol=1e-12)
+
+
 def test_b_coefficients_classical(bg_classic):
     hat = rs.hatted_background(bg_classic, n2=33)
     for side in ("m", "p"):
