@@ -23,6 +23,16 @@ flux bookkeeping makes the discrete solvability identity hold exactly:
 summing the assembled equations telescopes to the trapezoid form of the
 compatibility condition, so the defect gate and the assembly can never
 disagree.
+
+Linear solve: the coefficients depend on y2 only and the grid is uniform,
+so both operators separate (the Fourier-analysis fast Poisson solver of
+Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627).  A DCT-I
+(Neumann; the half-weighted end cells are its weights) or DST-I
+(Dirichlet) along y1 diagonalises the y1 difference, leaving one
+tridiagonal solve in y2 per mode: O(n1 n2 log n1) work and no matrix.
+The Neumann solve reproduces the bordered system K phi + mu e = F,
+e.phi = 0: the multiplier is mu = F.mean(), the singular constant mode is
+pinned at one node, and the zero-grid-mean gauge is imposed at the end.
 """
 
 from __future__ import annotations
@@ -30,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.fft import dct, dst, idct, idst
 
-from .errors import IncompatibleDataError, InvalidStateError, NonConvergenceError
+from .errors import IncompatibleDataError, InvalidStateError
 from .fd import d1 as _d1, d2 as _d2
 
 __all__ = [
@@ -44,9 +53,6 @@ __all__ = [
     "solve",
     "solve_scalar",
 ]
-
-_DIRECT_LIMIT = 500_000  # unknowns above which the iterative fallback kicks in
-
 
 @dataclass
 class EllipticProblem:
@@ -74,6 +80,9 @@ class EllipticProblem:
     h3: np.ndarray
 
     def __post_init__(self):
+        if self.n1 < 3 or self.n2 < 3:
+            raise InvalidStateError(
+                f"grid needs at least 3 x 3 nodes (got {self.n1} x {self.n2})")
         for name in ("lam1", "lam2", "lam3", "lam4"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.n2,):
@@ -111,9 +120,6 @@ class EllipticProblem:
 class SolveOptions:
     defect_tol: float = 1e-9
     project: bool = False
-    method: str = "auto"  # auto | direct | cg
-    cg_tol: float = 1e-12
-    cg_maxiter: int = 20000
 
 
 @dataclass
@@ -174,37 +180,55 @@ def solvability_sum(p: EllipticProblem) -> float:
     return float(F.sum())
 
 
-def _face_conductances(a_node, b_node, n1, n2, h1, h2):
-    """Horizontal/vertical face conductances for the FV Laplacian."""
-    wj = _trap_w(n2)
-    wi = _trap_w(n1)
-    gh = np.broadcast_to(a_node * wj * h2 / h1, (n1 - 1, n2)).copy()
-    bh = 0.5 * (b_node[1:] + b_node[:-1])
-    gv = wi[:, None] * bh[None, :] * h1 / h2
-    return gh, gv
+def _tridiag_solve(diag, off, rhs):
+    """Solve every column of ``rhs`` against its own symmetric tridiagonal matrix.
+
+    ``diag`` and ``rhs`` are (n, m): column k holds the diagonal and the data
+    of mode k; ``off`` (n-1,) is the off-diagonal shared by all modes.  One
+    Thomas sweep over the n rows, vectorised over the m modes.  No pivoting:
+    every matrix passed in is diagonally dominant.
+    """
+    n = diag.shape[0]
+    cp = np.empty_like(diag)
+    x = np.empty_like(rhs)
+    denom = diag[0]
+    x[0] = rhs[0] / denom
+    for j in range(1, n):
+        cp[j - 1] = off[j - 1] / denom
+        denom = diag[j] - off[j - 1] * cp[j - 1]
+        x[j] = (rhs[j] - off[j - 1] * x[j - 1]) / denom
+    for j in range(n - 2, -1, -1):
+        x[j] -= cp[j] * x[j + 1]
+    return x
 
 
-def _assemble_fv(a_node, b_node, n1, n2, h1, h2):
-    gh, gv = _face_conductances(a_node, b_node, n1, n2, h1, h2)
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    ph = idx[:-1, :].ravel(); qh = idx[1:, :].ravel(); vh = gh.ravel()
-    pv = idx[:, :-1].ravel(); qv = idx[:, 1:].ravel(); vv = gv.ravel()
-    rows = np.concatenate([ph, qh, ph, qh, pv, qv, pv, qv])
-    cols = np.concatenate([ph, qh, qh, ph, pv, qv, qv, pv])
-    vals = np.concatenate([vh, vh, -vh, -vh, vv, vv, -vv, -vv])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n1 * n2, n1 * n2))
+def _y1_eigenvalues(n1, modes):
+    """Eigenvalues 2 - 2cos(pi k/(n1-1)) of the unit second difference along y1."""
+    return 2.0 - 2.0 * np.cos(np.pi * modes / (n1 - 1))
 
 
-def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None,
-                 method="auto", cg_tol=1e-12, cg_maxiter=20000):
+def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None):
     """Divergence-form scalar solve d1(a(y2) d1 phi) + d2(b(y2) d2 phi) = rhs.
 
     kind = "neumann": bdata = (gL, gR, gB, gT) are the boundary values of the
-    conormal flux (a*d1phi on vertical sides, b*d2phi on horizontal sides);
-    the solution is fixed by the zero-grid-mean gauge and the data must be
-    discretely compatible (the caller gates on the defect).
+    conormal flux (a*d1phi on vertical sides, b*d2phi on horizontal sides).
+    The finite-volume system is K phi = F with
 
-    kind = "dirichlet": homogeneous Dirichlet, bdata ignored.
+        K = D1 (x) diag(a wj h2/h1) + diag(wi) h1/h2 (x) T2(bh),
+
+    D1 the unit Neumann second difference on the y1 nodes, wi/wj the
+    trapezoid weights and T2(bh) the y2 second difference with face
+    coefficients bh.  diag(wi)^-1 D1 is diagonalised by the DCT-I, so the
+    solve is: subtract F.mean() (the Lagrange multiplier of the bordered
+    system K phi + mu e = F, e.phi = 0), divide by wi, DCT-I along y1, one
+    tridiagonal solve in y2 per mode, inverse DCT-I.  Mode 0 is singular
+    (constants); it is integrated by two cumulative sums with its first node
+    pinned to zero, and the zero-grid-mean gauge is restored at the end.
+    The data must be discretely compatible (the caller gates on the defect).
+
+    kind = "dirichlet": the 5-point stencil on the interior nodes with
+    homogeneous Dirichlet data (bdata ignored): DST-I along y1, one
+    tridiagonal solve in y2 per mode, inverse DST-I.
 
     Returns the (n1, n2) potential.
     """
@@ -212,66 +236,34 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise InvalidStateError("scalar solver needs positive coefficients")
-    N = n1 * n2
-    use_direct = method == "direct" or (method == "auto" and N <= _DIRECT_LIMIT)
+    if n1 < 3 or n2 < 3:
+        raise InvalidStateError(f"scalar solver needs at least 3 x 3 nodes (got {n1} x {n2})")
+    bh = 0.5 * (b[1:] + b[:-1])
 
     if kind == "neumann":
-        K = _assemble_fv(a, b, n1, n2, h1, h2)
         gL, gR, gB, gT = bdata
-        F = _fv_rhs(rhs, gL, gR, gB, gT, n1, n2, h1, h2).ravel()
-        if use_direct:
-            e = np.ones((N, 1))
-            Kb = sp.bmat([[K, e], [e.T, None]], format="csc")
-            sol = spla.spsolve(Kb, np.concatenate([F, [0.0]]))
-            phi = sol[:N]
-        else:
-            proj = lambda x: x - x.mean()
-            op = spla.LinearOperator((N, N), matvec=lambda x: K @ proj(x))
-            M = spla.LinearOperator((N, N), matvec=lambda x: proj(x / K.diagonal()))
-            phi, info = spla.cg(op, proj(F), rtol=cg_tol, maxiter=cg_maxiter, M=M)
-            if info != 0:
-                raise NonConvergenceError(
-                    f"CG on the Neumann potential failed (info={info}, "
-                    f"maxiter={cg_maxiter}, tol={cg_tol})"
-                )
-            phi = proj(phi)
-        phi = phi - phi.mean()
-        return phi.reshape(n1, n2)
+        wi = _trap_w(n1)
+        F = _fv_rhs(rhs, gL, gR, gB, gT, n1, n2, h1, h2)
+        G = idct(((F - F.mean()) / wi[:, None]).T, type=1, axis=1)
+        # mode 0: fluxes q_j = (h1/h2) bh_j (phi_{j+1} - phi_j) = -sum_{i<=j} G_i
+        flux = -np.cumsum(G[:-1, 0])
+        G[0, 0] = 0.0
+        G[1:, 0] = np.cumsum(flux * h2 / (h1 * bh))
+        # modes 1..n1-1: (lam_k a wj h2/h1 + h1/h2 T2(bh)) phi_k = G_k
+        bsum = np.concatenate([bh, [0.0]]) + np.concatenate([[0.0], bh])
+        diag = (np.outer(a * _trap_w(n2) * h2 / h1, _y1_eigenvalues(n1, np.arange(1, n1)))
+                + (h1 / h2) * bsum[:, None])
+        G[:, 1:] = _tridiag_solve(diag, -(h1 / h2) * bh, G[:, 1:])
+        phi = dct(G, type=1, axis=1).T
+        return phi - phi.mean()
 
     if kind == "dirichlet":
-        bh = 0.5 * (b[1:] + b[:-1])
-        ni, nj = n1 - 2, n2 - 2
-        jj = np.arange(1, n2 - 1)
-        cH = np.broadcast_to(a[jj] / h1**2, (ni, nj))
-        cVp = np.broadcast_to(bh[jj] / h2**2, (ni, nj))
-        cVm = np.broadcast_to(bh[jj - 1] / h2**2, (ni, nj))
-        diag = 2.0 * cH + cVp + cVm
-        idx = np.arange(ni * nj).reshape(ni, nj)
-        rows = [idx.ravel()]
-        cols = [idx.ravel()]
-        vals = [diag.ravel()]
-        rows += [idx[:-1, :].ravel(), idx[1:, :].ravel()]
-        cols += [idx[1:, :].ravel(), idx[:-1, :].ravel()]
-        vals += [-cH[:-1, :].ravel(), -cH[1:, :].ravel()]
-        rows += [idx[:, :-1].ravel(), idx[:, 1:].ravel()]
-        cols += [idx[:, 1:].ravel(), idx[:, :-1].ravel()]
-        vals += [-cVp[:, :-1].ravel(), -cVm[:, 1:].ravel()]
-        K = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(ni * nj, ni * nj),
-        )
-        F = -rhs[1:-1, 1:-1].ravel()
-        if use_direct:
-            phi_i = spla.spsolve(K.tocsc(), F)
-        else:
-            M = spla.LinearOperator((ni * nj, ni * nj), matvec=lambda x: x / K.diagonal())
-            phi_i, info = spla.cg(K, F, rtol=cg_tol, maxiter=cg_maxiter, M=M)
-            if info != 0:
-                raise NonConvergenceError(
-                    f"CG on the Dirichlet potential failed (info={info})"
-                )
         phi = np.zeros((n1, n2))
-        phi[1:-1, 1:-1] = phi_i.reshape(ni, nj)
+        G = dst(-rhs[1:-1, 1:-1].T, type=1, axis=1)
+        diag = (np.outer(a[1:-1] / h1**2, _y1_eigenvalues(n1, np.arange(1, n1 - 1)))
+                + ((bh[1:] + bh[:-1]) / h2**2)[:, None])
+        phi[1:-1, 1:-1] = idst(_tridiag_solve(diag, -bh[1:-1] / h2**2, G),
+                               type=1, axis=1).T
         return phi
 
     raise ValueError(f"unknown kind {kind!r}")
@@ -310,13 +302,11 @@ def solve(p: EllipticProblem, opts: SolveOptions = None) -> EllipticSolution:
         "neumann", p.lam1 / p.lam4, p.lam2 / p.lam3, p_eff.H1,
         bdata=(p.lam1 * p.h1, p.lam1 * h2_data, np.zeros(p.n1), p.lam2[-1] * p.h3),
         n1=p.n1, n2=p.n2, h1=h1s, h2=h2s,
-        method=opts.method, cg_tol=opts.cg_tol, cg_maxiter=opts.cg_maxiter,
     )
     # check potential: homogeneous Dirichlet, carries H2
     phi_check = solve_scalar(
         "dirichlet", p.lam3 / p.lam2, p.lam4 / p.lam1, p_eff.H2,
         n1=p.n1, n2=p.n2, h1=h1s, h2=h2s,
-        method=opts.method, cg_tol=opts.cg_tol, cg_maxiter=opts.cg_maxiter,
     )
 
     v1 = _d1(phi_hat, h1s) / p.lam4 - _d2(phi_check, h2s) / p.lam1

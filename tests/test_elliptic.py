@@ -5,11 +5,14 @@ import rotshock as rs
 from rotshock.elliptic import (
     EllipticProblem,
     SolveOptions,
+    _fv_rhs,
+    _trap_w,
     compatibility_defect,
     solvability_sum,
     solve,
     solve_scalar,
 )
+from sparse_oracle import solve_scalar_sparse
 
 
 def unit_problem(n, H1=None, H2=None, h1=None, h2=None, h3=None, lam=None):
@@ -171,14 +174,13 @@ def test_linearity():
 
 def poisson_f1_series(x, y, nmax=4001):
     """Delta phi = 1, phi = 0 on the unit square boundary (classical series)."""
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    phi = (X**2 - X) / 2
-    for m in range(1, nmax, 2):
-        a = m * np.pi * np.abs(Y - 0.5)
-        b = m * np.pi / 2
-        r = np.exp(a - b) * (1 + np.exp(-2 * a)) / (1 + np.exp(-2 * b))
-        phi += 4.0 / (m * np.pi) ** 3 * np.sin(m * np.pi * X) * r
-    return phi
+    m = np.arange(1, nmax, 2)[:, None]
+    a = m * np.pi * np.abs(y - 0.5)
+    b = m * np.pi / 2
+    r = np.exp(a - b) * (1 + np.exp(-2 * a)) / (1 + np.exp(-2 * b))
+    s = 4.0 / (m * np.pi) ** 3 * np.sin(m * np.pi * x)
+    # the sum over odd m of s_m(x) r_m(y) as one matrix product
+    return (x[:, None] ** 2 - x[:, None]) / 2 + s.T @ r
 
 
 def test_check_problem_fourier_oracle():
@@ -209,12 +211,50 @@ def test_solve_scalar_classic_mms():
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
-def test_cg_fallback_agrees_with_direct():
-    prob, v1, v2 = manufactured(33, 33)
-    sd = solve(prob, SolveOptions(method="direct"))
-    si = solve(prob, SolveOptions(method="cg", cg_tol=1e-13))
-    assert np.abs(sd.v1 - si.v1).max() <= 1e-8
-    assert np.abs(sd.v2 - si.v2).max() <= 1e-8
+ORACLE_GRIDS = [(3, 3), (3, 17), (17, 3), (33, 17), (65, 33), (129, 65)]
+
+
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("n1,n2", ORACLE_GRIDS)
+def test_fast_solver_matches_sparse_oracle(kind, n1, n2):
+    # the transform solve reproduces sparse LU of the assembled discretisation
+    rng = np.random.default_rng(n1 * 1000 + n2)
+    h1, h2 = 1.5 / (n1 - 1), 2.8 / (n2 - 1)
+    y2 = np.linspace(0.0, 2.8, n2)
+    a = 1.0 + 0.3 * np.sin(y2) + 0.2 * rng.random(n2)
+    b = 2.0 + 0.5 * np.cos(3 * y2) + 0.2 * rng.random(n2)
+    rhs = rng.standard_normal((n1, n2))
+    bdata = (rng.standard_normal(n2), rng.standard_normal(n2),
+             rng.standard_normal(n1), rng.standard_normal(n1))
+    # shift the source so that the Neumann data are discretely compatible
+    F = _fv_rhs(rhs, *bdata, n1, n2, h1, h2)
+    rhs = rhs + F.sum() / (_trap_w(n1).sum() * h1 * _trap_w(n2).sum() * h2)
+    assert abs(_fv_rhs(rhs, *bdata, n1, n2, h1, h2).sum()) <= 1e-12 * np.abs(F).sum()
+    fast = solve_scalar(kind, a, b, rhs, bdata, n1=n1, n2=n2, h1=h1, h2=h2)
+    ref = solve_scalar_sparse(kind, a, b, rhs, bdata, n1=n1, n2=n2, h1=h1, h2=h2)
+    assert np.abs(fast - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_former_iterative_range_converges():
+    # 1025 x 513 = 525,825 unknowns, one direct transform solve
+    errs = []
+    for n1, n2 in ((513, 257), (1025, 513)):
+        prob, v1, v2 = manufactured(n1, n2)
+        sol = solve(prob)
+        errs.append(max(np.abs(sol.v1 - v1).max(), np.abs(sol.v2 - v2).max()))
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 9), (9, 2)])
+def test_rejects_grid_below_three_nodes(n1, n2):
+    z = np.zeros
+    with pytest.raises(rs.InvalidStateError):
+        EllipticProblem(0.0, 1.0, 1.0, n1, n2, *[np.ones(n2)] * 4,
+                        z((n1, n2)), z((n1, n2)), z(n2), z(n2), z(n1))
+    for kind in ("neumann", "dirichlet"):
+        with pytest.raises(rs.InvalidStateError):
+            solve_scalar(kind, np.ones(n2), np.ones(n2), z((n1, n2)),
+                         (z(n2), z(n2), z(n1), z(n1)), n1=n1, n2=n2, h1=1.0, h2=1.0)
 
 
 def test_rejects_nonpositive_coefficient():
