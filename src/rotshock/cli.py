@@ -285,7 +285,7 @@ def cmd_verify(cfg: RunConfig, out):
     def read_csv(path):
         with open(path) as fh:
             names = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         return {n: data[:, i] for i, n in enumerate(names)}
 
     plus = read_csv(os.path.join(out, "fields_plus.csv"))
@@ -306,8 +306,7 @@ def cmd_verify(cfg: RunConfig, out):
         psi_prime=front_csv["psi_prime"],
         psi_sharp_dev=float(front_csv["psi"][-1] - psi_bar),
     )
-    last_defect = log["defect"][-1] if np.ndim(log["defect"]) else float(log["defect"])
-    rep = residuals(ctx, state, last_defect=last_defect)
+    rep = residuals(ctx, state, last_defect=log["defect"][-1])
     _write_json(os.path.join(out, "verify_report.json"), {
         "pde_residual": rep.pde_residual, "rh_residual": rep.rh_residual,
         "exit_residual": rep.exit_residual, "wall_residual": rep.wall_residual,
@@ -342,9 +341,8 @@ def cmd_sweep(cfg: RunConfig, out, key, values):
         sub_path = os.path.join(subdir, "config.json")
         with open(sub_path, "w") as fh:
             json.dump(raw, fh, indent=2, sort_keys=True)
-        sub_cfg = parse_config(sub_path)
         try:
-            res = _solve(sub_cfg)
+            res = _solve(parse_config(sub_path))
             rows.append({
                 "index": i, "value": val, "status": 0,
                 "psi_bar": res.psi_bar, "psi_sharp": res.psi_sharp,

@@ -153,31 +153,54 @@ def _check_cfl(mu_max, h1, h2, limit=0.95):
     return cfl
 
 
-def _march(grid, rhs, inflow, wall_top, damping_state=None):
-    """Generic MacCormack march of a 2-component row state.
+def _couplings(k11, k12, k21, k22):
+    """(..., 2, 2, n2) coupling array [[k11, k12], [k21, k22]] (broadcast)."""
+    k = np.broadcast_arrays(k11, k12, k21, k22)
+    return np.stack(k, axis=-2).reshape(k[0].shape[:-1] + (2, 2, k[0].shape[-1]))
 
-    rhs(u1_row, u2_row, i_coeff_row, forward) -> (r1, r2);
-    wall_top(y1_value, u1_row) -> scalar wall value of u2.
-    Returns the (n1, n2, 2) history of rows.
+
+# one-sided second-order edge stencils of _d2dir, times h2
+_EDGE_F = np.array([0.5, -2.0, 1.5])
+_EDGE_B = np.array([-1.5, 2.0, -0.5])
+
+
+def _march(grid, K, L, s_f, s_b, inflow, wa, wb):
+    """MacCormack march of the frozen-coefficient row system
+
+        d1 w = K d2 w + L w + s,   w = (u1, u2),
+
+    with K, L broadcastable to (n1, 2, 2, n2), the sources s_f (forward
+    predictor) and s_b (backward corrector) to (n1, 2, n2), and the walls
+    u2 = 0 at y2 = 0 and u2 = wa[i] u1 + wb[i] at the top.
+    Returns the (n1, n2) histories of u1 and u2.
     """
     n1, n2 = grid.n1, grid.n2
     h1 = grid.h1
-    y1 = grid.y1
-    u1 = np.empty((n1, n2))
-    u2 = np.empty((n1, n2))
-    u1[0], u2[0] = inflow
+    shape = (n1, 2, 2, n2)
+    # h1 [K/h2 | L] acts on the row z = [undivided difference of w; w]
+    M = np.concatenate([np.broadcast_to(K * (h1 / grid.h2), shape),
+                        np.broadcast_to(h1 * L, shape)], axis=2)
+    hs_f = np.broadcast_to(h1 * s_f, (n1, 2, n2))
+    hs_b = np.broadcast_to(h1 * s_b, (n1, 2, n2))
+    W = np.empty((2, n1, n2))
+    W[:, 0] = inflow
+    z = np.empty((4, n2))
     for i in range(n1 - 1):
-        r1, r2 = rhs(u1[i], u2[i], i, True)
-        p1 = u1[i] + h1 * r1
-        p2 = u2[i] + h1 * r2
-        p2[0] = 0.0
-        p2[-1] = wall_top(y1[i + 1], p1)
-        q1, q2 = rhs(p1, p2, i + 1, False)
-        u1[i + 1] = 0.5 * (u1[i] + p1 + h1 * q1)
-        u2[i + 1] = 0.5 * (u2[i] + p2 + h1 * q2)
-        u2[i + 1, 0] = 0.0
-        u2[i + 1, -1] = wall_top(y1[i + 1], u1[i + 1])
-    return u1, u2
+        w = W[:, i]
+        z[2:] = w
+        np.subtract(w[:, 1:], w[:, :-1], out=z[:2, :-1])
+        z[:2, -1] = w[:, -3:] @ _EDGE_F
+        p = w + (M[i] * z).sum(axis=1) + hs_f[i]
+        p[1, 0] = 0.0
+        p[1, -1] = wa[i + 1] * p[0, -1] + wb[i + 1]
+        z[2:] = p
+        np.subtract(p[:, 1:], p[:, :-1], out=z[:2, 1:])
+        z[:2, 0] = p[:, :3] @ _EDGE_B
+        u = W[:, i + 1]
+        u[:] = 0.5 * (w + p + (M[i + 1] * z).sum(axis=1) + hs_b[i + 1])
+        u[1, 0] = 0.0
+        u[1, -1] = wa[i + 1] * u[0, -1] + wb[i + 1]
+    return W[0], W[1]
 
 
 def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
@@ -218,19 +241,13 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
             + (beta / c2_hat + rho_hat * dS_hat / g) * Bdot
         )
 
-    src_f, src_b = src(True), src(False)
-    gprime = pert.geometry.g.deriv(1)
-    wall_coef = sigma * u_hat[-1]
-
-    def rhs(w1, w2, i, forward):
-        d2w1 = _d2dir(w1, grid.h2, forward)
-        d2w2 = _d2dir(w2, grid.h2, forward)
-        r2 = rho_hat * u_hat * d2w1 - cc * w1 + (src_f if forward else src_b)
-        r1 = (rho_hat * du_hat * w2 - rho_hat * u_hat * d2w2) / (1.0 - Msq)
-        return r1, r2
-
+    inv = 1.0 / (1.0 - Msq)
+    K = _couplings(0.0, -rho_hat * u_hat * inv, rho_hat * u_hat, 0.0)
+    Lc = _couplings(0.0, rho_hat * du_hat * inv, -cc, 0.0)
+    s_f, s_b = (np.stack([np.zeros(grid.n2), src(fw)]) for fw in (True, False))
+    wall = sigma * u_hat[-1] * pert.geometry.g.deriv(1)(grid.y1)
     inflow = (sigma * en["u1_en"], sigma * en["u2_en"])
-    u1dot, u2dot = _march(grid, rhs, inflow, lambda y1v, _w1: wall_coef * float(gprime(y1v)))
+    u1dot, u2dot = _march(grid, K, Lc, s_f, s_b, inflow, np.zeros(grid.n1), wall)
 
     V = Field(grid, {
         "u1": u1dot, "u2": u2dot,
@@ -266,9 +283,8 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     gas = hat.gas
     g = gas.gamma
     beta = gas.beta
-    m_bar = hat.m_bar
     m, en = entrance_profiles(hat, pert, bg, perturbed_map=sigma > 0.0)
-    mfac = m_bar / m
+    mfac = hat.m_bar / m
     u_hat = hat["m", "u"]
 
     # transported characteristic fields (rows constant in y1)
@@ -276,25 +292,14 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     B_row = hat["m", "B"] + sigma * en["B_en"]
     d2S = {fw: _d2dir(S_row, grid.h2, fw) for fw in (True, False)}
     d2B = {fw: _d2dir(B_row, grid.h2, fw) for fw in (True, False)}
-    d2u_hat = {fw: _d2dir(u_hat, grid.h2, fw) for fw in (True, False)}
-    d2S_hat = {fw: _d2dir(hat["m", "S"], grid.h2, fw) for fw in (True, False)}
-    d2B_hat = {fw: _d2dir(hat["m", "B"], grid.h2, fw) for fw in (True, False)}
-
     rho_hat = hat["m", "rho"]
     P_hat = hat["m", "P"]
-
-    def bg_residual(forward):
-        # discrete background residual of eq2 (well balancing); eq1 vanishes
-        # identically at the background, where u2 = 0
-        return (rho_hat * u_hat * d2u_hat[forward] - beta
-                + (P_hat / (g - 1.0) * d2S_hat[forward] - rho_hat * d2B_hat[forward]))
-
-    rbg = {fw: bg_residual(fw) for fw in (True, False)}
-
-    gprime = pert.geometry.g.deriv(1)
-
-    def wall_top(y1v, u1_row):
-        return sigma * float(gprime(y1v)) * u1_row[-1]
+    # discrete background residual of eq2 (well balancing); eq1 vanishes
+    # identically at the background, where u2 = 0
+    rbg = {fw: (rho_hat * u_hat * _d2dir(u_hat, grid.h2, fw) - beta
+                + (P_hat / (g - 1.0) * _d2dir(hat["m", "S"], grid.h2, fw)
+                   - rho_hat * _d2dir(hat["m", "B"], grid.h2, fw)))
+           for fw in (True, False)}
 
     def freeze(Vfield):
         u1 = Vfield["u1"]
@@ -313,35 +318,31 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
             raise CflError("sonic in the marching direction: M1 -> 1")
         mu = rho * np.hypot(u1, u2) / np.sqrt(Mtot - 1.0) * mfac
         _check_cfl(float(mu.max()), grid.h1, grid.h2)
-        return {"rho": rho, "P": P, "M1sq": M1sq, "M12": M12}
+        return rho, P, M1sq, M12
 
     # iterate: previous-field coefficients, linear march per sweep
     V = Field(grid, {
         "u1": np.broadcast_to(u_hat, (grid.n1, grid.n2)).copy(),
         "u2": np.zeros((grid.n1, grid.n2)),
     })
+    inflow = (u_hat + sigma * en["u1_en"], sigma * en["u2_en"])
+    wall = sigma * pert.geometry.g.deriv(1)(grid.y1)
     history = []
     prev_update = np.inf
     for it in range(1, max_iter + 1):
-        cf = freeze(V)
-
-        def rhs(u1_row, u2_row, i, forward, cf=cf):
-            rho = cf["rho"][i]
-            M1sq = cf["M1sq"][i]
-            M12 = cf["M12"][i]
-            P = cf["P"][i]
-            u1k = V["u1"][i]
-            u2k = V["u2"][i]
-            d2u1 = _d2dir(u1_row, grid.h2, forward)
-            d2u2 = _d2dir(u2_row, grid.h2, forward)
-            r2 = (mfac * rho * (u2k * d2u2 + u1k * d2u1) - beta
-                  + mfac * (P / (g - 1.0) * d2S[forward] - rho * d2B[forward]))
-            r2 = r2 - rbg[forward]
-            r1 = (M12 * r2 + mfac * rho * (u2k * d2u1 - u1k * d2u2)) / (1.0 - M1sq)
-            return r1, r2
-
-        inflow = (u_hat + sigma * en["u1_en"], sigma * en["u2_en"])
-        u1n, u2n = _march(grid, rhs, inflow, wall_top)
+        rho, P, M1sq, M12 = freeze(V)
+        a = mfac * rho * V["u1"]
+        b = mfac * rho * V["u2"]
+        inv = 1.0 / (1.0 - M1sq)
+        # d1 u2 = a d2 u1 + b d2 u2 + s2, and eq1 solved for d1 u1:
+        # d1 u1 = (M12 d1 u2 + b d2 u1 - a d2 u2) / (1 - M1^2)
+        K = _couplings(inv * (M12 * a + b), inv * (M12 * b - a), a, b)
+        s = {}
+        for fw in (True, False):
+            s2 = mfac * (P / (g - 1.0) * d2S[fw] - rho * d2B[fw]) - beta - rbg[fw]
+            s[fw] = np.stack([inv * M12 * s2, s2], axis=1)
+        u1n, u2n = _march(grid, K, 0.0, s[True], s[False], inflow,
+                          wall, np.zeros(grid.n1))
         upd = max(np.abs(u1n - V["u1"]).max(), np.abs(u2n - V["u2"]).max())
         if upd > prev_update and upd > tol:
             u1n = V["u1"] + 0.8 * (u1n - V["u1"])

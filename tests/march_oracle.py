@@ -1,0 +1,153 @@
+"""Row-by-row reference for the supersonic MacCormack march.
+
+The upstream march as it was written before ``rotshock.supersonic._march``
+became a frozen-coefficient kernel: one ``rhs`` closure per half-step that
+differences the row, indexes the frozen coefficient rows and recomputes the
+coefficient products, and a ``wall_top`` callback evaluating g' one node at
+a time.  Tests compare the kernel against it.  Only the values are
+reproduced here; the regime and CFL guards live in the package.
+"""
+
+import numpy as np
+
+from rotshock.supersonic import _d2dir, entrance_profiles
+from rotshock.thermo import rho_P
+
+
+def march(grid, rhs, inflow, wall_top):
+    """MacCormack march of a 2-component row state.
+
+    rhs(u1_row, u2_row, i_coeff_row, forward) -> (r1, r2);
+    wall_top(y1_value, u1_row) -> scalar wall value of u2.
+    """
+    n1, n2 = grid.n1, grid.n2
+    h1 = grid.h1
+    y1 = grid.y1
+    u1 = np.empty((n1, n2))
+    u2 = np.empty((n1, n2))
+    u1[0], u2[0] = inflow
+    for i in range(n1 - 1):
+        r1, r2 = rhs(u1[i], u2[i], i, True)
+        p1 = u1[i] + h1 * r1
+        p2 = u2[i] + h1 * r2
+        p2[0] = 0.0
+        p2[-1] = wall_top(y1[i + 1], p1)
+        q1, q2 = rhs(p1, p2, i + 1, False)
+        u1[i + 1] = 0.5 * (u1[i] + p1 + h1 * q1)
+        u2[i + 1] = 0.5 * (u2[i] + p2 + h1 * q2)
+        u2[i + 1, 0] = 0.0
+        u2[i + 1, -1] = wall_top(y1[i + 1], u1[i + 1])
+    return u1, u2
+
+
+def linear(hat, pert, grid):
+    """(u1dot, u2dot) of the linearized march."""
+    sigma = pert.sigma
+    g = hat.gas.gamma
+    beta = hat.gas.beta
+    u_hat = hat["m", "u"]
+    rho_hat = hat["m", "rho"]
+    P_hat = hat["m", "P"]
+    c2_hat = hat["m", "c2"]
+    Msq = hat["m", "Msq"]
+    du_hat = hat["m", "du"]
+    dS_hat = hat["m", "dS"]
+
+    _, en = entrance_profiles(hat, pert, None, perturbed_map=False)
+    Sdot = sigma * en["S_en"]
+    Bdot = sigma * en["B_en"]
+    cc = -rho_hat * du_hat + beta * u_hat / c2_hat + rho_hat * u_hat * dS_hat / g
+
+    def src(forward):
+        return (
+            P_hat / (g - 1.0) * _d2dir(Sdot, grid.h2, forward)
+            - beta / (g - 1.0) * Sdot
+            - rho_hat * _d2dir(Bdot, grid.h2, forward)
+            + (beta / c2_hat + rho_hat * dS_hat / g) * Bdot
+        )
+
+    src_f, src_b = src(True), src(False)
+    gprime = pert.geometry.g.deriv(1)
+    wall_coef = sigma * u_hat[-1]
+
+    def rhs(w1, w2, i, forward):
+        d2w1 = _d2dir(w1, grid.h2, forward)
+        d2w2 = _d2dir(w2, grid.h2, forward)
+        r2 = rho_hat * u_hat * d2w1 - cc * w1 + (src_f if forward else src_b)
+        r1 = (rho_hat * du_hat * w2 - rho_hat * u_hat * d2w2) / (1.0 - Msq)
+        return r1, r2
+
+    inflow = (sigma * en["u1_en"], sigma * en["u2_en"])
+    return march(grid, rhs, inflow, lambda y1v, _w1: wall_coef * float(gprime(y1v)))
+
+
+def nonlinear(hat, pert, grid, bg, tol=1e-12, max_iter=25):
+    """(u1, u2, update history) of the Picard iteration; stops silently
+    after ``max_iter`` sweeps."""
+    sigma = pert.sigma
+    gas = hat.gas
+    g = gas.gamma
+    beta = gas.beta
+    m, en = entrance_profiles(hat, pert, bg, perturbed_map=sigma > 0.0)
+    mfac = hat.m_bar / m
+    u_hat = hat["m", "u"]
+
+    S_row = hat["m", "S"] + sigma * en["S_en"]
+    B_row = hat["m", "B"] + sigma * en["B_en"]
+    d2S = {fw: _d2dir(S_row, grid.h2, fw) for fw in (True, False)}
+    d2B = {fw: _d2dir(B_row, grid.h2, fw) for fw in (True, False)}
+    d2u_hat = {fw: _d2dir(u_hat, grid.h2, fw) for fw in (True, False)}
+    d2S_hat = {fw: _d2dir(hat["m", "S"], grid.h2, fw) for fw in (True, False)}
+    d2B_hat = {fw: _d2dir(hat["m", "B"], grid.h2, fw) for fw in (True, False)}
+    rho_hat = hat["m", "rho"]
+    P_hat = hat["m", "P"]
+    rbg = {fw: (rho_hat * u_hat * d2u_hat[fw] - beta
+                + (P_hat / (g - 1.0) * d2S_hat[fw] - rho_hat * d2B_hat[fw]))
+           for fw in (True, False)}
+
+    gprime = pert.geometry.g.deriv(1)
+
+    def wall_top(y1v, u1_row):
+        return sigma * float(gprime(y1v)) * u1_row[-1]
+
+    def freeze(u1, u2):
+        rho, P = rho_P(np.broadcast_to(S_row, u1.shape),
+                       np.broadcast_to(B_row, u1.shape), u1, u2, gas)
+        c2 = g * P / rho
+        return {"rho": rho, "P": P, "M1sq": u1 * u1 / c2, "M12": u1 * u2 / c2}
+
+    U1 = np.broadcast_to(u_hat, (grid.n1, grid.n2)).copy()
+    U2 = np.zeros((grid.n1, grid.n2))
+    history = []
+    prev_update = np.inf
+    for _ in range(max_iter):
+        cf = freeze(U1, U2)
+
+        def rhs(u1_row, u2_row, i, forward, cf=cf, U1=U1, U2=U2):
+            rho = cf["rho"][i]
+            M1sq = cf["M1sq"][i]
+            M12 = cf["M12"][i]
+            P = cf["P"][i]
+            u1k = U1[i]
+            u2k = U2[i]
+            d2u1 = _d2dir(u1_row, grid.h2, forward)
+            d2u2 = _d2dir(u2_row, grid.h2, forward)
+            r2 = (mfac * rho * (u2k * d2u2 + u1k * d2u1) - beta
+                  + mfac * (P / (g - 1.0) * d2S[forward] - rho * d2B[forward]))
+            r2 = r2 - rbg[forward]
+            r1 = (M12 * r2 + mfac * rho * (u2k * d2u1 - u1k * d2u2)) / (1.0 - M1sq)
+            return r1, r2
+
+        inflow = (u_hat + sigma * en["u1_en"], sigma * en["u2_en"])
+        u1n, u2n = march(grid, rhs, inflow, wall_top)
+        upd = max(np.abs(u1n - U1).max(), np.abs(u2n - U2).max())
+        if upd > prev_update and upd > tol:
+            u1n = U1 + 0.8 * (u1n - U1)
+            u2n = U2 + 0.8 * (u2n - U2)
+            upd = 0.8 * upd
+        U1, U2 = u1n, u2n
+        history.append(float(upd))
+        prev_update = upd
+        if upd <= tol:
+            break
+    return U1, U2, history

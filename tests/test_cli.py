@@ -173,6 +173,28 @@ def test_cmd_sweep(tmp_path, capsys):
     assert os.path.exists(out / "run_000" / "config.json")
 
 
+def test_sweep_continues_past_bad_point(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_config(p)
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", str(p), "--out", str(out),
+               "--key", "nozzle.sigma", "--values", "[0.001, -1]"])
+    assert rc == 1
+    rows = [r.split(",") for r in open(out / "sweep.csv").read().strip().splitlines()[1:]]
+    assert [r[2] for r in rows] == ["0", "1"]
+    assert np.isfinite(float(rows[0][3])) and np.isnan(float(rows[1][3]))
+
+
+def test_verify_after_one_pass_solve(tmp_path, capsys):
+    # at sigma = 0 the iteration stops after one pass: a one-row log
+    p = tmp_path / "c.json"
+    write_config(p, **{"nozzle.sigma": 0.0})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+    assert len(open(out / "iteration_log.csv").read().strip().splitlines()) == 2
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+
+
 def test_sweep_requires_key(tmp_path, capsys):
     p = tmp_path / "c.json"
     write_config(p)

@@ -4,6 +4,7 @@ import pytest
 import rotshock as rs
 from rotshock.profiles import Profile
 from rotshock.supersonic import entrance_profiles, solve_linear, solve_nonlinear, transport_SB
+from tests import march_oracle
 from tests.conftest import L_DUCT, make_pert, make_pert_strong
 
 
@@ -164,3 +165,27 @@ def test_entrance_maps_agree_at_sigma_zero(hat_rot, bg_rot):
     m_a, en_a = entrance_profiles(hat_rot, pert, bg_rot, perturbed_map=False)
     assert m_a == hat_rot.m_bar
     assert np.abs(en_a["u1_en"] - pert.u1_en(hat_rot.x2)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("nx,ny", [(65, 33), (129, 65), (1025, 65)])
+def test_march_matches_row_oracle(bg_rot, nx, ny):
+    hat = rs.hatted_background(bg_rot, n2=ny)
+    grid = rs.LagrangianGrid(nx, ny, 0.0, L_DUCT, hat.m_bar, hat.m_bar)
+
+    def assert_close(new, ref):
+        scale = max(np.abs(ref[0]).max(), np.abs(ref[1]).max())
+        for a, b in zip(new, ref):
+            assert np.abs(a - b).max() <= 1e-13 * scale
+
+    for sigma in (0.0, 1e-3, 1e-2):
+        pert = make_pert_strong(sigma)
+        lin, _ = solve_linear(hat, pert, grid)
+        assert_close((lin.V["u1"], lin.V["u2"]), march_oracle.linear(hat, pert, grid))
+        # tol = inf stops after one sweep frozen at the background
+        one = solve_nonlinear(hat, pert, grid, bg_rot, tol=np.inf)
+        assert_close((one.V["u1"], one.V["u2"]),
+                     march_oracle.nonlinear(hat, pert, grid, bg_rot, max_iter=1)[:2])
+        sup = solve_nonlinear(hat, pert, grid, bg_rot)
+        u1, u2, history = march_oracle.nonlinear(hat, pert, grid, bg_rot)
+        assert sup.picard_iters == len(history)
+        assert_close((sup.V["u1"], sup.V["u2"]), (u1, u2))
