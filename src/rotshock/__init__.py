@@ -39,15 +39,7 @@ from .iteration import (
     TransonicOptions,
     solve_transonic,
 )
-from .lagrangian import (
-    CharSpeeds,
-    Field,
-    Geometry,
-    LagrangianGrid,
-    characteristic_speeds,
-    hatted_background,
-    x2_of_y,
-)
+from .lagrangian import Field, Geometry, LagrangianGrid, hatted_background
 from .profiles import Profile, as_profile
 from .shockfit import (
     InitialApproximation,
@@ -64,8 +56,7 @@ from .supersonic import (
     SupersonicSolution,
     solve_linear,
     solve_nonlinear,
-    transport_SB,
 )
-from .thermo import CharState, GasModel, GasState, from_char, mach_and_sound, to_char
+from .thermo import GasModel, GasState
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -82,6 +83,11 @@ class RunConfig:
         return copy.deepcopy(self.raw)
 
 
+def _is_number(v):
+    """A finite int or float; not a bool (JSON true/false would pass as 1/0)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _merge_validate(data):
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
@@ -105,21 +111,26 @@ def _merge_validate(data):
                          ("nozzle", "sigma"), ("upstream", "M_top"),
                          ("upstream", "P_top")):
         v = merged[section][key]
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ConfigError(f"{section}.{key}: expected a number, got {v!r}")
+    gas = merged["gas"]
+    if not gas["gamma"] > 1:
+        raise ConfigError(f"gas.gamma: expected a number > 1, got {gas['gamma']!r}")
+    if not gas["beta"] >= 0:
+        raise ConfigError(f"gas.beta: expected a number >= 0, got {gas['beta']!r}")
     s = merged["solver"]
     for key in ("nx", "ny", "max_iter"):
         if not isinstance(s[key], int) or s[key] < 3:
             raise ConfigError(f"solver.{key}: expected an integer >= 3, got {s[key]!r}")
     for key in ("tol_fp", "tol_res", "defect_tol"):
-        if not isinstance(s[key], (int, float)) or s[key] <= 0:
+        if not _is_number(s[key]) or s[key] <= 0:
             raise ConfigError(f"solver.{key}: expected a positive number")
     if s["psi_bracket"] is not None:
         pb = s["psi_bracket"]
         if (not isinstance(pb, list) or len(pb) != 2
-                or not all(isinstance(v, (int, float)) for v in pb) or pb[0] >= pb[1]):
+                or not all(_is_number(v) for v in pb) or pb[0] >= pb[1]):
             raise ConfigError("solver.psi_bracket: expected [lo, hi] with lo < hi")
-    if s["psi_bar"] is not None and not isinstance(s["psi_bar"], (int, float)):
+    if s["psi_bar"] is not None and not _is_number(s["psi_bar"]):
         raise ConfigError("solver.psi_bar: expected a number")
     out = merged["output"]
     if not isinstance(out["dir"], str):
@@ -241,15 +252,11 @@ def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
     res.sup.V.write_csv(os.path.join(out, "fields_minus.csv"),
                         extra_columns={"x2": x2m})
     ctx = res.ctx
-    down = res.downstream_field()
-    z1 = ctx.grid_plus.y1
-    psi_vals = res.front.psi()
-    Y1 = z1[:, None] + (ctx.L - z1)[:, None] * (psi_vals - ctx.grid_plus.y1a)[None, :] \
-        / (ctx.L - ctx.grid_plus.y1a)
-    down.write_csv(os.path.join(out, "fields_plus.csv"),
-                   extra_columns={"x2": x2p, "y1_phys": Y1})
+    fmap = res.front_map
+    res.downstream_field().write_csv(os.path.join(out, "fields_plus.csv"),
+                                     extra_columns={"x2": x2p, "y1_phys": fmap.Y1})
     _write_profile_csv(os.path.join(out, "front.csv"),
-                       {"y2": res.front.y2, "psi": psi_vals,
+                       {"y2": res.front.y2, "psi": fmap.psi,
                         "psi_prime": res.front.psi_prime})
     with open(os.path.join(out, "iteration_log.csv"), "w") as fh:
         fh.write("iter,update_norm,psi_sharp,defect,kappa_estimate\n")

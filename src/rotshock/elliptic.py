@@ -43,7 +43,7 @@ import numpy as np
 from scipy.fft import dct, dst, idct, idst
 
 from .errors import IncompatibleDataError, InvalidStateError
-from .fd import d1 as _d1, d2 as _d2
+from .fd import d1 as _d1, d2 as _d2, trap, trap_w
 
 __all__ = [
     "EllipticProblem",
@@ -130,16 +130,9 @@ class EllipticSolution:
     projected_defect: float       # defect after the optional h2 shift
     h2_shift: float               # constant subtracted from h2 (0 if no projection)
     residuals: tuple              # interior max |eq1|, |eq2|
-    corner_residuals: tuple       # same, restricted to corner neighbourhoods
     phi_hat: np.ndarray
     phi_check: np.ndarray
     problem: EllipticProblem = field(repr=False, default=None)
-
-
-def _trap_w(n):
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    return w
 
 
 def compatibility_defect(p: EllipticProblem) -> float:
@@ -149,8 +142,8 @@ def compatibility_defect(p: EllipticProblem) -> float:
     defect here is exactly discrete solvability of the Neumann problem.
     """
     h1s, h2s = p.spacing
-    wy2 = _trap_w(p.n2) * h2s
-    wy1 = _trap_w(p.n1) * h1s
+    wy2 = trap_w(p.n2) * h2s
+    wy1 = trap_w(p.n1) * h1s
     lhs = np.sum(p.lam1 * (p.h2 - p.h1) * wy2) + p.lam2[-1] * np.sum(p.h3 * wy1)
     rhs = float(wy1 @ p.H1 @ wy2)
     return float(lhs - rhs)
@@ -158,26 +151,14 @@ def compatibility_defect(p: EllipticProblem) -> float:
 
 def _fv_rhs(rhs, gL, gR, gB, gT, n1, n2, h1, h2):
     """Finite-volume right-hand side with boundary-flux data folded in."""
-    wj = _trap_w(n2) * h2
-    wi = _trap_w(n1) * h1
+    wj = trap_w(n2) * h2
+    wi = trap_w(n1) * h1
     F = -(rhs * wi[:, None] * wj[None, :])
     F[0, :] += -gL * wj
     F[-1, :] += gR * wj
     F[:, 0] += -gB * wi
     F[:, -1] += gT * wi
     return F
-
-
-def solvability_sum(p: EllipticProblem) -> float:
-    """Plain sum of the assembled Neumann right-hand side.
-
-    By the finite-volume flux bookkeeping this telescopes exactly to the
-    trapezoid compatibility defect of the data.
-    """
-    h1s, h2s = p.spacing
-    F = _fv_rhs(p.H1, p.lam1 * p.h1, p.lam1 * p.h2, np.zeros(p.n1),
-                p.lam2[-1] * p.h3, p.n1, p.n2, h1s, h2s)
-    return float(F.sum())
 
 
 def _tridiag_solve(diag, off, rhs):
@@ -242,7 +223,7 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
 
     if kind == "neumann":
         gL, gR, gB, gT = bdata
-        wi = _trap_w(n1)
+        wi = trap_w(n1)
         F = _fv_rhs(rhs, gL, gR, gB, gT, n1, n2, h1, h2)
         G = idct(((F - F.mean()) / wi[:, None]).T, type=1, axis=1)
         # mode 0: fluxes q_j = (h1/h2) bh_j (phi_{j+1} - phi_j) = -sum_{i<=j} G_i
@@ -251,7 +232,7 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
         G[1:, 0] = np.cumsum(flux * h2 / (h1 * bh))
         # modes 1..n1-1: (lam_k a wj h2/h1 + h1/h2 T2(bh)) phi_k = G_k
         bsum = np.concatenate([bh, [0.0]]) + np.concatenate([[0.0], bh])
-        diag = (np.outer(a * _trap_w(n2) * h2 / h1, _y1_eigenvalues(n1, np.arange(1, n1)))
+        diag = (np.outer(a * trap_w(n2) * h2 / h1, _y1_eigenvalues(n1, np.arange(1, n1)))
                 + (h1 / h2) * bsum[:, None])
         G[:, 1:] = _tridiag_solve(diag, -(h1 / h2) * bh, G[:, 1:])
         phi = dct(G, type=1, axis=1).T
@@ -279,6 +260,7 @@ def solve(p: EllipticProblem, opts: SolveOptions = None) -> EllipticSolution:
     """
     opts = opts or SolveOptions()
     defect = compatibility_defect(p)
+    h1s, h2s = p.spacing
     h2_data = p.h2
     shift = 0.0
     if abs(defect) > opts.defect_tol:
@@ -286,16 +268,13 @@ def solve(p: EllipticProblem, opts: SolveOptions = None) -> EllipticSolution:
             raise IncompatibleDataError(
                 "elliptic data violate the solvability condition", defect
             )
-        h1s, h2s = p.spacing
-        int_lam1 = float(np.sum(p.lam1 * _trap_w(p.n2)) * h2s)
-        shift = defect / int_lam1
+        shift = defect / trap(p.lam1, h2s)
         h2_data = p.h2 - shift
     p_eff = EllipticProblem(
         p.L1, p.L2, p.m_bar, p.n1, p.n2, p.lam1, p.lam2, p.lam3, p.lam4,
         p.H1, p.H2, p.h1, h2_data, p.h3,
     )
     projected = compatibility_defect(p_eff)
-    h1s, h2s = p.spacing
 
     # hat potential: Neumann, carries H1 and all boundary data
     phi_hat = solve_scalar(
@@ -321,15 +300,9 @@ def solve(p: EllipticProblem, opts: SolveOptions = None) -> EllipticSolution:
     r2 = _d1(p.lam3 * v2, h1s) - _d2(p.lam4 * v1, h2s) - p_eff.H2
     interior = (slice(1, -1), slice(1, -1))
     res = (float(np.abs(r1[interior]).max()), float(np.abs(r2[interior]).max()))
-    k = max(2, min(p.n1, p.n2) // 16)
-    corner_mask = np.zeros((p.n1, p.n2), dtype=bool)
-    for si in (slice(0, k), slice(-k, None)):
-        for sj in (slice(0, k), slice(-k, None)):
-            corner_mask[si, sj] = True
-    cres = (float(np.abs(r1[corner_mask]).max()), float(np.abs(r2[corner_mask]).max()))
 
     return EllipticSolution(
         v1=v1, v2=v2, defect=defect, projected_defect=projected, h2_shift=shift,
-        residuals=res, corner_residuals=cres,
+        residuals=res,
         phi_hat=phi_hat, phi_check=phi_check, problem=p_eff,
     )

@@ -20,17 +20,26 @@ sigma^(3/2)-neighbourhood of the initial approximation.  Sources are
 well balanced: the discrete residual of the exact background is subtracted,
 so sigma = 0 reproduces the background to machine precision.
 
+The free front is fixed by one shock-fitted change of coordinates,
+``FrontMap``, which maps the fixed rectangle [psi_bar, L] x [0, m_bar] onto
+the subsonic region between the front psi(y2) and the exit.  One map is
+built per front; the step assembly, the residual audit, the reconstructed
+heights and the CLI's physical abscissa all take their derivative factors
+and wall abscissa from it.
+
 Every entry point (``solve_transonic`` and the ``initial``/``verify``
 subcommands) shares one setup: ``setup_upstream`` builds the hatted
 profiles, the mass fluxes and the upstream grid, ``locate`` places the shock
 from J1(psi_bar) = J2 and builds the linear two-phase approximation, and
 ``build_context`` adds the Picard march and freezes an ``IterationContext``.
-The residual audit evaluates both regions with the same operator.
+The residual audit evaluates both regions with the same operator; the
+upstream region is its own identity map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -62,8 +71,7 @@ __all__ = [
     "IterationState",
     "ResidualReport",
     "IterationContext",
-    "CoordinateMap",
-    "fix_coordinates",
+    "FrontMap",
     "assemble_step_data",
     "solve_psi_sharp",
     "apply_T",
@@ -161,28 +169,38 @@ class ResidualReport:
             raise InvalidStateError(f"non-finite residual entries: {vals}")
 
 
-@dataclass
-class CoordinateMap:
-    """Shock-fitting transform between (y1, y2) and (z1, z2 = y2)."""
+class FrontMap:
+    """Shock-fitted coordinates of one front on the z1 nodes ``z1``.
 
-    psi_bar: float
-    L: float
-    psi_vals: np.ndarray  # nodal psi(y2)
+    Y1(z1, y2) = z1 + (L - z1) (psi(y2) - psi_bar) / (L - psi_bar) sends
+    z1 = psi_bar onto the front and z1 = L onto the exit.  The map carries
+    the nodal front ``psi``, the factors of the transformed derivatives
+    d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1, and the top-wall
+    abscissa ``Y1_wall``, taken from psi_sharp_dev itself rather than from
+    the wall row of ``Y1`` (the two differ in the last bit).  The full-grid
+    arrays ``Y1`` and ``dY1_dz2`` are built on first use.  Construction
+    validates the front: it must stay inside the duct.
+    """
 
-    def z_of_y(self, y1, psi_at_y2):
-        return self.psi_bar + (self.L - self.psi_bar) * (y1 - psi_at_y2) / (self.L - psi_at_y2)
+    def __init__(self, front: ShockFront, z1, L):
+        self.psi = front.validate(L)
+        self.front = front
+        self.z1 = z1
+        self._to_exit = L - z1
+        self._span = L - front.psi_bar
+        gap = L - self.psi
+        self.fac1 = self._span / gap
+        self.cross = (self._to_exit[:, None] / gap) * front.psi_prime
+        self.Y1_wall = z1 + self._to_exit * front.psi_sharp_dev / self._span
 
-    def y_of_z(self, z1, psi_at_z2):
-        return z1 + (self.L - z1) * (psi_at_z2 - self.psi_bar) / (self.L - self.psi_bar)
+    @cached_property
+    def dY1_dz2(self):
+        return (self._to_exit[:, None] / self._span) * self.front.psi_prime[None, :]
 
-
-def fix_coordinates(front: ShockFront, L) -> CoordinateMap:
-    psi_vals = front.psi()
-    if psi_vals.max() >= L:
-        raise NoAdmissibleShockError(
-            f"front reaches the exit: max psi = {psi_vals.max():.6f} >= L = {L}"
-        )
-    return CoordinateMap(psi_bar=front.psi_bar, L=L, psi_vals=psi_vals)
+    @cached_property
+    def Y1(self):
+        return (self.z1[:, None] + self._to_exit[:, None]
+                * (self.psi - self.front.psi_bar)[None, :] / self._span)
 
 
 @dataclass
@@ -248,27 +266,27 @@ def _full_plus(ctx, state):
     return {"u1": u1, "u2": u2, "S": S, "B": B, "rho": rho, "P": P}
 
 
-def _nonlinear_residuals_z(ctx, grid, full, psi_vals, psi_prime):
+def _heights(ctx, rho, u1, h2):
+    """Physical heights x2 = (m/m_bar) int_0^y2 1/(rho u1) along the last axis."""
+    return (ctx.m / ctx.m_bar) * fd.cumtrap(1.0 / (rho * u1), h2)
+
+
+def _nonlinear_residuals_z(ctx, grid, full, fac1, cross):
     """N1, N2 of the transformed system evaluated on ``grid``.
 
-    The y-derivatives are expressed through z-derivatives of the
-    shock-fitted coordinates; for the upstream region pass psi_vals equal to
-    the left grid edge and psi_prime = 0 (identity map).
+    The y-derivatives are expressed through z-derivatives with the factors
+    of a ``FrontMap``; the upstream region passes fac1 = 1, cross = 0 (the
+    identity map).
     """
-    L = ctx.L
     gas = ctx.gas
     g = gas.gamma
     mfac = ctx.m_bar / ctx.m
     h1, h2 = grid.h1, grid.h2
-    z1 = grid.y1
     u1, u2, S, B = full["u1"], full["u2"], full["S"], full["B"]
     rho, P = full["rho"], full["P"]
     c2 = g * P / rho
     M1 = u1 / np.sqrt(c2)
     M2 = u2 / np.sqrt(c2)
-
-    fac1 = (L - grid.y1a) / (L - psi_vals)          # dy1 -> dz1
-    cross = ((L - z1)[:, None] / (L - psi_vals)) * psi_prime
 
     def dy1(q):
         return fac1 * fd.d1(q, h1)
@@ -292,7 +310,6 @@ class StepData:
     g3: np.ndarray   # wall trace of u2
     g4: np.ndarray   # exit trace of u1
     g0: np.ndarray   # slope-update correction
-    psi_vals: np.ndarray
     G0: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
@@ -318,21 +335,15 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     sigma = ctx.pert.sigma
     grid = ctx.grid_plus
     h1, h2 = grid.h1, grid.h2
-    L = ctx.L
-    psi_bar = grid.y1a
-    y2 = grid.y2
-    z1 = grid.y1
-
-    front = ShockFront(psi_bar, psi_sharp_dev, state.psi_prime, y2)
-    psi_vals = front.validate(L)
+    fmap = FrontMap(ShockFront(grid.y1a, psi_sharp_dev, state.psi_prime, grid.y2),
+                    grid.y1, ctx.L)
 
     # ---- wall datum
-    Y1_wall = z1 + (L - z1) * psi_sharp_dev / (L - psi_bar)
     gp = ctx.pert.geometry.g.deriv(1)
-    g3 = sigma * (hat["p", "u"][-1] + state.u1[:, -1]) * gp(Y1_wall)
+    g3 = sigma * (hat["p", "u"][-1] + state.u1[:, -1]) * gp(fmap.Y1_wall)
 
     # ---- traces on the front
-    minus = _upstream_trace(ctx, psi_vals)
+    minus = _upstream_trace(ctx, fmap.psi)
     full = _full_plus(ctx, state)
     plus = {k: full[k][0, :] for k in ("u1", "u2", "S", "B", "rho", "P")}
     rho_m, P_m = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"], gas)
@@ -360,12 +371,8 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     g1 = state.S[0, :] - corr_S
 
     # ---- exit datum
-    u1L = full["u1"][-1, :]
-    rhoL = full["rho"][-1, :]
     PL = full["P"][-1, :]
-    integ = 1.0 / (rhoL * u1L)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integ[1:] + integ[:-1]) * h2)])
-    arg = (ctx.m / ctx.m_bar) * cum
+    arg = _heights(ctx, full["rho"][-1, :], full["u1"][-1, :], h2)
     rup = hat["p", "rho"] * up
     Pp_hat = hat["p", "P"]
     g4 = (
@@ -380,7 +387,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     g0 = (ctx.m_bar * co.P_jump / ctx.m) * state.psi_prime - state.u2[0, :] + G0
 
     # ---- interior sources: operator defects of the two momentum equations
-    N1, N2 = _nonlinear_residuals_z(ctx, grid, full, psi_vals, state.psi_prime)
+    N1, N2 = _nonlinear_residuals_z(ctx, grid, full, fmap.fac1, fmap.cross)
     Msq_p = hat["p", "Msq"]
     rup_du = hat["p", "rho"] * hat["p", "du"]
     lam1_op = ((1.0 - Msq_p)[None, :] * fd.d1(state.u1, h1)
@@ -396,7 +403,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     H2 = co.b3p[None, :] * (sb_new[None, :] + f2)
 
     return StepData(H1=H1, H2=H2, g1=g1, g2=g2, g3=g3, g4=g4, g0=g0,
-                    psi_vals=psi_vals, G0=G0, G1=G1, G2=G2, f1=f1, f2=f2)
+                    G0=G0, G1=G1, G2=G2, f1=f1, f2=f2)
 
 
 def _problem_from_data(ctx, data: StepData) -> EllipticProblem:
@@ -415,29 +422,31 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
 
     Secant iteration on psi_sharp_dev; the functional is the discrete
     compatibility defect of the assembled downstream problem, so the
-    subsequent elliptic solve is solvable by construction.
+    subsequent elliptic solve is solvable by construction.  Returns
+    (psi_sharp_dev, J, StepData) at the root.
     """
     psi_bar = ctx.grid_plus.y1a
     lo, hi = -psi_bar, ctx.L - psi_bar
 
     def J(s):
-        return compatibility_defect(_problem_from_data(ctx, assemble_step_data(state, ctx, s)))
+        data = assemble_step_data(state, ctx, s)
+        return compatibility_defect(_problem_from_data(ctx, data)), data
 
     s0 = state.psi_sharp_dev
-    J0 = J(s0)
+    J0, data0 = J(s0)
     sigma = ctx.pert.sigma
     scale = max(abs(J0), sigma, 1e-14)
     # rounding floor of the assembled quadratures; below it J counts as zero
     atol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.m_bar)
     tol = max(tol_rel * scale, atol)
     if abs(J0) <= tol:
-        return s0, J0
+        return s0, J0, data0
     ds = max(1e-3 * max(sigma, 1e-6) * (ctx.L - psi_bar), 1e-9)
     s1 = s0 + ds
-    J1 = J(s1)
+    J1, data1 = J(s1)
     for _ in range(max_iter):
         if abs(J1) <= tol:
-            return s1, J1
+            return s1, J1, data1
         dJ = (J1 - J0) / (s1 - s0)
         if abs(dJ) * (ctx.L - psi_bar) <= 1e-3 * tol:
             raise DegenerateSelectionError(
@@ -448,8 +457,8 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
             raise NoAdmissibleShockError(
                 f"psi_sharp update {s2:.6f} leaves the admissible range ({lo:.4f}, {hi:.4f})"
             )
-        J2 = J(s2)
-        s0, J0, s1, J1 = s1, J1, s2, J2
+        s0, J0, s1 = s1, J1, s2
+        J1, data1 = J(s1)
     raise NonConvergenceError(
         f"psi_sharp root search stalled at |J|={abs(J1):.3e} (tol {tol:.3e})"
     )
@@ -457,8 +466,7 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
 
 def apply_T(state: IterationState, ctx: IterationContext):
     """One application of the iteration map; returns (new_state, info)."""
-    s_sharp, Jval = solve_psi_sharp(state, ctx)
-    data = assemble_step_data(state, ctx, s_sharp)
+    s_sharp, Jval, data = solve_psi_sharp(state, ctx)
     prob = _problem_from_data(ctx, data)
     esol = solve(prob, SolveOptions(defect_tol=ctx.opts.defect_tol, project=True))
     if abs(esol.defect) > ctx.opts.defect_tol:
@@ -534,7 +542,6 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     hat = ctx.hat
     mfac = ctx.m_bar / ctx.m
     gm, gp_grid = ctx.grid_minus, ctx.grid_plus
-    h2 = gp_grid.h2
 
     frame = 3  # reach of the one-sided boundary closures
     core = (slice(frame, -frame), slice(frame, -frame))
@@ -545,11 +552,11 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
         return R[core].max(), max(np.abs(N1)[core].max(), np.abs(N2)[core].max()), R.max()
 
     # --- downstream region (z-grid, shock-fitted derivatives)
-    front = ShockFront(gp_grid.y1a, state.psi_sharp_dev, state.psi_prime, gp_grid.y2)
-    psi_vals = front.psi()
+    fmap = FrontMap(ShockFront(gp_grid.y1a, state.psi_sharp_dev, state.psi_prime,
+                               gp_grid.y2), gp_grid.y1, ctx.L)
     full = _full_plus(ctx, state)
     wb_p, raw_p, frame_p = region_maxima(
-        *_nonlinear_residuals_z(ctx, gp_grid, full, psi_vals, state.psi_prime), ctx.E2)
+        *_nonlinear_residuals_z(ctx, gp_grid, full, fmap.fac1, fmap.cross), ctx.E2)
 
     # --- upstream region (identity map)
     Vm = ctx.sup.V
@@ -557,11 +564,11 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     fullm = {"u1": Vm["u1"], "u2": Vm["u2"], "S": Vm["S"], "B": Vm["B"],
              "rho": rho_m, "P": P_m}
     wb_m, raw_m, frame_m = region_maxima(
-        *_nonlinear_residuals_z(ctx, gm, fullm, gm.y1a, 0.0),
+        *_nonlinear_residuals_z(ctx, gm, fullm, 1.0, 0.0),
         _background_defect(hat, "m", gm.h2, mfac))
 
     # --- jump conditions on the front
-    minus = _upstream_trace(ctx, psi_vals)
+    minus = _upstream_trace(ctx, fmap.psi)
     rho_tm, P_tm = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"], gas)
     plus = {k: full[k][0, :] for k in full}
     psid = state.psi_prime
@@ -576,18 +583,14 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     rh = max(np.abs(r).max() for r in (r1, r2, r3, r4))
 
     # --- exit pressure
-    u1L, rhoL, PL = full["u1"][-1], full["rho"][-1], full["P"][-1]
-    integ = 1.0 / (rhoL * u1L)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integ[1:] + integ[:-1]) * h2)])
-    Pex_target = hat["p", "P"] + sigma * ctx.pert.P_ex((ctx.m / ctx.m_bar) * cum)
-    exit_res = float(np.abs(PL - Pex_target).max())
+    x2_exit = _heights(ctx, full["rho"][-1], full["u1"][-1], gp_grid.h2)
+    Pex_target = hat["p", "P"] + sigma * ctx.pert.P_ex(x2_exit)
+    exit_res = float(np.abs(full["P"][-1] - Pex_target).max())
 
     # --- wall slip conditions
     gp = ctx.pert.geometry.g.deriv(1)
     wall_m = np.abs(Vm["u2"][:, -1] / Vm["u1"][:, -1] - sigma * gp(gm.y1)).max()
-    z1 = gp_grid.y1
-    Y1w = z1 + (ctx.L - z1) * state.psi_sharp_dev / (ctx.L - gp_grid.y1a)
-    wall_p = np.abs(full["u2"][:, -1] / full["u1"][:, -1] - sigma * gp(Y1w)).max()
+    wall_p = np.abs(full["u2"][:, -1] / full["u1"][:, -1] - sigma * gp(fmap.Y1_wall)).max()
     wall_b = max(np.abs(Vm["u2"][:, 0]).max(), np.abs(full["u2"][:, 0]).max())
     wall = float(max(wall_m, wall_p, wall_b))
 
@@ -626,6 +629,10 @@ class RunResult:
     def psi_sharp(self):
         return self.psi_bar + self.state.psi_sharp_dev
 
+    @cached_property
+    def front_map(self) -> FrontMap:
+        return FrontMap(self.front, self.ctx.grid_plus.y1, self.ctx.L)
+
     def downstream_field(self) -> Field:
         full = _full_plus(self.ctx, self.state)
         return Field(self.ctx.grid_plus,
@@ -634,26 +641,13 @@ class RunResult:
     def eulerian_heights(self):
         """x2 arrays for the upstream grid and the downstream z-grid."""
         ctx = self.ctx
-        gm = ctx.grid_minus
         Vm = ctx.sup.V
         rho_m, _ = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], ctx.gas)
-        integ_m = 1.0 / (rho_m * Vm["u1"])
-        x2m = np.zeros_like(integ_m)
-        x2m[:, 1:] = np.cumsum(0.5 * (integ_m[:, 1:] + integ_m[:, :-1]) * gm.h2, axis=1)
-        x2m *= ctx.m / ctx.m_bar
+        x2m = _heights(ctx, rho_m, Vm["u1"], ctx.grid_minus.h2)
         full = _full_plus(ctx, self.state)
-        gp_grid = ctx.grid_plus
-        psi_vals = ShockFront(gp_grid.y1a, self.state.psi_sharp_dev,
-                              self.state.psi_prime, gp_grid.y2).psi()
-        z1 = gp_grid.y1
-        dY1_dz2 = ((ctx.L - z1)[:, None] / (ctx.L - gp_grid.y1a)) \
-            * self.state.psi_prime[None, :]
-        rho_p = full["rho"]
-        dxdz2 = (full["u2"] / full["u1"]) * dY1_dz2 \
-            + (ctx.m / ctx.m_bar) / (rho_p * full["u1"])
-        x2p = np.zeros_like(dxdz2)
-        x2p[:, 1:] = np.cumsum(0.5 * (dxdz2[:, 1:] + dxdz2[:, :-1]) * gp_grid.h2, axis=1)
-        return x2m, x2p
+        dxdz2 = (full["u2"] / full["u1"]) * self.front_map.dY1_dz2 \
+            + (ctx.m / ctx.m_bar) / (full["rho"] * full["u1"])
+        return x2m, fd.cumtrap(dxdz2, ctx.grid_plus.h2)
 
 
 def setup_upstream(bg, pert, opts: TransonicOptions):

@@ -13,9 +13,9 @@ happen on the rectangle; the physical vertical position is recovered a
 posteriori from x2 = (m/m_bar) int_0^y2 1/(rho*u1) ds.
 
 Cumulative integrals of solution fields use the trapezoid rule on grid
-nodes (with a partial-interval correction for off-node queries), which
-preserves the discrete telescoping used in conservation checks; the smooth
-background maps use composite Simpson quadrature on the background grid.
+nodes (``fd.cumtrap``), which preserves the discrete telescoping used in
+conservation checks; the smooth background maps use composite Simpson
+quadrature on the background grid.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ __all__ = [
     "Geometry",
     "LagrangianGrid",
     "Field",
-    "CharSpeeds",
-    "x2_of_y",
     "hatted_background",
     "HattedProfiles",
-    "characteristic_speeds",
     "inlet_maps",
 ]
 
@@ -142,44 +139,6 @@ class Field:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _cumtrap(vals, x):
-    out = np.empty_like(vals)
-    out[0] = 0.0
-    np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(x), out=out[1:])
-    return out
-
-
-def x2_of_y(rho_u1, grid: LagrangianGrid, y1, y2, m=None, m_bar=None):
-    """Physical height x2 at Lagrangian point(s) (y1, y2).
-
-    ``rho_u1`` is the nodal mass-flux density on ``grid``.  The integrand
-    1/(rho*u1) is interpolated in y1 (cubic) at the query abscissa and
-    integrated in y2 by the trapezoid rule with a partial-interval
-    correction at the endpoint.
-    """
-    m = grid.m if m is None else m
-    m_bar = grid.m_bar if m_bar is None else m_bar
-    rho_u1 = np.asarray(rho_u1, dtype=float)
-    if np.any(rho_u1 <= 0.0):
-        raise InvalidStateError(
-            f"rho*u1 must stay positive for an invertible map (min {rho_u1.min():.3e})"
-        )
-    gy1, gy2 = grid.y1, grid.y2
-    if grid.n1 >= 4:
-        col = CubicSpline(gy1, 1.0 / rho_u1, axis=0)(float(y1))
-    else:
-        w = np.clip((float(y1) - grid.y1a) / (grid.y1b - grid.y1a), 0.0, 1.0)
-        col = (1.0 - w) / rho_u1[0] + w / rho_u1[-1]
-    cum = _cumtrap(col, gy2)
-    y2q = np.atleast_1d(np.asarray(y2, dtype=float))
-    j = np.clip(np.searchsorted(gy2, y2q, side="right") - 1, 0, grid.n2 - 2)
-    frac = y2q - gy2[j]
-    fj = col[j]
-    fq = fj + (col[j + 1] - fj) * (frac / grid.h2)
-    out = (m / m_bar) * (cum[j] + 0.5 * (fj + fq) * frac)
-    return out if np.ndim(y2) else float(out[0])
-
-
 @dataclass
 class HattedProfiles:
     """Background profiles re-parametrised by the mass coordinate y2.
@@ -196,15 +155,10 @@ class HattedProfiles:
     x2: np.ndarray
     vals: dict
     gas: GasModel
-    x2_spline: CubicSpline = None
 
     def __getitem__(self, key):
         side, name = key
         return self.vals[side][name]
-
-    @property
-    def pressure_jump(self):
-        return self.vals["p"]["P"] - self.vals["m"]["P"]
 
 
 def inlet_maps(bg, pert=None, sigma=0.0):
@@ -265,8 +219,7 @@ def hatted_background(bg, m_bar=None, n2=129) -> HattedProfiles:
             "Msq": u * u / c2,
             "du": dudx / flux, "dS": dSdx / flux, "dB": dBdx / flux,
         }
-    hp = HattedProfiles(y2=y2, m_bar=mb, x2=x2q, vals=vals, gas=bg.gas,
-                        x2_spline=x2_of_y2)
+    hp = HattedProfiles(y2=y2, m_bar=mb, x2=x2q, vals=vals, gas=bg.gas)
     flux_m = vals["m"]["rho"] * vals["m"]["u"]
     flux_p = vals["p"]["rho"] * vals["p"]["u"]
     worst = np.abs(flux_m - flux_p).max() / np.abs(flux_m).max()
@@ -274,29 +227,3 @@ def hatted_background(bg, m_bar=None, n2=129) -> HattedProfiles:
         raise InvalidStateError(f"hatted mass fluxes disagree by {worst:.3e}")
     return hp
 
-
-@dataclass(frozen=True)
-class CharSpeeds:
-    """Characteristic slopes of the y1-marching system (complex when subsonic)."""
-
-    lam_plus: complex
-    lam_minus: complex
-    real: bool
-
-
-def characteristic_speeds(u1, u2, c, rho, m, m_bar) -> CharSpeeds:
-    """Roots lambda+- = (m/m_bar)(-u2 +- u1*sqrt(M1^2+M2^2-1)) / (rho |u|^2).
-
-    Real pair iff M1^2 + M2^2 >= 1; complex-conjugate pair (elliptic regime)
-    otherwise.
-    """
-    speed_sq = u1 * u1 + u2 * u2
-    if speed_sq == 0.0:
-        raise InvalidStateError("characteristic speeds undefined at |u| = 0")
-    disc = (speed_sq) / (c * c) - 1.0
-    pref = m / (m_bar * rho * speed_sq)
-    if disc >= 0.0:
-        root = u1 * np.sqrt(disc)
-        return CharSpeeds(pref * (-u2 + root), pref * (-u2 - root), True)
-    root = u1 * np.sqrt(-disc) * 1j
-    return CharSpeeds(pref * (-u2 + root), pref * (-u2 - root), False)

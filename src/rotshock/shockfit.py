@@ -29,6 +29,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
+from . import fd
 from .elliptic import EllipticProblem, SolveOptions, solve
 from .errors import (
     DegenerateBackgroundError,
@@ -51,12 +52,6 @@ __all__ = [
     "shock_slope",
     "initial_approximation",
 ]
-
-
-def _trap(vals, h):
-    w = np.ones(len(vals))
-    w[0] = w[-1] = 0.5
-    return float(np.sum(vals * w) * h)
 
 
 def b_coefficients(hat, side):
@@ -167,7 +162,7 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
     rup = hat["p", "rho"] * hat["p", "u"]
     up = hat["p", "u"]
     g = hat.gas.gamma
-    J2 = _trap(
+    J2 = fd.trap(
         coeffs.b1p * (
             pert.P_ex(x2q) / rup
             + Pp * pert.S_en(x2q) / ((g - 1.0) * rup)
@@ -178,13 +173,13 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
 
     def J1(psi_bar):
         tr = interp(float(psi_bar))
-        term1 = _trap(w_int * tr, h2) / sigma if sigma > 0.0 else 0.0
+        term1 = fd.trap(w_int * tr, h2) / sigma if sigma > 0.0 else 0.0
         z1 = np.linspace(float(psi_bar), L, n1_sub)
-        term2 = wall_c * _trap(gp(z1), z1[1] - z1[0])
+        term2 = wall_c * fd.trap(gp(z1), z1[1] - z1[0])
         return term1 + term2
 
     J1_at0_closed = (
-        (_trap(w_int * interp(grid.y1a), h2) / sigma if sigma > 0.0 else 0.0)
+        (fd.trap(w_int * interp(grid.y1a), h2) / sigma if sigma > 0.0 else 0.0)
         + wall_c * (float(gfun(L)) - float(gfun(grid.y1a)))
     )
     return JFunctionals(J1=J1, J2=J2, J1_closed_form_at0=J1_at0_closed)
@@ -217,7 +212,7 @@ def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat, L) -> Selec
     comp = coeffs.b1p * (coeffs.fa3 - coeffs.fa1) / coeffs.b1m
     dcomp = CubicSpline(y2, comp).derivative()(y2)
     u2_en_y2 = pert.u2_en(hat.x2)
-    I = _trap(dcomp * coeffs.b2m * u2_en_y2, h2)
+    I = fd.trap(dcomp * coeffs.b2m * u2_en_y2, h2)
 
     grid = lin_sup.V.grid
     h1 = grid.h1
@@ -231,7 +226,7 @@ def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat, L) -> Selec
     C_minus = supnorm / sigma
     gpp = pert.geometry.g.deriv(2)
     g2max = float(np.abs(gpp(np.linspace(0.0, L, 513))).max())
-    F = C_minus * _trap(np.abs((coeffs.fa3 - coeffs.fa1) * coeffs.b1p), h2) \
+    F = C_minus * fd.trap(np.abs((coeffs.fa3 - coeffs.fa1) * coeffs.b1p), h2) \
         + coeffs.b2p[-1] * hat["p", "u"][-1] * g2max
     scale = max(np.abs(comp).max() * np.abs(coeffs.b2m).max() * max(1.0, np.abs(u2_en_y2).max()), 1e-300)
     if abs(I) <= 1e-11 * scale:
@@ -310,8 +305,6 @@ def subsonic_sb_source(coeffs, hat, S_row, B_row, h2):
     derivatives use the same second-order stencils as the residual audit so
     the two cancel exactly at linear order.
     """
-    from . import fd
-
     g = hat.gas.gamma
     beta = hat.gas.beta
     Pp = hat["p", "P"]
@@ -393,8 +386,7 @@ class ShockFront:
         return self.psi_bar + self.psi_sharp_dev
 
     def psi(self):
-        h2 = self.y2[1] - self.y2[0]
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (self.psi_prime[1:] + self.psi_prime[:-1]) * h2)])
+        cum = fd.cumtrap(self.psi_prime, self.y2[1] - self.y2[0])
         return self.psi_bar + self.psi_sharp_dev - (cum[-1] - cum)
 
     def validate(self, L):

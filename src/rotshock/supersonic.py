@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fd
 from .errors import CflError, ConfigError, InvalidStateError, NonConvergenceError
 from .lagrangian import Field, Geometry, LagrangianGrid, inlet_maps
 from .profiles import Profile
@@ -36,7 +37,6 @@ __all__ = [
     "SupersonicSolution",
     "FluxIdentityReport",
     "entrance_profiles",
-    "transport_SB",
     "solve_linear",
     "solve_nonlinear",
 ]
@@ -120,15 +120,6 @@ def entrance_profiles(hat, pert: PerturbationConfig, bg, perturbed_map):
         "S_en": pert.S_en(x2q),
         "B_en": pert.B_en(x2q),
     }
-
-
-def transport_SB(hat, grid: LagrangianGrid, sigma, S_en_y2, B_en_y2):
-    """Total entropy/Bernoulli fields: entrance values replicated along y1."""
-    S_row = hat["m", "S"] + sigma * np.asarray(S_en_y2, dtype=float)
-    B_row = hat["m", "B"] + sigma * np.asarray(B_en_y2, dtype=float)
-    S = np.broadcast_to(S_row, (grid.n1, grid.n2)).copy()
-    B = np.broadcast_to(B_row, (grid.n1, grid.n2)).copy()
-    return Field(grid, {"S": S, "B": B})
 
 
 def _d2dir(q, h2, forward):
@@ -258,11 +249,9 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
                              final_update=0.0, update_history=[])
 
     b1m, b2m, _, _ = b_coefficients(hat, "m")
-    w2q = np.ones(grid.n2); w2q[0] = w2q[-1] = 0.5
-    lhs = (u1dot * (b1m * w2q)).sum(axis=1) * grid.h2
-    gvals = pert.geometry.g(grid.y1)
-    rhs_id = sigma * float(((b1m * en["u1_en"]) * w2q).sum() * grid.h2) \
-        - sigma * b2m[-1] * u_hat[-1] * gvals
+    lhs = (u1dot * (b1m * fd.trap_w(grid.n2))).sum(axis=1) * grid.h2
+    rhs_id = sigma * fd.trap(b1m * en["u1_en"], grid.h2) \
+        - sigma * b2m[-1] * u_hat[-1] * pert.geometry.g(grid.y1)
     return sol, FluxIdentityReport(lhs=lhs, rhs=rhs_id)
 
 
@@ -316,7 +305,7 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
             )
         if np.any(np.abs(1.0 - M1sq) < 1e-10):
             raise CflError("sonic in the marching direction: M1 -> 1")
-        mu = rho * np.hypot(u1, u2) / np.sqrt(Mtot - 1.0) * mfac
+        mu = rho * np.sqrt(u1 * u1 + u2 * u2) / np.sqrt(Mtot - 1.0) * mfac
         _check_cfl(float(mu.max()), grid.h1, grid.h2)
         return rho, P, M1sq, M12
 

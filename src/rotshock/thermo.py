@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidStateError, VacuumError
 
-__all__ = ["GasModel", "GasState", "CharState", "to_char", "from_char", "mach_and_sound"]
+__all__ = ["GasModel", "GasState", "entropy_bernoulli", "rho_P"]
 
 # relative guard band below which B - |u|^2/2 counts as vacuum
 _VACUUM_GUARD = 1e-14
@@ -55,16 +55,6 @@ class GasState:
     P: float
 
 
-@dataclass(frozen=True)
-class CharState:
-    """Velocity plus the characteristic pair (S, B)."""
-
-    u1: float
-    u2: float
-    S: float
-    B: float
-
-
 def _check_positive(rho, P):
     rho = np.asarray(rho, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -75,14 +65,8 @@ def _check_positive(rho, P):
     return rho, P
 
 
-def to_char(s: GasState, m: GasModel) -> CharState:
-    """Primitive -> characteristic variables."""
-    S, B = entropy_bernoulli(s.rho, s.u1, s.u2, s.P, m)
-    return CharState(u1=s.u1, u2=s.u2, S=S, B=B)
-
-
 def entropy_bernoulli(rho, u1, u2, P, m: GasModel):
-    """Array form of the (S, B) map."""
+    """Primitive -> characteristic variables (S, B); vectorised."""
     rho, P = _check_positive(rho, P)
     g = m.gamma
     S = np.log(P) - g * np.log(rho)
@@ -90,14 +74,8 @@ def entropy_bernoulli(rho, u1, u2, P, m: GasModel):
     return S, B
 
 
-def from_char(c: CharState, m: GasModel) -> GasState:
-    """Characteristic -> primitive variables; inverse of ``to_char``."""
-    rho, P = rho_P(c.S, c.B, c.u1, c.u2, m)
-    return GasState(rho=rho, u1=c.u1, u2=c.u2, P=P)
-
-
 def rho_P(S, B, u1, u2, m: GasModel):
-    """Array form of the (rho, P) recovery from (S, B, |u|^2)."""
+    """(rho, P) from (S, B, |u|^2); inverse of ``entropy_bernoulli``."""
     S = np.asarray(S, dtype=float)
     B = np.asarray(B, dtype=float)
     g = m.gamma
@@ -113,17 +91,3 @@ def rho_P(S, B, u1, u2, m: GasModel):
     P = np.exp(g * (lnarg - S / g) / (g - 1.0))
     return rho, P
 
-
-def sound_speed_sq(rho, P, m: GasModel):
-    """c^2 = gamma P / rho."""
-    rho, P = _check_positive(rho, P)
-    return m.gamma * P / rho
-
-
-def mach_and_sound(s: GasState, m: GasModel):
-    """Return (c, M, M1, M2): sound speed, Mach number, directional Machs."""
-    c = np.sqrt(sound_speed_sq(s.rho, s.P, m))
-    M1 = s.u1 / c
-    M2 = s.u2 / c
-    M = np.hypot(s.u1, s.u2) / c
-    return c, M, M1, M2

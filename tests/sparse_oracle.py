@@ -4,19 +4,22 @@ Assembles the same discretisations the package solves by transforms: the
 node-centred finite-volume Neumann operator (solved bordered with the
 zero-sum constraint) and the 5-point Dirichlet operator on the interior
 nodes, each solved by sparse LU.  Tests compare the fast solver against it.
+``solvability_sum`` sums the assembled Neumann right-hand side, which
+telescopes to the compatibility defect.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rotshock.elliptic import _fv_rhs, _trap_w
+from rotshock.elliptic import EllipticProblem, _fv_rhs
+from rotshock.fd import trap_w
 
 
 def face_conductances(a_node, b_node, n1, n2, h1, h2):
     """Horizontal/vertical face conductances for the FV Laplacian."""
-    wj = _trap_w(n2)
-    wi = _trap_w(n1)
+    wj = trap_w(n2)
+    wi = trap_w(n1)
     gh = np.broadcast_to(a_node * wj * h2 / h1, (n1 - 1, n2)).copy()
     bh = 0.5 * (b_node[1:] + b_node[:-1])
     gv = wi[:, None] * bh[None, :] * h1 / h2
@@ -80,3 +83,15 @@ def solve_scalar_sparse(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, 
             n1 - 2, n2 - 2)
         return phi
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def solvability_sum(p: EllipticProblem) -> float:
+    """Plain sum of the assembled Neumann right-hand side.
+
+    By the finite-volume flux bookkeeping this telescopes exactly to the
+    trapezoid compatibility defect of the data.
+    """
+    h1s, h2s = p.spacing
+    F = _fv_rhs(p.H1, p.lam1 * p.h1, p.lam1 * p.h2, np.zeros(p.n1),
+                p.lam2[-1] * p.h3, p.n1, p.n2, h1s, h2s)
+    return float(F.sum())

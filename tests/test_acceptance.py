@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock.elliptic import SolveOptions, compatibility_defect, solvability_sum, solve
+from rotshock.elliptic import SolveOptions, compatibility_defect, solve
 from rotshock.lagrangian import inlet_maps
 from rotshock.profiles import Profile
 from rotshock.shockfit import (
@@ -20,6 +20,7 @@ from rotshock.shockfit import (
 )
 from rotshock.supersonic import solve_linear, solve_nonlinear
 from tests.conftest import L_DUCT, make_pert, make_pert_strong
+from tests.sparse_oracle import solvability_sum
 from tests.test_elliptic import manufactured, unit_problem
 
 

@@ -91,6 +91,20 @@ def test_bad_wall_polynomial_rejected(tmp_path):
         parse_config(p)
 
 
+@pytest.mark.parametrize("override", [
+    {"gas.gamma": 0.5}, {"gas.gamma": 1.0}, {"gas.beta": -0.1}, {"gas.gamma": True},
+    {"nozzle.sigma": False}, {"solver.tol_res": True}, {"solver.psi_bar": True},
+    {"upstream.P_top": float("nan")}, {"nozzle.L": float("inf")},
+], ids=lambda o: "=".join(map(str, next(iter(o.items())))))
+def test_bad_numeric_values_exit_1(tmp_path, capsys, override):
+    # rejected at validation as configuration errors, before any solve
+    p = tmp_path / "c.json"
+    write_config(p, **override)
+    rc = main(["solve", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cmd_background(tmp_path, capsys):
     p = tmp_path / "c.json"
     write_config(p)

@@ -6,13 +6,12 @@ from rotshock.elliptic import (
     EllipticProblem,
     SolveOptions,
     _fv_rhs,
-    _trap_w,
     compatibility_defect,
-    solvability_sum,
     solve,
     solve_scalar,
 )
-from sparse_oracle import solve_scalar_sparse
+from rotshock.fd import trap_w
+from sparse_oracle import solvability_sum, solve_scalar_sparse
 
 
 def unit_problem(n, H1=None, H2=None, h1=None, h2=None, h3=None, lam=None):
@@ -228,7 +227,7 @@ def test_fast_solver_matches_sparse_oracle(kind, n1, n2):
              rng.standard_normal(n1), rng.standard_normal(n1))
     # shift the source so that the Neumann data are discretely compatible
     F = _fv_rhs(rhs, *bdata, n1, n2, h1, h2)
-    rhs = rhs + F.sum() / (_trap_w(n1).sum() * h1 * _trap_w(n2).sum() * h2)
+    rhs = rhs + F.sum() / (trap_w(n1).sum() * h1 * trap_w(n2).sum() * h2)
     assert abs(_fv_rhs(rhs, *bdata, n1, n2, h1, h2).sum()) <= 1e-12 * np.abs(F).sum()
     fast = solve_scalar(kind, a, b, rhs, bdata, n1=n1, n2=n2, h1=h1, h2=h2)
     ref = solve_scalar_sparse(kind, a, b, rhs, bdata, n1=n1, n2=n2, h1=h1, h2=h2)

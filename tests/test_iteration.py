@@ -3,16 +3,18 @@ import pytest
 
 import rotshock as rs
 from rotshock.iteration import (
+    FrontMap,
     apply_T,
     assemble_step_data,
     build_context,
-    fix_coordinates,
     residuals,
     solve_psi_sharp,
     solve_transonic,
 )
 from rotshock.shockfit import ShockFront
+from rotshock.thermo import rho_P
 from tests.conftest import L_DUCT, make_pert
+from tests.lagrangian_oracle import x2_of_y
 
 
 def build_ctx(bg, pert, psi_bar=0.6):
@@ -25,43 +27,64 @@ def ctx_zero(bg_rot):
     return build_ctx(bg_rot, make_pert(0.0, 0.0))
 
 
-def test_fix_coordinates_identity():
+def test_front_map_identity():
+    # a flat front at psi_bar: the map and its factors are exactly trivial
     y2 = np.linspace(0.0, 2.9, 33)
-    f = ShockFront(0.7, 0.0, np.zeros(33), y2)
-    cm = fix_coordinates(f, 2.0)
-    y1 = np.linspace(0.7, 2.0, 11)
-    assert np.abs(cm.z_of_y(y1, 0.7) - y1).max() == 0.0
-
-
-def test_fix_coordinates_shift_formula():
-    y2 = np.linspace(0.0, 2.9, 33)
-    eps = 1e-3
-    f = ShockFront(0.7, eps, np.zeros(33), y2)
-    cm = fix_coordinates(f, 2.0)
     z1 = np.linspace(0.7, 2.0, 11)
-    expect = z1 + eps * (2.0 - z1) / (2.0 - 0.7)
-    assert np.abs(cm.y_of_z(z1, 0.7 + eps) - expect).max() <= 1e-15
+    fm = FrontMap(ShockFront(0.7, 0.0, np.zeros(33), y2), z1, 2.0)
+    assert np.all(fm.Y1 == z1[:, None])
+    assert np.all(fm.Y1_wall == z1)
+    assert np.all(fm.fac1 == 1.0)
+    assert np.all(fm.cross == 0.0)
+    assert np.all(fm.dY1_dz2 == 0.0)
 
 
-def test_fix_coordinates_round_trip():
-    rng = np.random.default_rng(5)
+def test_front_map_end_rows():
+    # z1 = psi_bar lands on the front, z1 = L on the exit
     y2 = np.linspace(0.0, 2.9, 65)
-    slope = 1e-3 * np.sin(np.pi * y2 / 2.9)
-    f = ShockFront(0.7, 5e-4, slope, y2)
-    cm = fix_coordinates(f, 2.0)
-    psi = f.psi()
-    for _ in range(20):
-        j = rng.integers(0, 65)
-        y1 = rng.uniform(psi[j], 2.0)
-        z = cm.z_of_y(y1, psi[j])
-        back = cm.y_of_z(z, psi[j])
-        assert abs(back - y1) <= 1e-12
+    front = ShockFront(0.7, 5e-4, 1e-3 * np.sin(np.pi * y2 / 2.9), y2)
+    fm = FrontMap(front, np.linspace(0.7, 2.0, 11), 2.0)
+    assert np.abs(fm.Y1[0] - front.psi()).max() <= 1e-15
+    assert np.all(fm.Y1[-1] == 2.0)
 
 
-def test_fix_coordinates_rejects_front_at_exit():
+def test_front_map_wall_row(accept_run):
+    # the top row of Y1 and Y1_wall (built from psi_sharp_dev) agree to 1 ulp
+    fm = accept_run.front_map
+    assert np.all(np.abs(fm.Y1[:, -1] - fm.Y1_wall) <= np.spacing(np.abs(fm.Y1_wall)))
+
+
+def _front_map_factor_errors(n2):
+    """Max errors of fac1 and cross against centred differences of z1(y1, y2)."""
+    L, psi_bar, dev, a, m = 2.0, 0.7, 5e-4, 0.05, 2.9
+    y2 = np.linspace(0.0, m, n2)
+    fm = FrontMap(ShockFront(psi_bar, dev, a * np.cos(np.pi * y2 / m), y2),
+                  np.linspace(psi_bar, L, 17), L)
+
+    def psi(s):  # the front whose slope is a cos(pi y2 / m), in closed form
+        return psi_bar + dev + a * m / np.pi * np.sin(np.pi * s / m)
+
+    def z1(y1, s):  # inverse map
+        return psi_bar + (L - psi_bar) * (y1 - psi(s)) / (L - psi(s))
+
+    d = y2[1] - y2[0]
+    dz_dy1 = (z1(fm.Y1 + d, y2) - z1(fm.Y1 - d, y2)) / (2 * d)
+    dz_dy2 = (z1(fm.Y1, y2 + d) - z1(fm.Y1, y2 - d)) / (2 * d)
+    # d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1
+    return np.abs(fm.fac1 - dz_dy1).max(), np.abs(fm.cross + dz_dy2).max()
+
+
+def test_front_map_derivative_factors():
+    coarse, fine = _front_map_factor_errors(33), _front_map_factor_errors(65)
+    for ec, ef in zip(coarse, fine):
+        assert ec <= 1e-4
+        assert 3.5 <= ec / ef <= 4.5
+
+
+def test_front_map_rejects_front_at_exit():
     y2 = np.linspace(0.0, 2.9, 33)
     with pytest.raises(rs.NoAdmissibleShockError):
-        fix_coordinates(ShockFront(1.9, 0.2, np.zeros(33), y2), 2.0)
+        FrontMap(ShockFront(1.9, 0.2, np.zeros(33), y2), np.linspace(1.9, 2.0, 5), 2.0)
 
 
 def test_step_data_zero_perturbation(ctx_zero):
@@ -74,7 +97,7 @@ def test_step_data_zero_perturbation(ctx_zero):
 
 
 def test_psi_sharp_zero_data(ctx_zero):
-    s, J = solve_psi_sharp(ctx_zero.initial_state, ctx_zero)
+    s, J, _ = solve_psi_sharp(ctx_zero.initial_state, ctx_zero)
     assert s == 0.0
     assert abs(J) <= 1e-13
 
@@ -167,7 +190,7 @@ def test_psi_sharp_exit_pressure_sensitivity(bg_rot, tuned_pex):
     pert2 = make_pert(1e-3, tuned_pex + 2e-4)
     ctx2 = build_ctx(ctx.bg, pert2, psi_bar=res.psi_bar)
     ctx2.initial_state = st
-    s2, _ = solve_psi_sharp(st, ctx2)
+    s2, _, _ = solve_psi_sharp(st, ctx2)
     deltaJ = J(ctx2, s0)
     assert np.sign(s2 - s0) == np.sign(-deltaJ / dJds)
     assert s2 - s0 == pytest.approx(-deltaJ / dJds, rel=0.1)
@@ -271,3 +294,15 @@ def test_eulerian_reconstruction(accept_run):
     st = accept_run.state
     Y1w = z1 + (L_DUCT - z1) * st.psi_sharp_dev / (L_DUCT - accept_run.psi_bar)
     assert np.abs(x2p[:, -1] - (1.0 + sigma * g(Y1w)) * (ctx.m / m_true)).max() <= 5e-7
+
+
+def test_upstream_heights_match_oracle(accept_run):
+    # x2 on the upstream grid nodes equals the off-grid reconstruction x2_of_y
+    ctx = accept_run.ctx
+    gm = ctx.grid_minus
+    V = ctx.sup.V
+    rho, _ = rho_P(V["S"], V["B"], V["u1"], V["u2"], ctx.gas)
+    x2m, _ = accept_run.eulerian_heights()
+    for i in range(0, gm.n1, 16):
+        ref = x2_of_y(rho * V["u1"], gm, gm.y1[i], gm.y2)
+        assert np.abs(x2m[i] - ref).max() <= 1e-13 * np.abs(ref).max()

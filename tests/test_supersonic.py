@@ -3,7 +3,7 @@ import pytest
 
 import rotshock as rs
 from rotshock.profiles import Profile
-from rotshock.supersonic import entrance_profiles, solve_linear, solve_nonlinear, transport_SB
+from rotshock.supersonic import entrance_profiles, solve_linear, solve_nonlinear
 from tests import march_oracle
 from tests.conftest import L_DUCT, make_pert, make_pert_strong
 
@@ -21,15 +21,26 @@ def test_perturbation_config_corner_check():
                               Profile.constant(0.0), geom)
 
 
-def test_transport_fields_background(hat_rot, grid65):
-    f = transport_SB(hat_rot, grid65, 0.0, np.zeros(65), np.zeros(65))
+def _entropy_pert(sigma):
+    """Entrance entropy perturbation sin(pi x2) only; flat walls."""
+    zero = Profile.constant(0.0)
+    geom = rs.Geometry(L_DUCT, Profile.from_poly([0.0]), sigma)
+    return rs.PerturbationConfig(sigma, zero, zero,
+                                 Profile.from_callable(lambda x: np.sin(np.pi * x), 0, 1),
+                                 zero, zero, geom)
+
+
+def test_transport_fields_background(bg_rot, hat_rot, grid65):
+    # S and B of the nonlinear upstream flow are the entrance rows carried along y1
+    f = solve_nonlinear(hat_rot, _entropy_pert(0.0), grid65, bg_rot).V
     assert np.abs(f["S"] - hat_rot["m", "S"][None, :]).max() == 0.0
     assert np.abs(f["B"] - hat_rot["m", "B"][None, :]).max() == 0.0
 
 
-def test_transport_fields_perturbed(hat_rot, grid65):
-    prof = np.sin(np.pi * grid65.y2 / hat_rot.m_bar)
-    f = transport_SB(hat_rot, grid65, 1e-3, prof, 0 * prof)
+def test_transport_fields_perturbed(bg_rot, hat_rot, grid65):
+    pert = _entropy_pert(1e-3)
+    prof = entrance_profiles(hat_rot, pert, bg_rot, perturbed_map=True)[1]["S_en"]
+    f = solve_nonlinear(hat_rot, pert, grid65, bg_rot).V
     dev = f["S"] - hat_rot["m", "S"][None, :]
     assert np.abs(dev - 1e-3 * prof[None, :]).max() <= 1e-16
     # exactly constant along y1
