@@ -6,6 +6,8 @@ with height; this script constructs both, verifies the Rankine-Hugoniot
 conditions pointwise, and writes the beta > 0 profiles to CSV.
 """
 
+import os
+
 import numpy as np
 
 import rotshock as rs
@@ -40,5 +42,6 @@ for side in ("m", "p"):
     print(f"  momentum balance residual ({'upstream' if side == 'm' else 'downstream'}):"
           f" {np.abs(res[1:-1]).max():.3e}")
 
-write_background_csv(bg, "background_beta01.csv")
-print("\nprofiles written to background_beta01.csv")
+os.makedirs("out", exist_ok=True)
+write_background_csv(bg, "out/background_beta01.csv")
+print("\nprofiles written to out/background_beta01.csv")

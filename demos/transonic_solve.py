@@ -5,6 +5,8 @@ fixed-point iteration), prints the iteration log and the residual audit, and
 reconstructs the shock front in physical coordinates.
 """
 
+import os
+
 import numpy as np
 from numpy.polynomial import Polynomial as P
 
@@ -55,6 +57,7 @@ print(f"\nphysical-height reconstruction: upstream top wall at "
 print("  note: the recovered heights carry a uniform O(sigma) offset from the "
       "mass-flux normalisation; shape and residuals are unaffected")
 
-res.sup.V.write_csv("supersonic_fields.csv", extra_columns={"x2": x2m})
-res.downstream_field().write_csv("subsonic_fields.csv", extra_columns={"x2": x2p})
-print("fields written to supersonic_fields.csv / subsonic_fields.csv")
+os.makedirs("out", exist_ok=True)
+res.sup.V.write_csv("out/supersonic_fields.csv", extra_columns={"x2": x2m})
+res.downstream_field().write_csv("out/subsonic_fields.csv", extra_columns={"x2": x2p})
+print("fields written to out/supersonic_fields.csv / out/subsonic_fields.csv")

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .errors import DegenerateBackgroundError, InvalidStateError
+from .csvio import write_csv
+from .errors import ConfigError, DegenerateBackgroundError
 from .profiles import Profile
 from .thermo import GasModel, GasState, entropy_bernoulli
 
@@ -59,11 +60,11 @@ class UpstreamSpec:
                 f"upstream must be supersonic at the wall: M_top={self.M_top}"
             )
         if self.P_top <= 0.0:
-            raise InvalidStateError(f"P_top must be positive, got {self.P_top}")
+            raise ConfigError(f"P_top must be positive, got {self.P_top}")
         x = np.linspace(0.0, 1.0, 257)
         umin = float(np.min(self.u_minus(x)))
         if umin <= 0.0:
-            raise InvalidStateError(f"u_minus must stay positive (min {umin})")
+            raise ConfigError(f"u_minus must stay positive (min {umin})")
 
 
 def extension_coefficients():
@@ -294,10 +295,6 @@ def _validate(sol: BackgroundSolution):
 
 
 def write_background_csv(sol: BackgroundSolution, path):
-    """Dump the background profiles with 17 significant digits."""
+    """Dump the background profiles as a CSV artifact."""
     cols = ("x2", "d", "rho_m", "u_m", "P_m", "rho_p", "u_p", "P_p")
-    data = np.column_stack([sol.x2] + [sol.profile(c) for c in cols[1:]])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(path, {c: sol.profile(c) for c in cols})

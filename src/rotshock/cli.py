@@ -10,9 +10,8 @@ sweep        repeat `solve` while varying one configuration key over a list
 
 Exit codes: 0 success, 1 configuration error, 2 degenerate background,
 3 no admissible shock position, 4 non-convergence (including CFL and
-trust-region failures).  All field files are CSV with a one-line header and
-17-significant-digit values, so identical configurations produce
-byte-identical output.
+trust-region failures).  All field files are CSV in the one format of
+`rotshock.csvio`, so identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,11 +22,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .background import build_background, rh_residual, write_background_csv, UpstreamSpec
+from .csvio import read_csv, write_csv
 from .errors import ConfigError, DegenerateBackgroundError, NoAdmissibleShockError, RotshockError
 from .iteration import (
     IterationState,
@@ -194,15 +194,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_profile_csv(path, columns):
-    names = list(columns)
-    arrs = [np.asarray(columns[k]).ravel() for k in names]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*arrs):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def cmd_background(cfg: RunConfig, out):
     bg = build_background(cfg.upstream, cfg.gas)
     write_background_csv(bg, os.path.join(out, "background.csv"))
@@ -232,8 +223,8 @@ def cmd_initial(cfg: RunConfig, out):
            ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
     rec["flux_identity_violation"] = flux.max_violation
     _write_json(os.path.join(out, "initial.json"), rec)
-    _write_profile_csv(os.path.join(out, "shock_slope.csv"),
-                       {"y2": init.coeffs.y2, "psi_prime": init.front.psi_prime})
+    write_csv(os.path.join(out, "shock_slope.csv"),
+              {"y2": init.coeffs.y2, "psi_prime": init.front.psi_prime})
     init.V_minus.V.write_csv(os.path.join(out, "linear_minus.csv"))
     init.V_plus.write_csv(os.path.join(out, "linear_plus.csv"))
     print(f"initial approximation: psi_bar = {init.diagnostics['psi_bar']:.10f} "
@@ -255,27 +246,18 @@ def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
     fmap = res.front_map
     res.downstream_field().write_csv(os.path.join(out, "fields_plus.csv"),
                                      extra_columns={"x2": x2p, "y1_phys": fmap.Y1})
-    _write_profile_csv(os.path.join(out, "front.csv"),
-                       {"y2": res.front.y2, "psi": fmap.psi,
-                        "psi_prime": res.front.psi_prime})
-    with open(os.path.join(out, "iteration_log.csv"), "w") as fh:
-        fh.write("iter,update_norm,psi_sharp,defect,kappa_estimate\n")
-        for row in res.log:
-            fh.write(f"{row['iter']},{row['update_norm']:.17g},"
-                     f"{row['psi_sharp']:.17g},{row['defect']:.17g},"
-                     f"{row['kappa_estimate']:.17g}\n")
+    write_csv(os.path.join(out, "front.csv"),
+              {"y2": res.front.y2, "psi": fmap.psi, "psi_prime": res.front.psi_prime})
+    write_csv(os.path.join(out, "iteration_log.csv"),
+              {k: [row[k] for row in res.log] for k in res.log[0]})
     rep = res.report
     _write_json(os.path.join(out, "report.json"), {
         "psi_bar": res.psi_bar, "psi_sharp": res.psi_sharp,
         "iterations": len(res.log), "C1_measured": res.C1_measured,
-        "kappa_final": res.kappa_final,
-        "pde_residual": rep.pde_residual, "rh_residual": rep.rh_residual,
-        "exit_residual": rep.exit_residual, "wall_residual": rep.wall_residual,
-        "defect": rep.defect, "pde_residual_raw": rep.pde_residual_raw,
-        "details": rep.details,
+        "kappa_final": res.kappa_final, **asdict(rep),
     })
     if dump_elliptic or cfg.dump_fields:
-        _write_profile_csv(os.path.join(out, "hatted_profiles.csv"), {
+        write_csv(os.path.join(out, "hatted_profiles.csv"), {
             "y2": ctx.hat.y2, "x2": ctx.hat.x2,
             "u_m": ctx.hat["m", "u"], "u_p": ctx.hat["p", "u"],
             "P_m": ctx.hat["m", "P"], "P_p": ctx.hat["p", "P"],
@@ -287,21 +269,23 @@ def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
     return 0 if ok else 4
 
 
-def cmd_verify(cfg: RunConfig, out):
-    """Recompute the residual suite on fields stored by `solve`."""
-    def read_csv(path):
-        with open(path) as fh:
-            names = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return {n: data[:, i] for i, n in enumerate(names)}
+def _columns(rows, n2, name):
+    if rows % n2:
+        raise ConfigError(f"{name}: {rows} rows do not fill columns of {n2} (front.csv) nodes")
+    return rows // n2
 
+
+def cmd_verify(cfg: RunConfig, out):
+    """Recompute the residual suite on fields stored by `solve`, on their grid."""
     plus = read_csv(os.path.join(out, "fields_plus.csv"))
     front_csv = read_csv(os.path.join(out, "front.csv"))
     log = read_csv(os.path.join(out, "iteration_log.csv"))
+    with open(os.path.join(out, "fields_minus.csv")) as fh:
+        rows_minus = sum(1 for _ in fh) - 1
 
-    opts = cfg.options
-    n2 = opts.ny
-    n1s = plus["y1"].size // n2
+    n2 = front_csv["y2"].size
+    opts = replace(cfg.options, nx=_columns(rows_minus, n2, "fields_minus.csv"), ny=n2)
+    n1s = _columns(plus["y1"].size, n2, "fields_plus.csv")
     psi_bar = plus["y1"].reshape(n1s, n2)[0, 0]
     bg = build_background(cfg.upstream, cfg.gas)
     ctx, _ = build_context(bg, cfg.pert, opts, psi_bar=psi_bar, n1=n1s)
@@ -314,11 +298,8 @@ def cmd_verify(cfg: RunConfig, out):
         psi_sharp_dev=float(front_csv["psi"][-1] - psi_bar),
     )
     rep = residuals(ctx, state, last_defect=log["defect"][-1])
-    _write_json(os.path.join(out, "verify_report.json"), {
-        "pde_residual": rep.pde_residual, "rh_residual": rep.rh_residual,
-        "exit_residual": rep.exit_residual, "wall_residual": rep.wall_residual,
-        "defect": rep.defect, "pde_residual_raw": rep.pde_residual_raw,
-    })
+    _write_json(os.path.join(out, "verify_report.json"),
+                {k: v for k, v in asdict(rep).items() if k != "details"})
     ok = rep.pde_residual <= opts.tol_res and rep.rh_residual <= opts.tol_res
     print(f"verify: pde={rep.pde_residual:.3e} rh={rep.rh_residual:.3e} "
           f"exit={rep.exit_residual:.3e} wall={rep.wall_residual:.3e} "
@@ -351,22 +332,17 @@ def cmd_sweep(cfg: RunConfig, out, key, values):
         try:
             res = _solve(parse_config(sub_path))
             rows.append({
-                "index": i, "value": val, "status": 0,
+                "index": i, "value": str(val), "status": 0,
                 "psi_bar": res.psi_bar, "psi_sharp": res.psi_sharp,
                 "pde_residual": res.report.pde_residual,
                 "rh_residual": res.report.rh_residual,
             })
         except RotshockError as exc:
-            rows.append({"index": i, "value": val, "status": _exit_code(exc),
+            rows.append({"index": i, "value": str(val), "status": _exit_code(exc),
                          "psi_bar": np.nan, "psi_sharp": np.nan,
                          "pde_residual": np.nan, "rh_residual": np.nan})
             print(f"sweep {key}={val}: {exc}", file=sys.stderr)
-    with open(os.path.join(out, "sweep.csv"), "w") as fh:
-        fh.write("index,value,status,psi_bar,psi_sharp,pde_residual,rh_residual\n")
-        for r in rows:
-            fh.write(f"{r['index']},{r['value']},{r['status']},"
-                     f"{r['psi_bar']:.17g},{r['psi_sharp']:.17g},"
-                     f"{r['pde_residual']:.17g},{r['rh_residual']:.17g}\n")
+    write_csv(os.path.join(out, "sweep.csv"), {k: [r[k] for r in rows] for k in rows[0]})
     print(f"sweep over {key}: {len(rows)} runs -> {os.path.join(out, 'sweep.csv')}")
     return 0 if all(r["status"] == 0 for r in rows) else max(r["status"] for r in rows)
 

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
+from .csvio import write_csv
 from .errors import ConfigError, InvalidStateError
 from .profiles import Profile
 from .thermo import GasModel, rho_P
@@ -125,18 +126,8 @@ class Field:
     def write_csv(self, path, extra_columns=None):
         """Dump as CSV with columns y1, y2, <components...>[, extras]."""
         g = self.grid
-        Y1, Y2 = np.meshgrid(g.y1, g.y2, indexing="ij")
-        names = list(self.data)
-        cols = [Y1.ravel(), Y2.ravel()] + [self.data[k].ravel() for k in names]
-        header = ["y1", "y2"] + names
-        if extra_columns:
-            for k, v in extra_columns.items():
-                header.append(k)
-                cols.append(np.asarray(v).ravel())
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, {"y1": np.repeat(g.y1, g.n2), "y2": np.tile(g.y2, g.n1),
+                         **self.data, **(extra_columns or {})})
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -95,6 +97,7 @@ def test_bad_wall_polynomial_rejected(tmp_path):
     {"gas.gamma": 0.5}, {"gas.gamma": 1.0}, {"gas.beta": -0.1}, {"gas.gamma": True},
     {"nozzle.sigma": False}, {"solver.tol_res": True}, {"solver.psi_bar": True},
     {"upstream.P_top": float("nan")}, {"nozzle.L": float("inf")},
+    {"upstream.P_top": -1.0}, {"upstream.P_top": 0.0}, {"upstream.u_minus": [-1.0]},
 ], ids=lambda o: "=".join(map(str, next(iter(o.items())))))
 def test_bad_numeric_values_exit_1(tmp_path, capsys, override):
     # rejected at validation as configuration errors, before any solve
@@ -199,6 +202,20 @@ def test_sweep_continues_past_bad_point(tmp_path, capsys):
     assert np.isfinite(float(rows[0][3])) and np.isnan(float(rows[1][3]))
 
 
+def test_sweep_quotes_list_values(tmp_path, capsys):
+    # a two-coefficient P_ex profile prints with a comma inside the value cell
+    p = tmp_path / "c.json"
+    write_config(p)
+    out = tmp_path / "sw"
+    values = [[-0.058, 0.001], [-0.0561, 0.0]]
+    main(["sweep", "--config", str(p), "--out", str(out),
+          "--key", "perturbation.P_ex", "--values", json.dumps(values)])
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(r) == 7 for r in rows)
+    assert [json.loads(r[1]) for r in rows[1:]] == values
+
+
 def test_verify_after_one_pass_solve(tmp_path, capsys):
     # at sigma = 0 the iteration stops after one pass: a one-row log
     p = tmp_path / "c.json"
@@ -226,9 +243,7 @@ def solved(tmp_path_factory):
     return p, out
 
 
-def test_verify_reproduces_solve(solved, capsys):
-    p, out = solved
-    assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+def assert_verify_matches_solve(out):
     rep = json.load(open(out / "report.json"))
     vr = json.load(open(out / "verify_report.json"))
     for key in ("pde_residual", "pde_residual_raw", "rh_residual",
@@ -236,6 +251,29 @@ def test_verify_reproduces_solve(solved, capsys):
         assert vr[key] == pytest.approx(rep[key], rel=1e-12, abs=0.0), key
     # the stored fields pass through a 17-digit CSV round trip
     assert abs(vr["wall_residual"] - rep["wall_residual"]) <= 1e-15
+
+
+def test_verify_reproduces_solve(solved, capsys):
+    p, out = solved
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+    assert_verify_matches_solve(out)
+
+
+def test_verify_takes_grid_from_stored_files(tmp_path, capsys):
+    # the config says 65x33; the stored run is 33x17
+    p = tmp_path / "c.json"
+    write_config(p)
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", str(p), "--out", str(out), "--grid", "33", "17"])
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == rc
+    assert_verify_matches_solve(out)
+    # a field file that does not split into columns of front.csv's rows
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    minus = bad / "fields_minus.csv"
+    minus.write_text("".join(minus.read_text().splitlines(True)[:-1]))
+    assert main(["verify", "--config", str(p), "--out", str(bad)]) == 1
+    assert "fields_minus.csv" in capsys.readouterr().err
 
 
 def test_verify_uses_picard_options(solved, capsys):
