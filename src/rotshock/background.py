@@ -13,8 +13,9 @@ P' = -beta*rho*u, the density from rho = gamma*P/(d*u^2), and the downstream
 height.  The shock position itself is arbitrary for these profiles.
 
 Profiles are sampled on a vertical grid and interpolated by cubic splines;
-first derivatives come from exact chain rules, not from differencing.  Every
-profile can also be evaluated on the reflected extension of [0,1] to [0,2].
+first derivatives come from exact chain rules, not from differencing.
+``extend_profile`` evaluates a profile on the reflected extension of [0,1]
+to [0,2].
 """
 
 from __future__ import annotations
@@ -170,12 +171,12 @@ def rh_residual(left: GasState, right: GasState, m: GasModel):
 
 @dataclass
 class BackgroundSolution:
-    """Sampled background profiles on [0,1] plus their extension to [0,2].
+    """Sampled background profiles on [0,1].
 
     Attribute names ending in ``_m``/``_p`` hold the upstream/downstream
-    profiles; ``d*_dx`` are exact chain-rule first derivatives.  ``spline``
-    returns a cubic-spline evaluator for any stored profile; ``extended``
-    maps profile names to values on ``x2_ext``.
+    profiles; ``deriv`` maps profile names to exact chain-rule first
+    derivatives.  ``spline`` returns a cubic-spline evaluator for any stored
+    profile.
     """
 
     gas: GasModel
@@ -193,34 +194,20 @@ class BackgroundSolution:
     S_p: np.ndarray
     B_p: np.ndarray
     deriv: dict = field(default_factory=dict)
-    x2_ext: np.ndarray = None
-    extended: dict = field(default_factory=dict)
     _splines: dict = field(default_factory=dict, repr=False)
-
-    _PROFILES = ("d", "rho_m", "u_m", "P_m", "rho_p", "u_p", "P_p", "S_m", "B_m", "S_p", "B_p")
 
     def profile(self, name):
         return getattr(self, name)
 
-    def spline(self, name, extended=False):
-        key = (name, extended)
-        if key not in self._splines:
-            if extended:
-                self._splines[key] = CubicSpline(self.x2_ext, self.extended[name])
-            else:
-                self._splines[key] = CubicSpline(self.x2, self.profile(name))
-        return self._splines[key]
+    def spline(self, name):
+        if name not in self._splines:
+            self._splines[name] = CubicSpline(self.x2, self.profile(name))
+        return self._splines[name]
 
     @property
     def mass_flux(self):
         """rho_minus * u_minus (= rho_plus * u_plus pointwise)."""
         return self.rho_m * self.u_m
-
-    def minus_state(self, i):
-        return GasState(self.rho_m[i], self.u_m[i], 0.0, self.P_m[i])
-
-    def plus_state(self, i):
-        return GasState(self.rho_p[i], self.u_p[i], 0.0, self.P_p[i])
 
 
 def build_background(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES) -> BackgroundSolution:
@@ -253,16 +240,6 @@ def build_background(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES) -> Backgr
         rho_m=rho_m, u_m=u_m, P_m=P_m, rho_p=rho_p, u_p=u_p, P_p=P_p,
         S_m=S_m, B_m=B_m, S_p=S_p, B_p=B_p, deriv=deriv,
     )
-
-    # reflected extension of every profile to [0,2]
-    ext = {}
-    x2e = None
-    for name in BackgroundSolution._PROFILES:
-        x2e, vals = extend_profile(sol.spline(name), n=n)
-        ext[name] = vals
-    sol.x2_ext = x2e
-    sol.extended = ext
-
     _validate(sol)
     return sol
 

@@ -277,6 +277,11 @@ def _columns(rows, n2, name):
 
 def cmd_verify(cfg: RunConfig, out):
     """Recompute the residual suite on fields stored by `solve`, on their grid."""
+    stored = ("fields_plus.csv", "front.csv", "iteration_log.csv", "fields_minus.csv")
+    missing = [name for name in stored if not os.path.isfile(os.path.join(out, name))]
+    if missing:
+        raise ConfigError(f"verify needs the output of `solve` in {out}; "
+                          f"missing {', '.join(missing)}")
     plus = read_csv(os.path.join(out, "fields_plus.csv"))
     front_csv = read_csv(os.path.join(out, "front.csv"))
     log = read_csv(os.path.join(out, "iteration_log.csv"))

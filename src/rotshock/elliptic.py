@@ -104,14 +104,6 @@ class EllipticProblem:
             raise InvalidStateError("h3 must be a y1-profile")
 
     @property
-    def y1(self):
-        return np.linspace(self.L1, self.L2, self.n1)
-
-    @property
-    def y2(self):
-        return np.linspace(0.0, self.m_bar, self.n2)
-
-    @property
     def spacing(self):
         return (self.L2 - self.L1) / (self.n1 - 1), self.m_bar / (self.n2 - 1)
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import fd
 from .elliptic import EllipticProblem, SolveOptions, compatibility_defect, solve
@@ -220,7 +219,6 @@ class IterationContext:
     sup: object                      # nonlinear supersonic solution
     initial_state: IterationState
     opts: TransonicOptions
-    sup_splines: dict = field(init=False, repr=False)
     B_row: np.ndarray = field(init=False)  # transported downstream Bernoulli perturbation
     E2: np.ndarray = field(init=False, repr=False)       # background defect of eq2
     cc_plus: np.ndarray = field(init=False, repr=False)  # zero-order coefficient of the linear eq2
@@ -233,8 +231,6 @@ class IterationContext:
         c2p, dup, dSp = hat["p", "c2"], hat["p", "du"], hat["p", "dS"]
         self.cc_plus = -rp * dup + beta * up / c2p + rp * up * dSp / g
         self.E2 = _background_defect(hat, "p", self.grid_plus.h2, self.m_bar / self.m)
-        self.sup_splines = {k: CubicSpline(self.grid_minus.y1, self.sup.V[k], axis=0)
-                            for k in ("u1", "u2", "S", "B")}
         self.B_row = self.sup.V["B"][0, :] - hat["m", "B"]
 
 
@@ -247,15 +243,6 @@ def _background_defect(hat, side, h2, mfac):
     return mfac * (hat.gas.beta - disc)
 
 
-def _upstream_trace(ctx, psi_vals):
-    """Nonlinear upstream state interpolated onto the front (cubic in y1)."""
-    out = {}
-    for k, spl in ctx.sup_splines.items():
-        mat = spl(psi_vals)  # (n2, n2): rows = query positions
-        out[k] = np.ascontiguousarray(np.diagonal(mat))
-    return out
-
-
 def _full_plus(ctx, state):
     hat = ctx.hat
     u1 = state.u1 + hat["p", "u"][None, :]
@@ -264,6 +251,41 @@ def _full_plus(ctx, state):
     B = np.broadcast_to(ctx.B_row + hat["p", "B"], u1.shape)
     rho, P = rho_P(S, B, u1, u2, ctx.gas)
     return {"u1": u1, "u2": u2, "S": S, "B": B, "rho": rho, "P": P}
+
+
+def _front(ctx, state, psi_sharp_dev):
+    """(FrontMap, full downstream state, upstream and downstream states on the front).
+
+    The upstream velocities are read on the front by ``Field.trace``; S and B
+    are transported along y1, so their front values are the entrance rows.
+    Both one-sided states carry rho and P.
+    """
+    grid = ctx.grid_plus
+    fmap = FrontMap(ShockFront(grid.y1a, psi_sharp_dev, state.psi_prime, grid.y2),
+                    grid.y1, ctx.L)
+    V = ctx.sup.V
+    minus = {"u1": V.trace("u1", fmap.psi), "u2": V.trace("u2", fmap.psi),
+             "S": V["S"][0], "B": V["B"][0]}
+    minus["rho"], minus["P"] = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"],
+                                     ctx.gas)
+    full = _full_plus(ctx, state)
+    plus = {k: v[0, :] for k, v in full.items()}
+    return fmap, full, minus, plus
+
+
+def _rh_jumps(minus, plus, k):
+    """Mass and normal-momentum jump functionals across the front.
+
+    ``k`` multiplies the tangential terms: (m_bar/m) psi' gives the
+    Rankine-Hugoniot residuals, [u2]/[P] the step data G1, G2.
+    """
+    mass = (1.0 / (plus["rho"] * plus["u1"]) - 1.0 / (minus["rho"] * minus["u1"])
+            + k * (plus["u2"] / plus["u1"] - minus["u2"] / minus["u1"]))
+    momentum = (plus["u1"] + plus["P"] / (plus["rho"] * plus["u1"])
+                - minus["u1"] - minus["P"] / (minus["rho"] * minus["u1"])
+                + k * (plus["P"] * plus["u2"] / plus["u1"]
+                       - minus["P"] * minus["u2"] / minus["u1"]))
+    return mass, momentum
 
 
 def _heights(ctx, rho, u1, h2):
@@ -330,34 +352,23 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     """
     hat = ctx.hat
     co = ctx.coeffs
-    gas = ctx.gas
-    g = gas.gamma
+    g = ctx.gas.gamma
     sigma = ctx.pert.sigma
     grid = ctx.grid_plus
     h1, h2 = grid.h1, grid.h2
-    fmap = FrontMap(ShockFront(grid.y1a, psi_sharp_dev, state.psi_prime, grid.y2),
-                    grid.y1, ctx.L)
+    fmap, full, minus, plus = _front(ctx, state, psi_sharp_dev)
 
     # ---- wall datum
     gp = ctx.pert.geometry.g.deriv(1)
     g3 = sigma * (hat["p", "u"][-1] + state.u1[:, -1]) * gp(fmap.Y1_wall)
 
-    # ---- traces on the front
-    minus = _upstream_trace(ctx, fmap.psi)
-    full = _full_plus(ctx, state)
-    plus = {k: full[k][0, :] for k in ("u1", "u2", "S", "B", "rho", "P")}
-    rho_m, P_m = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"], gas)
-    Pj = plus["P"] - P_m
+    # ---- jump functionals on the front
+    Pj = plus["P"] - minus["P"]
     if np.any(np.abs(Pj) < 1e-10 * np.abs(co.P_jump).max()):
         raise InvalidStateError("pressure jump collapsed on the front")
     u2j = plus["u2"] - minus["u2"]
     G0 = u2j - (ctx.m_bar / ctx.m) * state.psi_prime * Pj
-    G1 = (1.0 / (plus["rho"] * plus["u1"]) - 1.0 / (rho_m * minus["u1"])
-          + (u2j / Pj) * (plus["u2"] / plus["u1"] - minus["u2"] / minus["u1"]))
-    G2 = (plus["u1"] + plus["P"] / (plus["rho"] * plus["u1"])
-          - minus["u1"] - P_m / (rho_m * minus["u1"])
-          + (u2j / Pj) * (plus["P"] * plus["u2"] / plus["u1"]
-                          - P_m * minus["u2"] / minus["u1"]))
+    G1, G2 = _rh_jumps(minus, plus, u2j / Pj)
 
     # trace corrections: (g2, g1) = current traces - Minv_plus (mu*G1, G2)
     Mp = co.Mp_sq
@@ -552,9 +563,7 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
         return R[core].max(), max(np.abs(N1)[core].max(), np.abs(N2)[core].max()), R.max()
 
     # --- downstream region (z-grid, shock-fitted derivatives)
-    fmap = FrontMap(ShockFront(gp_grid.y1a, state.psi_sharp_dev, state.psi_prime,
-                               gp_grid.y2), gp_grid.y1, ctx.L)
-    full = _full_plus(ctx, state)
+    fmap, full, minus, plus = _front(ctx, state, state.psi_sharp_dev)
     wb_p, raw_p, frame_p = region_maxima(
         *_nonlinear_residuals_z(ctx, gp_grid, full, fmap.fac1, fmap.cross), ctx.E2)
 
@@ -568,17 +577,9 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
         _background_defect(hat, "m", gm.h2, mfac))
 
     # --- jump conditions on the front
-    minus = _upstream_trace(ctx, fmap.psi)
-    rho_tm, P_tm = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"], gas)
-    plus = {k: full[k][0, :] for k in full}
-    psid = state.psi_prime
-    r1 = (1.0 / (plus["rho"] * plus["u1"]) - 1.0 / (rho_tm * minus["u1"])
-          + mfac * psid * (plus["u2"] / plus["u1"] - minus["u2"] / minus["u1"]))
-    r2 = (plus["u1"] + plus["P"] / (plus["rho"] * plus["u1"])
-          - minus["u1"] - P_tm / (rho_tm * minus["u1"])
-          + mfac * psid * (plus["P"] * plus["u2"] / plus["u1"]
-                           - P_tm * minus["u2"] / minus["u1"]))
-    r3 = (plus["u2"] - minus["u2"]) - mfac * psid * (plus["P"] - P_tm)
+    k = mfac * state.psi_prime
+    r1, r2 = _rh_jumps(minus, plus, k)
+    r3 = (plus["u2"] - minus["u2"]) - k * (plus["P"] - minus["P"])
     r4 = plus["B"] - minus["B"]
     rh = max(np.abs(r).max() for r in (r1, r2, r3, r4))
 

@@ -16,6 +16,10 @@ Cumulative integrals of solution fields use the trapezoid rule on grid
 nodes (``fd.cumtrap``), which preserves the discrete telescoping used in
 conservation checks; the smooth background maps use composite Simpson
 quadrature on the background grid.
+
+A field is read off the grid at given y1 positions (the shock front) by
+``Field.trace``: a cubic spline in y1 per component, evaluated column by
+column.
 """
 
 from __future__ import annotations
@@ -101,10 +105,15 @@ class LagrangianGrid:
 
 @dataclass
 class Field:
-    """Named nodal components on a LagrangianGrid (axis 0 = y1, axis 1 = y2)."""
+    """Named nodal components on a LagrangianGrid (axis 0 = y1, axis 1 = y2).
+
+    The y1-splines that ``trace`` reads are built on first use and dropped
+    when ``__setitem__`` replaces their component.
+    """
 
     grid: LagrangianGrid
     data: dict = field(default_factory=dict)
+    _splines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (self.grid.n1, self.grid.n2)
@@ -119,6 +128,26 @@ class Field:
 
     def __setitem__(self, name, arr):
         self.data[name] = np.asarray(arr, dtype=float)
+        self._splines.pop(name, None)
+
+    def trace(self, name, psi):
+        """Cubic spline in y1 of component ``name`` at y1 = psi.
+
+        ``psi`` is a scalar (one y2-profile at a fixed y1) or one abscissa
+        per y2 column.  Each column is evaluated with the spline's own
+        piecewise coefficients in scipy's order, so the values equal
+        ``CubicSpline(y1, comp, axis=0)(psi)`` (its diagonal for per-column
+        psi) bit for bit.
+        """
+        spl = self._splines.get(name)
+        if spl is None:
+            spl = self._splines[name] = CubicSpline(self.grid.y1, self.data[name], axis=0)
+        x = spl.x
+        psi = np.asarray(psi, dtype=float)
+        i = np.clip(np.searchsorted(x, psi, side="right") - 1, 0, x.size - 2)
+        c = spl.c[:, i] if psi.ndim == 0 else spl.c[:, i, np.arange(psi.size)]
+        s = psi - x[i]
+        return c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
 
     def copy(self):
         return Field(self.grid, {k: v.copy() for k, v in self.data.items()})
@@ -184,11 +213,9 @@ def inlet_maps(bg, pert=None, sigma=0.0):
     return m, m_bar, x2_of_y2, y2_of_x2
 
 
-def hatted_background(bg, m_bar=None, n2=129) -> HattedProfiles:
+def hatted_background(bg, n2=129) -> HattedProfiles:
     """Sample the background in Lagrangian coordinates on n2 nodes of [0, m_bar]."""
-    m, mb, x2_of_y2, _ = inlet_maps(bg)
-    if m_bar is not None and abs(m_bar - mb) > 1e-12 * mb:
-        raise InvalidStateError(f"inconsistent m_bar: given {m_bar}, computed {mb}")
+    _, mb, x2_of_y2, _ = inlet_maps(bg)
     y2 = np.linspace(0.0, mb, n2)
     x2q = np.clip(x2_of_y2(y2), 0.0, 1.0)
     g = bg.gas.gamma

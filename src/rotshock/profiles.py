@@ -39,9 +39,7 @@ class Profile:
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         p = np.polynomial.Polynomial(coeffs)
         ds = tuple(p.deriv(k) for k in (1, 2, 3))
-        prof = cls(lambda x: p(np.asarray(x, dtype=float)), ds, label)
-        prof.poly = p
-        return prof
+        return cls(lambda x: p(np.asarray(x, dtype=float)), ds, label)
 
     @classmethod
     def from_table(cls, x, f, label="table"):
@@ -51,9 +49,7 @@ class Profile:
             raise ConfigError(f"{label}: table needs >=4 strictly increasing abscissae")
         s = CubicSpline(x, f)
         ds = tuple(s.derivative(k) for k in (1, 2, 3))
-        prof = cls(s, ds, label)
-        prof.spline = s
-        return prof
+        return cls(s, ds, label)
 
     @classmethod
     def from_callable(cls, fun, lo, hi, n=513, label="callable"):

@@ -148,10 +148,8 @@ class JFunctionals:
 def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
     y2 = coeffs.y2
     h2 = y2[1] - y2[0]
-    grid = lin_sup.V.grid
+    V = lin_sup.V
     sigma = pert.sigma
-    u1dot = lin_sup.V["u1"]
-    interp = CubicSpline(grid.y1, u1dot, axis=0)
     w_int = (coeffs.fa3 - coeffs.fa1) * coeffs.b1p
     wall_c = coeffs.b2p[-1] * hat["p", "u"][-1]
     gfun = pert.geometry.g
@@ -172,15 +170,15 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
     )
 
     def J1(psi_bar):
-        tr = interp(float(psi_bar))
+        tr = V.trace("u1", psi_bar)
         term1 = fd.trap(w_int * tr, h2) / sigma if sigma > 0.0 else 0.0
         z1 = np.linspace(float(psi_bar), L, n1_sub)
         term2 = wall_c * fd.trap(gp(z1), z1[1] - z1[0])
         return term1 + term2
 
     J1_at0_closed = (
-        (fd.trap(w_int * interp(grid.y1a), h2) / sigma if sigma > 0.0 else 0.0)
-        + wall_c * (float(gfun(L)) - float(gfun(grid.y1a)))
+        (fd.trap(w_int * V.trace("u1", V.grid.y1a), h2) / sigma if sigma > 0.0 else 0.0)
+        + wall_c * (float(gfun(L)) - float(gfun(V.grid.y1a)))
     )
     return JFunctionals(J1=J1, J2=J2, J1_closed_form_at0=J1_at0_closed)
 
@@ -332,7 +330,7 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat
     n2 = len(y2)
     h2 = y2[1] - y2[0]
     grid = LagrangianGrid(n1_sub, n2, psi_bar, L, lin_sup.V.grid.m, hat.m_bar)
-    tr = CubicSpline(lin_sup.V.grid.y1, lin_sup.V["u1"], axis=0)(float(psi_bar))
+    tr = lin_sup.V.trace("u1", psi_bar)
     x2q = hat.x2
     S_en = pert.S_en(x2q)
     B_en = pert.B_en(x2q)
@@ -403,7 +401,7 @@ def shock_slope(V_plus, lin_sup, psi_bar, coeffs: ShockCoefficients, m, m_bar):
     scale = np.abs(coeffs.P_jump).max()
     if np.abs(coeffs.P_jump).min() <= 1e-12 * max(scale, 1.0):
         raise DegenerateBackgroundError("pressure jump vanishes: degenerate shock")
-    u2m = CubicSpline(lin_sup.V.grid.y1, lin_sup.V["u2"], axis=0)(float(psi_bar))
+    u2m = lin_sup.V.trace("u2", psi_bar)
     u2p = V_plus["u2"][0]
     return (m / (m_bar * coeffs.P_jump)) * (u2p - u2m)
 
@@ -417,18 +415,11 @@ class InitialApproximation:
     diagnostics: dict
 
 
-def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket=None,
+def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket,
                           defect_tol=1e-9, amplification_bound=1e4):
-    """Locate psi_bar and assemble the linear two-phase approximation."""
+    """Locate psi_bar in ``bracket`` and assemble the linear two-phase approximation."""
     co = coefficients(hat)
     jf = J_functionals(co, lin_sup, pert, hat, n1_sub, L)
-    if bracket is None:
-        br = selection_bracket(co, lin_sup, pert, hat, L)
-        bracket = (br.lo, br.hi)
-        diag_bracket = br.diagnostics | {"case": br.case, "F_bound": br.F_bound,
-                                         "slope_integral": br.slope_integral}
-    else:
-        diag_bracket = {"case": "configured"}
     psi_bar = find_shock_position(jf.J1, jf.J2, bracket)
     V_plus, esol = solve_linear_subsonic(co, psi_bar, lin_sup, pert, hat,
                                          n1_sub, L, defect_tol=defect_tol)
@@ -451,6 +442,6 @@ def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket=None,
         "psi_bar": psi_bar, "J2": jf.J2, "J1_at_psi_bar": jf.J1(psi_bar),
         "bracket": tuple(bracket), "defect": esol.defect,
         "amplification": amp,
-    } | diag_bracket
+    }
     return InitialApproximation(V_minus=lin_sup, V_plus=V_plus, front=front,
                                 coeffs=co, diagnostics=diag)

@@ -276,6 +276,13 @@ def test_verify_takes_grid_from_stored_files(tmp_path, capsys):
     assert "fields_minus.csv" in capsys.readouterr().err
 
 
+def test_verify_without_solve_output_exit_1(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_config(p)
+    assert main(["verify", "--config", str(p), "--out", str(tmp_path / "empty")]) == 1
+    assert "fields_plus.csv" in capsys.readouterr().err
+
+
 def test_verify_uses_picard_options(solved, capsys):
     # the Picard march needs several sweeps on this configuration
     p, out = solved

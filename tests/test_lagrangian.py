@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import rotshock as rs
 from rotshock.lagrangian import inlet_maps
@@ -138,3 +139,46 @@ def test_jacobian_positivity_guard():
     grid = rs.LagrangianGrid(9, 9, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(rs.InvalidStateError):
         x2_of_y(np.zeros((9, 9)), grid, 0.5, 0.5)
+
+
+def same_bits(a, b):
+    """Equal values, including the sign of zeros."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def random_field(rng, n1, n2):
+    grid = rs.LagrangianGrid(n1, n2, 0.3, 1.7, 1.0, 1.0)
+    return rs.Field(grid, {"u1": rng.standard_normal((n1, n2)),
+                           "u2": rng.standard_normal((n1, n2))})
+
+
+@pytest.mark.parametrize("n1,n2", [(5, 7), (33, 17), (129, 65)])
+def test_field_trace_matches_cubic_spline(n1, n2):
+    rng = np.random.default_rng(n1)
+    for _ in range(20):
+        f = random_field(rng, n1, n2)
+        y1 = f.grid.y1
+        ref = {k: CubicSpline(y1, f[k], axis=0) for k in ("u1", "u2")}
+        psi = rng.uniform(y1[0], y1[-1], n2)
+        # exact breakpoints, both ends, and the last interval just below the exit
+        psi[:3] = y1[rng.integers(0, n1, 3)]
+        psi[3], psi[4], psi[5] = y1[0], y1[-1], np.nextafter(y1[-1], 0.0)
+        for k, spl in ref.items():
+            assert same_bits(f.trace(k, psi), np.diagonal(spl(psi)))
+            for p in (psi[0], y1[0], y1[n1 // 2], y1[-1], float(psi[-1])):
+                assert same_bits(f.trace(k, p), spl(p))
+
+
+def test_field_trace_fresh_spline_after_setitem():
+    rng = np.random.default_rng(7)
+    f = random_field(rng, 17, 9)
+    y1 = f.grid.y1
+    psi = rng.uniform(y1[0], y1[-1], 9)
+    before = f.trace("u1", psi)
+    u2_before = f.trace("u2", psi)
+    new = rng.standard_normal((17, 9))
+    f["u1"] = new
+    after = f.trace("u1", psi)
+    assert same_bits(after, np.diagonal(CubicSpline(y1, new, axis=0)(psi)))
+    assert not np.array_equal(before, after)
+    assert same_bits(f.trace("u2", psi), u2_before)
