@@ -40,7 +40,7 @@ from .iteration import (
 )
 from .lagrangian import Geometry
 from .profiles import profile_from_json
-from .supersonic import PerturbationConfig
+from .supersonic import PerturbationConfig, solve_linear
 from .thermo import GasModel, GasState
 
 SCHEMA_VERSION = 1
@@ -218,7 +218,8 @@ def cmd_background(cfg: RunConfig, out):
 def cmd_initial(cfg: RunConfig, out):
     bg = build_background(cfg.upstream, cfg.gas)
     hat, m, _, grid_minus = setup_upstream(bg, cfg.pert, cfg.options)
-    init, flux = locate(hat, cfg.pert, grid_minus, m, cfg.options)
+    lin, flux = solve_linear(hat, cfg.pert, grid_minus)
+    init = locate(hat, cfg.pert, grid_minus, m, lin, cfg.options)
     rec = {k: init.diagnostics[k] for k in
            ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
     rec["flux_identity_violation"] = flux.max_violation

@@ -2,6 +2,7 @@
 
 Floats are written with %.17g, which round-trips every binary64 value; other
 cells with %s, a text cell holding a comma, quote or newline quoted per RFC 4180.
+A 2-D column is written in row-major order.
 """
 
 import numpy as np
@@ -14,13 +15,34 @@ def _quote(s):
     return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\n\r') else s
 
 
+def _formatted(values):
+    return np.array(["%.17g" % v for v in values.tolist()], dtype=object)
+
+
+def _column(values):
+    """(cell format, flat cells) of one column, in row-major order.
+
+    A 2-D float64 column whose rows all repeat its first row bit for bit
+    (so -0.0 and 0.0 differ) is formatted once per row entry and tiled; one
+    whose columns all repeat its first column is formatted once per column
+    entry and repeated.  The cells are the same strings either way.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind != "f":
+        return "%s", np.array([_quote(str(v)) for v in a.ravel().tolist()], dtype=object)
+    if a.dtype == np.float64 and a.ndim == 2 and a.size:
+        bits = a.view(np.uint64)
+        if (bits == bits[:1]).all():
+            return "%s", np.tile(_formatted(a[0]), a.shape[0])
+        if (bits == bits[:, :1]).all():
+            return "%s", np.repeat(_formatted(a[:, 0]), a.shape[1])
+    return "%.17g", a.ravel()
+
+
 def write_csv(path, columns):
     """Write ``columns``, an ordered mapping from name to values, to ``path``."""
-    cols = [np.asarray(v).ravel() for v in columns.values()]
-    floats = [c.dtype.kind == "f" for c in cols]
-    cols = [c if f else np.array([_quote(str(v)) for v in c.tolist()], dtype=object)
-            for c, f in zip(cols, floats)]
-    row = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    fmts, cols = zip(*(_column(v) for v in columns.values()))
+    row = ",".join(fmts) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for i in range(0, cols[0].size, _BLOCK):

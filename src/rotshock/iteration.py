@@ -29,11 +29,19 @@ and wall abscissa from it.
 
 Every entry point (``solve_transonic`` and the ``initial``/``verify``
 subcommands) shares one setup: ``setup_upstream`` builds the hatted
-profiles, the mass fluxes and the upstream grid, ``locate`` places the shock
-from J1(psi_bar) = J2 and builds the linear two-phase approximation, and
-``build_context`` adds the Picard march and freezes an ``IterationContext``.
-The residual audit evaluates both regions with the same operator; the
-upstream region is its own identity map.
+profiles, the mass fluxes and the upstream grid, ``solve_linear`` marches
+the linear upstream flow once, ``locate`` places the shock from
+J1(psi_bar) = J2 on that march and builds the linear two-phase
+approximation, and ``build_context`` adds the Picard march, started from
+the background plus the same linear march, and freezes an
+``IterationContext``.
+
+Within one pass the downstream state is fixed and only the front moves:
+``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
+row, z-derivatives and linear operators) once and every secant evaluation
+of ``assemble_step_data`` combines them with the current ``FrontMap``.  The
+residual audit evaluates both regions with the same operator; the upstream
+region is its own identity map.
 """
 
 from __future__ import annotations
@@ -253,24 +261,64 @@ def _full_plus(ctx, state):
     return {"u1": u1, "u2": u2, "S": S, "B": B, "rho": rho, "P": P}
 
 
-def _front(ctx, state, psi_sharp_dev):
-    """(FrontMap, full downstream state, upstream and downstream states on the front).
+def _front(ctx, psi_sharp_dev, psi_prime):
+    """(FrontMap, upstream state on the front) for one front.
 
     The upstream velocities are read on the front by ``Field.trace``; S and B
     are transported along y1, so their front values are the entrance rows.
-    Both one-sided states carry rho and P.
     """
     grid = ctx.grid_plus
-    fmap = FrontMap(ShockFront(grid.y1a, psi_sharp_dev, state.psi_prime, grid.y2),
+    fmap = FrontMap(ShockFront(grid.y1a, psi_sharp_dev, psi_prime, grid.y2),
                     grid.y1, ctx.L)
     V = ctx.sup.V
     minus = {"u1": V.trace("u1", fmap.psi), "u2": V.trace("u2", fmap.psi),
              "S": V["S"][0], "B": V["B"][0]}
     minus["rho"], minus["P"] = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"],
                                      ctx.gas)
-    full = _full_plus(ctx, state)
-    plus = {k: v[0, :] for k, v in full.items()}
-    return fmap, full, minus, plus
+    return fmap, minus
+
+
+class _PassTerms:
+    """The parts of the step data and of the residual audit fixed by one state.
+
+    The full downstream state, its front row (``plus``, with rho and P), the
+    front-independent parts of the transformed residuals and the frozen
+    linear operators applied to the state do not move while
+    ``solve_psi_sharp`` moves the front, so a pass builds them once, each on
+    first use.
+    """
+
+    def __init__(self, ctx, state):
+        self.ctx = ctx
+        self.state = state
+
+    @cached_property
+    def full(self):
+        return _full_plus(self.ctx, self.state)
+
+    @cached_property
+    def plus(self):
+        return {k: v[0, :] for k, v in self.full.items()}
+
+    @cached_property
+    def residual(self):
+        return _ResidualTerms(self.ctx, self.ctx.grid_plus, self.full)
+
+    @cached_property
+    def linear_ops(self):
+        """(lam1, lam2): the linear momentum operators at the iterate, the
+        current entropy/Bernoulli source taken off lam2."""
+        ctx, state = self.ctx, self.state
+        hat = ctx.hat
+        h1, h2 = ctx.grid_plus.h1, ctx.grid_plus.h2
+        rup = hat["p", "rho"] * hat["p", "u"]
+        rup_du = hat["p", "rho"] * hat["p", "du"]
+        lam1 = ((1.0 - hat["p", "Msq"])[None, :] * fd.d1(state.u1, h1)
+                - rup_du[None, :] * state.u2 + rup[None, :] * fd.d2(state.u2, h2))
+        sb_cur = subsonic_sb_source(ctx.coeffs, hat, state.S[0, :], ctx.B_row, h2)
+        lam2 = (fd.d1(state.u2, h1) - rup[None, :] * fd.d2(state.u1, h2)
+                + ctx.cc_plus[None, :] * state.u1)
+        return lam1, lam2 - sb_cur[None, :]
 
 
 def _rh_jumps(minus, plus, k):
@@ -293,34 +341,44 @@ def _heights(ctx, rho, u1, h2):
     return (ctx.m / ctx.m_bar) * fd.cumtrap(1.0 / (rho * u1), h2)
 
 
-def _nonlinear_residuals_z(ctx, grid, full, fac1, cross):
-    """N1, N2 of the transformed system evaluated on ``grid``.
+class _ResidualTerms:
+    """N1, N2 of the transformed system on ``grid`` for one full state.
 
-    The y-derivatives are expressed through z-derivatives with the factors
-    of a ``FrontMap``; the upstream region passes fac1 = 1, cross = 0 (the
-    identity map).
+    The z-derivatives of u1, u2, S, B and their coefficients depend on the
+    state alone; ``N(fac1, cross)`` combines them with the factors of a
+    ``FrontMap``, d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1.  The
+    upstream region passes fac1 = 1, cross = 0 (the identity map).
     """
-    gas = ctx.gas
-    g = gas.gamma
-    mfac = ctx.m_bar / ctx.m
-    h1, h2 = grid.h1, grid.h2
-    u1, u2, S, B = full["u1"], full["u2"], full["S"], full["B"]
-    rho, P = full["rho"], full["P"]
-    c2 = g * P / rho
-    M1 = u1 / np.sqrt(c2)
-    M2 = u2 / np.sqrt(c2)
 
-    def dy1(q):
-        return fac1 * fd.d1(q, h1)
+    def __init__(self, ctx, grid, full):
+        g = ctx.gas.gamma
+        self.beta = ctx.gas.beta
+        self.mfac = mfac = ctx.m_bar / ctx.m
+        u1, u2, rho, P = full["u1"], full["u2"], full["rho"], full["P"]
+        c2 = g * P / rho
+        M1 = u1 / np.sqrt(c2)
+        M2 = u2 / np.sqrt(c2)
+        self.d1 = {k: fd.d1(full[k], grid.h1) for k in ("u1", "u2", "S", "B")}
+        self.d2 = {k: fd.d2(full[k], grid.h2) for k in ("u1", "u2", "S", "B")}
+        self.a11 = 1.0 - M1**2
+        self.a12 = M1 * M2
+        self.ru1 = mfac * rho * u1
+        self.ru2 = mfac * rho * u2
+        self.P_g = P / (g - 1.0)
+        self.rho = rho
 
-    def dy2(q):
-        return fd.d2(q, h2) - cross * fd.d1(q, h1)
+    def N(self, fac1, cross):
+        def dy1(k):
+            return fac1 * self.d1[k]
 
-    N1 = ((1.0 - M1**2) * dy1(u1) - M1 * M2 * dy1(u2)
-          - mfac * rho * u2 * dy2(u1) + mfac * rho * u1 * dy2(u2))
-    N2 = (dy1(u2) - mfac * rho * u2 * dy2(u2) - mfac * rho * u1 * dy2(u1)
-          + gas.beta - mfac * (P / (g - 1.0) * dy2(S) - rho * dy2(B)))
-    return N1, N2
+        def dy2(k):
+            return self.d2[k] - cross * self.d1[k]
+
+        N1 = (self.a11 * dy1("u1") - self.a12 * dy1("u2")
+              - self.ru2 * dy2("u1") + self.ru1 * dy2("u2"))
+        N2 = (dy1("u2") - self.ru2 * dy2("u2") - self.ru1 * dy2("u1")
+              + self.beta - self.mfac * (self.P_g * dy2("S") - self.rho * dy2("B")))
+        return N1, N2
 
 
 @dataclass
@@ -340,7 +398,7 @@ class StepData:
 
 
 def assemble_step_data(state: IterationState, ctx: IterationContext,
-                       psi_sharp_dev) -> StepData:
+                       psi_sharp_dev, terms=None) -> StepData:
     """Boundary data and interior sources for one linearized solve.
 
     Shock data invert the 2x2 trace coupling applied to the current traces
@@ -348,15 +406,18 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     matching the linearization); the exit datum embeds the full nonlinear
     exit-pressure defect; interior sources are the operator defects of the
     momentum equations.  All of them vanish identically at zero
-    perturbation.
+    perturbation.  ``terms``, the ``_PassTerms`` of ``state``, is built here
+    when not given; the result is the same either way.
     """
     hat = ctx.hat
     co = ctx.coeffs
     g = ctx.gas.gamma
     sigma = ctx.pert.sigma
-    grid = ctx.grid_plus
-    h1, h2 = grid.h1, grid.h2
-    fmap, full, minus, plus = _front(ctx, state, psi_sharp_dev)
+    h2 = ctx.grid_plus.h2
+    fmap, minus = _front(ctx, psi_sharp_dev, state.psi_prime)
+    if terms is None:
+        terms = _PassTerms(ctx, state)
+    full, plus = terms.full, terms.plus
 
     # ---- wall datum
     gp = ctx.pert.geometry.g.deriv(1)
@@ -398,16 +459,10 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     g0 = (ctx.m_bar * co.P_jump / ctx.m) * state.psi_prime - state.u2[0, :] + G0
 
     # ---- interior sources: operator defects of the two momentum equations
-    N1, N2 = _nonlinear_residuals_z(ctx, grid, full, fmap.fac1, fmap.cross)
-    Msq_p = hat["p", "Msq"]
-    rup_du = hat["p", "rho"] * hat["p", "du"]
-    lam1_op = ((1.0 - Msq_p)[None, :] * fd.d1(state.u1, h1)
-               - rup_du[None, :] * state.u2 + rup[None, :] * fd.d2(state.u2, h2))
-    sb_cur = subsonic_sb_source(co, hat, state.S[0, :], ctx.B_row, h2)
-    lam2_op = (fd.d1(state.u2, h1) - rup[None, :] * fd.d2(state.u1, h2)
-               + ctx.cc_plus[None, :] * state.u1)
-    f1 = lam1_op - N1
-    f2 = lam2_op - sb_cur[None, :] - N2 + ctx.E2[None, :]
+    N1, N2 = terms.residual.N(fmap.fac1, fmap.cross)
+    lam1, lam2 = terms.linear_ops
+    f1 = lam1 - N1
+    f2 = lam2 - N2 + ctx.E2[None, :]
 
     H1 = (co.b2p / rup)[None, :] * f1
     sb_new = subsonic_sb_source(co, hat, g1, ctx.B_row, h2)
@@ -439,8 +494,10 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
     psi_bar = ctx.grid_plus.y1a
     lo, hi = -psi_bar, ctx.L - psi_bar
 
+    terms = _PassTerms(ctx, state)
+
     def J(s):
-        data = assemble_step_data(state, ctx, s)
+        data = assemble_step_data(state, ctx, s, terms)
         return compatibility_defect(_problem_from_data(ctx, data)), data
 
     s0 = state.psi_sharp_dev
@@ -562,19 +619,23 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
         R = np.maximum(np.abs(N1), np.abs(N2 - E2[None, :]))
         return R[core].max(), max(np.abs(N1)[core].max(), np.abs(N2)[core].max()), R.max()
 
-    # --- downstream region (z-grid, shock-fitted derivatives)
-    fmap, full, minus, plus = _front(ctx, state, state.psi_sharp_dev)
-    wb_p, raw_p, frame_p = region_maxima(
-        *_nonlinear_residuals_z(ctx, gp_grid, full, fmap.fac1, fmap.cross), ctx.E2)
-
+    # Each region's _ResidualTerms is a temporary, so the two sets of
+    # derivative arrays are never alive at once.
     # --- upstream region (identity map)
     Vm = ctx.sup.V
     rho_m, P_m = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], gas)
     fullm = {"u1": Vm["u1"], "u2": Vm["u2"], "S": Vm["S"], "B": Vm["B"],
              "rho": rho_m, "P": P_m}
     wb_m, raw_m, frame_m = region_maxima(
-        *_nonlinear_residuals_z(ctx, gm, fullm, 1.0, 0.0),
+        *_ResidualTerms(ctx, gm, fullm).N(1.0, 0.0),
         _background_defect(hat, "m", gm.h2, mfac))
+
+    # --- downstream region (z-grid, shock-fitted derivatives)
+    fmap, minus = _front(ctx, state.psi_sharp_dev, state.psi_prime)
+    terms = _PassTerms(ctx, state)
+    full, plus = terms.full, terms.plus
+    wb_p, raw_p, frame_p = region_maxima(
+        *_ResidualTerms(ctx, gp_grid, full).N(fmap.fac1, fmap.cross), ctx.E2)
 
     # --- jump conditions on the front
     k = mfac * state.psi_prime
@@ -664,47 +725,47 @@ def _n1_sub(L, psi, h1):
     return max(9, int(round((L - psi) / h1)) + 1)
 
 
-def locate(hat, pert, grid_minus, m, opts: TransonicOptions):
+def locate(hat, pert, grid_minus, m, lin, opts: TransonicOptions):
     """Shock position from J1(psi_bar) = J2 and the linear two-phase approximation.
 
-    Returns the initial approximation and the flux-identity report of the
-    linear upstream march.
+    ``lin`` is the linear upstream march (``solve_linear``) on ``grid_minus``.
+    Returns the initial approximation.
     """
     L = pert.geometry.L
-    lin, flux = solve_linear(hat, pert, grid_minus)
     if opts.psi_bracket:
         bracket = tuple(opts.psi_bracket)
     else:
         br = selection_bracket(coefficients(hat), lin, pert, hat, L)
         bracket = (br.lo, br.hi)
     n1_sub = _n1_sub(L, 0.5 * (bracket[0] + bracket[1]), grid_minus.h1)
-    initial = initial_approximation(hat, pert, lin, m, L, n1_sub,
-                                    bracket=bracket, defect_tol=opts.defect_tol)
-    return initial, flux
+    return initial_approximation(hat, pert, lin, m, L, n1_sub,
+                                 bracket=bracket, defect_tol=opts.defect_tol)
 
 
 def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
-    """Upstream setup, Picard march and front placement; returns (ctx, initial).
+    """Upstream setup, linear and Picard marches and front placement; returns (ctx, initial).
 
-    Without ``psi_bar`` the front is located from J1(psi_bar) = J2 and the
-    loop starts from the linear approximation (``initial``); at sigma = 0 it
-    sits at ``opts.psi_bar_fallback`` (default: mid-bracket or L/2).  Given
-    ``psi_bar``, the front is fixed there on ``n1`` downstream nodes (default:
-    the upstream spacing) and the loop starts from zero perturbation with
-    ``initial`` None.
+    The Picard iteration starts from the hatted background plus the linear
+    march, on every path.  Without ``psi_bar`` the front is located from
+    J1(psi_bar) = J2 and the loop starts from the linear approximation
+    (``initial``); at sigma = 0 it sits at ``opts.psi_bar_fallback``
+    (default: mid-bracket or L/2).  Given ``psi_bar``, the front is fixed
+    there on ``n1`` downstream nodes (default: the upstream spacing) and the
+    loop starts from zero perturbation with ``initial`` None.
     """
     L = pert.geometry.L
     hat, m, m_bar, grid_minus = setup_upstream(bg, pert, opts)
+    lin, _ = solve_linear(hat, pert, grid_minus)
     sup = solve_nonlinear(hat, pert, grid_minus, bg, tol=opts.picard_tol,
                           max_iter=opts.picard_max_iter,
-                          sigma_threshold=opts.sigma_threshold)
+                          sigma_threshold=opts.sigma_threshold, lin=lin)
     if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar_fallback
         if psi_bar is None:
             psi_bar = (0.5 * (opts.psi_bracket[0] + opts.psi_bracket[1])
                        if opts.psi_bracket else 0.5 * L)
     if psi_bar is None:
-        initial, _ = locate(hat, pert, grid_minus, m, opts)
+        initial = locate(hat, pert, grid_minus, m, lin, opts)
         co = initial.coeffs
         grid_plus = initial.V_plus.grid
         init_state = IterationState(

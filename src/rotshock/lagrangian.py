@@ -155,7 +155,9 @@ class Field:
     def write_csv(self, path, extra_columns=None):
         """Dump as CSV with columns y1, y2, <components...>[, extras]."""
         g = self.grid
-        write_csv(path, {"y1": np.repeat(g.y1, g.n2), "y2": np.tile(g.y2, g.n1),
+        shape = (g.n1, g.n2)
+        write_csv(path, {"y1": np.broadcast_to(g.y1[:, None], shape),
+                         "y2": np.broadcast_to(g.y2, shape),
                          **self.data, **(extra_columns or {})})
 
 

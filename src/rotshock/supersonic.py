@@ -164,33 +164,47 @@ def _march(grid, K, L, s_f, s_b, inflow, wa, wb):
     predictor) and s_b (backward corrector) to (n1, 2, n2), and the walls
     u2 = 0 at y2 = 0 and u2 = wa[i] u1 + wb[i] at the top.
     Returns the (n1, n2) histories of u1 and u2.
+
+    Each half-step contracts one coefficient row with a stacked state: the
+    predictor is p = A[i] . [w; Dw; 1] and the corrector u = B[i+1] . [Dp; p;
+    1; w], where D is the forward (predictor) or backward (corrector)
+    undivided difference along y2.  A and B carry the identity, the
+    corrector's 1/2, the sources and both walls of the row they produce.
     """
     n1, n2 = grid.n1, grid.n2
     h1 = grid.h1
-    shape = (n1, 2, 2, n2)
-    # h1 [K/h2 | L] acts on the row z = [undivided difference of w; w]
-    M = np.concatenate([np.broadcast_to(K * (h1 / grid.h2), shape),
-                        np.broadcast_to(h1 * L, shape)], axis=2)
-    hs_f = np.broadcast_to(h1 * s_f, (n1, 2, n2))
-    hs_b = np.broadcast_to(h1 * s_b, (n1, 2, n2))
+    eye = np.eye(2)[:, :, None]
+    A = np.empty((n1, 2, 5, n2))
+    A[:, :, 0:2] = h1 * L + eye
+    np.multiply(K, h1 / grid.h2, out=A[:, :, 2:4])
+    np.multiply(s_f, h1, out=A[:, :, 4])
+    B = np.empty((n1, 2, 7, n2))
+    np.multiply(A[:, :, 2:4], 0.5, out=B[:, :, 0:2])
+    B[:, :, 2:4] = 0.5 * (h1 * L + eye)
+    np.multiply(s_b, 0.5 * h1, out=B[:, :, 4])
+    B[:, :, 5:7] = 0.5 * eye
+    # A[i] and B[i+1] produce row i+1: u2 = 0 at the bottom, wa u1 + wb at the top
+    for C in (A[:-1], B[1:]):
+        C[:, 1, :, 0] = 0.0
+        C[:, 1, :, -1] = wa[1:, None] * C[:, 0, :, -1]
+        C[:, 1, 4, -1] += wb[1:]
     W = np.empty((2, n1, n2))
     W[:, 0] = inflow
-    z = np.empty((4, n2))
+    # rows of Z: [Dp; p; 1; w; Dw; 1], so the corrector reads Z[:7], the predictor Z[5:]
+    Z = np.empty((10, n2))
+    dp, p, w, dw = Z[0:2], Z[2:4], Z[5:7], Z[7:9]
+    Z[4] = Z[9] = 1.0
+    w[:] = W[:, 0]
+    tf = np.empty((2, 5, n2))
+    tb = np.empty((2, 7, n2))
     for i in range(n1 - 1):
-        w = W[:, i]
-        z[2:] = w
-        np.subtract(w[:, 1:], w[:, :-1], out=z[:2, :-1])
-        z[:2, -1] = w[:, -3:] @ _EDGE_F
-        p = w + (M[i] * z).sum(axis=1) + hs_f[i]
-        p[1, 0] = 0.0
-        p[1, -1] = wa[i + 1] * p[0, -1] + wb[i + 1]
-        z[2:] = p
-        np.subtract(p[:, 1:], p[:, :-1], out=z[:2, 1:])
-        z[:2, 0] = p[:, :3] @ _EDGE_B
-        u = W[:, i + 1]
-        u[:] = 0.5 * (w + p + (M[i + 1] * z).sum(axis=1) + hs_b[i + 1])
-        u[1, 0] = 0.0
-        u[1, -1] = wa[i + 1] * u[0, -1] + wb[i + 1]
+        np.subtract(w[:, 1:], w[:, :-1], out=dw[:, :-1])
+        np.matmul(w[:, -3:], _EDGE_F, out=dw[:, -1])
+        np.add.reduce(np.multiply(A[i], Z[5:], out=tf), axis=1, out=p)
+        np.subtract(p[:, 1:], p[:, :-1], out=dp[:, 1:])
+        np.matmul(p[:, :3], _EDGE_B, out=dp[:, 0])
+        np.add.reduce(np.multiply(B[i + 1], Z[:7], out=tb), axis=1, out=w)
+        W[:, i + 1] = w
     return W[0], W[1]
 
 
@@ -256,13 +270,19 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
 
 
 def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
-                    tol=1e-12, max_iter=25, sigma_threshold=0.05):
+                    tol=1e-12, max_iter=25, sigma_threshold=0.05, lin=None):
     """Picard iteration for the nonlinear upstream flow.
 
     Each sweep marches the system with the advection/thermodynamic
     coefficients frozen at the previous iterate; the background residual is
     subtracted discretely so sigma = 0 converges in one sweep.  A damping
     factor 0.8 is applied whenever the update norm grows.
+
+    The iteration starts from the background plus ``lin``, the linear
+    solution of ``solve_linear`` on the same grid, when it is given, and from
+    the background otherwise.  The warm start is O(sigma^2) from the fixed
+    point instead of O(sigma) and saves one sweep at desk-scale sigma; the
+    fixed point is the same.
     """
     sigma = pert.sigma
     if sigma > sigma_threshold:
@@ -310,10 +330,13 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
         return rho, P, M1sq, M12
 
     # iterate: previous-field coefficients, linear march per sweep
-    V = Field(grid, {
-        "u1": np.broadcast_to(u_hat, (grid.n1, grid.n2)).copy(),
-        "u2": np.zeros((grid.n1, grid.n2)),
-    })
+    if lin is None:
+        V = Field(grid, {
+            "u1": np.broadcast_to(u_hat, (grid.n1, grid.n2)).copy(),
+            "u2": np.zeros((grid.n1, grid.n2)),
+        })
+    else:
+        V = Field(grid, {"u1": u_hat + lin.V["u1"], "u2": lin.V["u2"].copy()})
     inflow = (u_hat + sigma * en["u1_en"], sigma * en["u2_en"])
     wall = sigma * pert.geometry.g.deriv(1)(grid.y1)
     history = []

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rotshock as rs
 from rotshock.iteration import (
     FrontMap,
+    StepData,
+    _PassTerms,
     apply_T,
     assemble_step_data,
     build_context,
@@ -94,6 +98,24 @@ def test_step_data_zero_perturbation(ctx_zero):
     for arr in (data.f1, data.f2, data.g1, data.g2, data.g3, data.g4, data.g0,
                 data.H1, data.H2, data.G0, data.G1, data.G2):
         assert np.abs(arr).max() <= 1e-13
+
+
+def _assert_step_data_equal(a, b):
+    for f in dataclasses.fields(StepData):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def test_step_data_pass_terms_match_fresh_assembly(accept_run):
+    # one pass's terms serve every front of the secant: the assembly with
+    # them equals a fresh assembly, field for field and bit for bit
+    ctx = accept_run.ctx
+    state = ctx.initial_state
+    terms = _PassTerms(ctx, state)
+    for dev in (0.0, accept_run.state.psi_sharp_dev):
+        _assert_step_data_equal(assemble_step_data(state, ctx, dev, terms),
+                                assemble_step_data(state, ctx, dev))
+    s, _, data = solve_psi_sharp(state, ctx)
+    _assert_step_data_equal(data, assemble_step_data(state, ctx, s))
 
 
 def test_psi_sharp_zero_data(ctx_zero):

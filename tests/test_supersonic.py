@@ -134,6 +134,29 @@ def test_nonlinear_transport_rows_exact(hat_rot, grid65, bg_rot):
     assert np.abs(np.diff(sol.V["B"], axis=0)).max() == 0.0
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2])
+def test_warm_start_same_fixed_point_fewer_sweeps(hat_rot, grid65, bg_rot, sigma):
+    # starting from background + linear march reaches the background start's
+    # fixed point in fewer sweeps
+    pert = make_pert_strong(sigma)
+    lin, _ = solve_linear(hat_rot, pert, grid65)
+    cold = solve_nonlinear(hat_rot, pert, grid65, bg_rot)
+    warm = solve_nonlinear(hat_rot, pert, grid65, bg_rot, lin=lin)
+    scale = max(np.abs(cold.V["u1"]).max(), np.abs(cold.V["u2"]).max())
+    for k in ("u1", "u2"):
+        assert np.abs(warm.V[k] - cold.V[k]).max() <= 1e-13 * scale
+    assert warm.picard_iters < cold.picard_iters
+    assert warm.update_history[0] < 0.1 * cold.update_history[0]
+
+
+def test_warm_start_sigma_zero(hat_rot, grid65, bg_rot):
+    pert = make_pert(0.0, 0.0)
+    lin, _ = solve_linear(hat_rot, pert, grid65)
+    sol = solve_nonlinear(hat_rot, pert, grid65, bg_rot, lin=lin)
+    assert sol.picard_iters == 1
+    assert sol.final_update <= 1e-14
+
+
 def test_nonlinear_supersonic_guard(hat_rot, grid65, bg_rot):
     from rotshock.thermo import rho_P
     sol = solve_nonlinear(hat_rot, make_pert_strong(1e-2), grid65, bg_rot)

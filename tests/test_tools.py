@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -18,13 +20,64 @@ DIGEST_PATHS = [
 ]
 
 
-def test_cli_digest_smoke():
+def _tool(name, *args):
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", name), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_digest_smoke(tmp_path):
     # the byte-identity gate: one sha256 line per CLI artifact, sorted by path
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "cli_digest.py"), "--grid", "129", "65"],
-        capture_output=True, text=True, timeout=300,
-    )
+    kept = tmp_path / "kept"
+    proc = _tool("cli_digest.py", "--grid", 129, 65, "--keep", kept)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     assert [line.split("  ", 1)[1] for line in lines] == DIGEST_PATHS
+    # --keep leaves exactly the digested files, and they compare equal to themselves
+    for line in lines:
+        digest, rel = line.split("  ", 1)
+        assert hashlib.sha256((kept / rel).read_bytes()).hexdigest() == digest
+    proc = _tool("cli_compare.py", kept, kept)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and all(line.endswith("abs=0  rel=0")
+                               for line in proc.stdout.splitlines())
+
+
+def test_cli_digest_keep_refuses_nonempty_dir(tmp_path):
+    (tmp_path / "old.csv").write_text("x\n1\n")
+    proc = _tool("cli_digest.py", "--keep", tmp_path)
+    assert proc.returncode == 2 and "not empty" in proc.stderr
+
+
+def _tree(root, csv_text, report):
+    (root / "sub").mkdir(parents=True)
+    (root / "sub" / "f.csv").write_text(csv_text)
+    (root / "report.json").write_text(json.dumps(report))
+
+
+def test_cli_compare(tmp_path):
+    csv_a = 'x,label,y\n1.0,"[1, 2]",-0\n2.5,b,nan\n'
+    rep = {"psi": 0.5, "parts": [1.0, 2.0], "ok": True, "name": "run"}
+    _tree(tmp_path / "a", csv_a, rep)
+    _tree(tmp_path / "b", csv_a.replace("2.5", "2.5000001").replace("nan", "1"),
+          {**rep, "parts": [1.0, 2.5]})
+    proc = _tool("cli_compare.py", tmp_path / "a", tmp_path / "b")
+    assert proc.returncode == 0, proc.stderr
+    rows = dict(line.split("  ", 1) for line in proc.stdout.splitlines())
+    assert rows == {
+        os.path.join("sub", "f.csv") + ":x": "abs=1e-07  rel=4e-08",
+        os.path.join("sub", "f.csv") + ":y": "abs=inf  rel=inf",
+        "report.json:psi": "abs=0  rel=0",
+        "report.json:parts[0]": "abs=0  rel=0",
+        "report.json:parts[1]": "abs=0.5  rel=0.25",
+    }
+    # a differing text cell, a differing JSON string and a missing file each fail
+    cases = [(csv_a.replace(",b,", ",c,"), rep), (csv_a, {**rep, "name": "x"})]
+    for k, (csv_b, rep_b) in enumerate(cases):
+        _tree(tmp_path / f"c{k}", csv_b, rep_b)
+        proc = _tool("cli_compare.py", tmp_path / "a", tmp_path / f"c{k}")
+        assert proc.returncode == 1 and "MISMATCH" in proc.stderr
+    _tree(tmp_path / "d", csv_a, rep)
+    (tmp_path / "d" / "report.json").unlink()
+    proc = _tool("cli_compare.py", tmp_path / "a", tmp_path / "d")
+    assert proc.returncode == 1 and "report.json: only in" in proc.stderr

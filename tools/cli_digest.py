@@ -12,7 +12,8 @@ with one ``diff``:
     diff a.txt b.txt
 
 The commands' own console output goes to stderr; exit status is nonzero if
-any command does not exit 0.
+any command does not exit 0.  ``--keep DIR`` writes the artifacts to DIR
+(new or empty) and leaves them there, for ``tools/cli_compare.py``.
 """
 
 from __future__ import annotations
@@ -64,8 +65,17 @@ def digests(work):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"), default=(129, 65))
+    ap.add_argument("--keep", metavar="DIR",
+                    help="write the artifacts to DIR (new or empty) and keep them")
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="cli_digest_") as work:
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
+        if os.listdir(args.keep):
+            ap.error(f"--keep {args.keep}: directory is not empty")
+        workdir = contextlib.nullcontext(args.keep)
+    else:
+        workdir = tempfile.TemporaryDirectory(prefix="cli_digest_")
+    with workdir as work:
         codes = run_all(work, args.grid)
         for rel, h in digests(work):
             print(f"{h}  {rel}")
