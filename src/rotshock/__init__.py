@@ -11,8 +11,6 @@ from .background import (
     UpstreamSpec,
     build_background,
     downstream_state,
-    extend_profile,
-    extension_coefficients,
     rh_residual,
     solve_mach_profile,
     upstream_state,
@@ -40,7 +38,7 @@ from .iteration import (
     solve_transonic,
 )
 from .lagrangian import Field, Geometry, LagrangianGrid, hatted_background
-from .profiles import Profile, as_profile
+from .profiles import Profile
 from .shockfit import (
     InitialApproximation,
     ShockCoefficients,

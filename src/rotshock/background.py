@@ -14,8 +14,6 @@ height.  The shock position itself is arbitrary for these profiles.
 
 Profiles are sampled on a vertical grid and interpolated by cubic splines;
 first derivatives come from exact chain rules, not from differencing.
-``extend_profile`` evaluates a profile on the reflected extension of [0,1]
-to [0,2].
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .thermo import GasModel, GasState, entropy_bernoulli
 __all__ = [
     "UpstreamSpec",
     "BackgroundSolution",
-    "extension_coefficients",
-    "extend_profile",
     "solve_mach_profile",
     "upstream_state",
     "downstream_state",
@@ -66,40 +62,6 @@ class UpstreamSpec:
         umin = float(np.min(self.u_minus(x)))
         if umin <= 0.0:
             raise ConfigError(f"u_minus must stay positive (min {umin})")
-
-
-def extension_coefficients():
-    """Coefficients c_1..c_4 of the cubic-exact reflection extension.
-
-    They solve sum_k c_k (-1/k)^j = 1 for j = 0..3, so that
-    f_e(y) = sum_k c_k f(1 + (1-y)/k) matches f and its first three
-    derivatives at y = 1 and is exact for cubic polynomials.
-    """
-    k = np.arange(1, 5, dtype=float)
-    V = np.vander(-1.0 / k, 4, increasing=True).T  # V[j, i] = (-1/k_i)^j
-    c = np.linalg.solve(V, np.ones(4))
-    return c
-
-
-def extend_profile(f, n=DEFAULT_NODES):
-    """Extend a profile given on [0,1] to [0,2].
-
-    ``f`` is a callable evaluable on [0,1] (e.g. a cubic spline through nodal
-    samples).  Returns ``(y, values)`` on a uniform grid over [0,2] with
-    2*(n-1)+1 nodes; the lower half reproduces f, the upper half is the
-    reflected combination with the Vandermonde coefficients.
-    """
-    c = extension_coefficients()
-    y = np.linspace(0.0, 2.0, 2 * (n - 1) + 1)
-    vals = np.empty_like(y)
-    lower = y <= 1.0
-    vals[lower] = f(y[lower])
-    yu = y[~lower]
-    acc = np.zeros_like(yu)
-    for k in range(1, 5):
-        acc += c[k - 1] * f(1.0 + (1.0 - yu) / k)
-    vals[~lower] = acc
-    return y, vals
 
 
 def solve_mach_profile(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES):

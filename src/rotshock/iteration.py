@@ -32,9 +32,9 @@ subcommands) shares one setup: ``setup_upstream`` builds the hatted
 profiles, the mass fluxes and the upstream grid, ``solve_linear`` marches
 the linear upstream flow once, ``locate`` places the shock from
 J1(psi_bar) = J2 on that march and builds the linear two-phase
-approximation, and ``build_context`` adds the Picard march, started from
-the background plus the same linear march, and freezes an
-``IterationContext``.
+approximation, and ``build_context`` adds the nonlinear march, solved by
+Newton's method from the background plus the same linear march, and
+freezes an ``IterationContext``.
 
 Within one pass the downstream state is fixed and only the front moves:
 ``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
@@ -94,6 +94,14 @@ __all__ = [
 
 @dataclass
 class TransonicOptions:
+    """Grid, tolerances and limits of ``solve_transonic``.
+
+    ``picard_tol`` and ``picard_max_iter`` bound the Newton solve of the
+    upstream flow: the max-norm of a step's update that ends it and the
+    number of steps (one march each) it may take.  The names predate the
+    Newton solve.
+    """
+
     nx: int = 129
     ny: int = 65
     tol_fp: float = 1e-10
@@ -743,15 +751,17 @@ def locate(hat, pert, grid_minus, m, lin, opts: TransonicOptions):
 
 
 def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
-    """Upstream setup, linear and Picard marches and front placement; returns (ctx, initial).
+    """Upstream setup, linear and nonlinear marches and front placement; returns (ctx, initial).
 
-    The Picard iteration starts from the hatted background plus the linear
-    march, on every path.  Without ``psi_bar`` the front is located from
-    J1(psi_bar) = J2 and the loop starts from the linear approximation
-    (``initial``); at sigma = 0 it sits at ``opts.psi_bar_fallback``
-    (default: mid-bracket or L/2).  Given ``psi_bar``, the front is fixed
-    there on ``n1`` downstream nodes (default: the upstream spacing) and the
-    loop starts from zero perturbation with ``initial`` None.
+    The Newton solve of the nonlinear march starts from the hatted
+    background plus the linear march, on every path; on the demo
+    configuration it takes 2 steps.  Without ``psi_bar`` the front is
+    located from J1(psi_bar) = J2 and the loop starts from the linear
+    approximation (``initial``); at sigma = 0 it sits at
+    ``opts.psi_bar_fallback`` (default: mid-bracket or L/2).  Given
+    ``psi_bar``, the front is fixed there on ``n1`` downstream nodes
+    (default: the upstream spacing) and the loop starts from zero
+    perturbation with ``initial`` None.
     """
     L = pert.geometry.L
     hat, m, m_bar, grid_minus = setup_upstream(bg, pert, opts)

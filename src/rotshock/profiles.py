@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 
-__all__ = ["Profile", "as_profile", "profile_from_json"]
+__all__ = ["Profile", "profile_from_json"]
 
 
 class Profile:
@@ -59,17 +59,6 @@ class Profile:
     @classmethod
     def constant(cls, value, label="const"):
         return cls.from_poly([value], label=label)
-
-
-def as_profile(value, lo=0.0, hi=1.0, label="profile"):
-    """Coerce a number / coefficient list / callable / Profile into a Profile."""
-    if isinstance(value, Profile):
-        return value
-    if callable(value):
-        return Profile.from_callable(value, lo, hi, label=label)
-    if np.isscalar(value):
-        return Profile.constant(float(value), label=label)
-    return Profile.from_poly(value, label=label)
 
 
 def profile_from_json(value, key, base_dir="."):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock.background import extension_coefficients, extend_profile, solve_mach_profile, upstream_state, downstream_state
+from rotshock.background import solve_mach_profile, upstream_state, downstream_state
 from rotshock.profiles import Profile
+from tests.background_oracle import extend_profile, extension_coefficients
 
 
 def rk4_mach_ode(u_minus, gas, d_top, n):

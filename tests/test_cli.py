@@ -284,7 +284,7 @@ def test_verify_without_solve_output_exit_1(tmp_path, capsys):
 
 
 def test_verify_uses_picard_options(solved, capsys):
-    # the Picard march needs several sweeps on this configuration
+    # the Newton solve of the upstream march needs more than one step here
     p, out = solved
     cfg = parse_config(p)
     cfg.options.picard_max_iter = 1
