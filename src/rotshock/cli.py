@@ -8,10 +8,12 @@ solve        run the full nonlinear iteration
 verify       recompute the residual suite on stored `solve` output
 sweep        repeat `solve` while varying one configuration key over a list
 
-Exit codes: 0 success, 1 configuration error, 2 degenerate background,
-3 no admissible shock position, 4 non-convergence (including CFL and
-trust-region failures).  All field files are CSV in the one format of
-`rotshock.csvio`, so identical configurations produce byte-identical output.
+Exit codes: 0 success, 1 configuration error or unwritable output,
+2 degenerate background, 3 no admissible shock position, 4 non-convergence
+(including CFL and trust-region failures).  All field files are CSV in the
+one format of `rotshock.csvio`, so identical configurations produce
+byte-identical output; `solve` and `initial` write their two field files
+concurrently (`rotshock.csvio.write_concurrently`).
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .background import build_background, rh_residual, write_background_csv, UpstreamSpec
-from .csvio import read_csv, write_csv
+from .csvio import read_csv, write_concurrently, write_csv
 from .errors import ConfigError, DegenerateBackgroundError, NoAdmissibleShockError, RotshockError
 from .iteration import (
     IterationState,
@@ -226,8 +229,8 @@ def cmd_initial(cfg: RunConfig, out):
     _write_json(os.path.join(out, "initial.json"), rec)
     write_csv(os.path.join(out, "shock_slope.csv"),
               {"y2": init.coeffs.y2, "psi_prime": init.front.psi_prime})
-    init.V_minus.V.write_csv(os.path.join(out, "linear_minus.csv"))
-    init.V_plus.write_csv(os.path.join(out, "linear_plus.csv"))
+    write_concurrently(partial(init.V_minus.V.write_csv, os.path.join(out, "linear_minus.csv")),
+                       partial(init.V_plus.write_csv, os.path.join(out, "linear_plus.csv")))
     print(f"initial approximation: psi_bar = {init.diagnostics['psi_bar']:.10f} "
           f"(defect {init.diagnostics['defect']:.3e}) -> {out}")
     return 0
@@ -241,28 +244,33 @@ def _solve(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
     res = _solve(cfg)
     x2m, x2p = res.eulerian_heights()
-    res.sup.V.write_csv(os.path.join(out, "fields_minus.csv"),
-                        extra_columns={"x2": x2m})
     ctx = res.ctx
     fmap = res.front_map
-    res.downstream_field().write_csv(os.path.join(out, "fields_plus.csv"),
-                                     extra_columns={"x2": x2p, "y1_phys": fmap.Y1})
-    write_csv(os.path.join(out, "front.csv"),
-              {"y2": res.front.y2, "psi": fmap.psi, "psi_prime": res.front.psi_prime})
-    write_csv(os.path.join(out, "iteration_log.csv"),
-              {k: [row[k] for row in res.log] for k in res.log[0]})
+    plus = res.downstream_field()
     rep = res.report
-    _write_json(os.path.join(out, "report.json"), {
-        "psi_bar": res.psi_bar, "psi_sharp": res.psi_sharp,
-        "iterations": len(res.log), "C1_measured": res.C1_measured,
-        "kappa_final": res.kappa_final, **asdict(rep),
-    })
-    if dump_elliptic or cfg.dump_fields:
-        write_csv(os.path.join(out, "hatted_profiles.csv"), {
-            "y2": ctx.hat.y2, "x2": ctx.hat.x2,
-            "u_m": ctx.hat["m", "u"], "u_p": ctx.hat["p", "u"],
-            "P_m": ctx.hat["m", "P"], "P_p": ctx.hat["p", "P"],
+
+    def plus_and_small_files():
+        plus.write_csv(os.path.join(out, "fields_plus.csv"),
+                       extra_columns={"x2": x2p, "y1_phys": fmap.Y1})
+        write_csv(os.path.join(out, "front.csv"),
+                  {"y2": res.front.y2, "psi": fmap.psi, "psi_prime": res.front.psi_prime})
+        write_csv(os.path.join(out, "iteration_log.csv"),
+                  {k: [row[k] for row in res.log] for k in res.log[0]})
+        _write_json(os.path.join(out, "report.json"), {
+            "psi_bar": res.psi_bar, "psi_sharp": res.psi_sharp,
+            "iterations": len(res.log), "C1_measured": res.C1_measured,
+            "kappa_final": res.kappa_final, **asdict(rep),
         })
+        if dump_elliptic or cfg.dump_fields:
+            write_csv(os.path.join(out, "hatted_profiles.csv"), {
+                "y2": ctx.hat.y2, "x2": ctx.hat.x2,
+                "u_m": ctx.hat["m", "u"], "u_p": ctx.hat["p", "u"],
+                "P_m": ctx.hat["m", "P"], "P_p": ctx.hat["p", "P"],
+            })
+
+    write_concurrently(partial(res.sup.V.write_csv, os.path.join(out, "fields_minus.csv"),
+                               extra_columns={"x2": x2m}),
+                       plus_and_small_files)
     ok = rep.pde_residual <= cfg.options.tol_res and rep.rh_residual <= cfg.options.tol_res
     print(f"solve: psi_bar={res.psi_bar:.10f} psi_sharp={res.psi_sharp:.10f} "
           f"iters={len(res.log)} pde={rep.pde_residual:.3e} rh={rep.rh_residual:.3e} "
@@ -384,29 +392,34 @@ def main(argv=None):
             cfg.options.nx, cfg.options.ny = args.grid
             cfg.raw["solver"]["nx"], cfg.raw["solver"]["ny"] = args.grid
         out = args.out or cfg.out_dir
-        os.makedirs(out, exist_ok=True)
-        if args.command == "background":
-            return cmd_background(cfg, out)
-        if args.command == "initial":
-            return cmd_initial(cfg, out)
-        if args.command == "solve":
-            return cmd_solve(cfg, out, args.dump_elliptic)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "sweep":
-            if not args.key or not args.values:
-                raise ConfigError("sweep requires --key and --values")
-            try:
-                values = json.loads(args.values)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--values is not valid JSON: {exc}") from exc
-            if not isinstance(values, list) or not values:
-                raise ConfigError("--values must be a non-empty JSON list")
-            return cmd_sweep(cfg, out, args.key, values)
+        try:
+            return _run(args, cfg, out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output to {out}: {exc}") from exc
     except RotshockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    return 0
+
+
+def _run(args, cfg, out):
+    os.makedirs(out, exist_ok=True)
+    if args.command == "background":
+        return cmd_background(cfg, out)
+    if args.command == "initial":
+        return cmd_initial(cfg, out)
+    if args.command == "solve":
+        return cmd_solve(cfg, out, args.dump_elliptic)
+    if args.command == "verify":
+        return cmd_verify(cfg, out)
+    if not args.key or not args.values:
+        raise ConfigError("sweep requires --key and --values")
+    try:
+        values = json.loads(args.values)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--values is not valid JSON: {exc}") from exc
+    if not isinstance(values, list) or not values:
+        raise ConfigError("--values must be a non-empty JSON list")
+    return cmd_sweep(cfg, out, args.key, values)
 
 
 if __name__ == "__main__":

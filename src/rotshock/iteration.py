@@ -99,7 +99,9 @@ class TransonicOptions:
     ``picard_tol`` and ``picard_max_iter`` bound the Newton solve of the
     upstream flow: the max-norm of a step's update that ends it and the
     number of steps (one march each) it may take.  The names predate the
-    Newton solve.
+    Newton solve.  A ``picard_tol`` under the round-off floor of the update
+    (about 1.5e-15 at 129x65) raises ``NonConvergenceError`` as soon as the
+    updates stall there.
     """
 
     nx: int = 129

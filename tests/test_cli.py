@@ -170,6 +170,25 @@ def test_cmd_initial_artifacts(tmp_path, capsys):
     assert os.path.exists(out / "linear_plus.csv")
 
 
+def test_unwritable_output_exit_1(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_config(p)
+    # --out names a file: the output directory cannot be made
+    (tmp_path / "file").write_text("")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "file")]) == 1
+    assert "error: cannot write output to" in capsys.readouterr().err
+    # a directory where a field file goes: the write fails in the parent
+    # (linear_plus.csv) and in the forked child (linear_minus.csv)
+    for name in ("linear_plus.csv", "linear_minus.csv"):
+        out = tmp_path / name.split(".")[0]
+        (out / name).mkdir(parents=True)
+        assert main(["initial", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output to {out}") and name in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_grid_override(tmp_path, capsys):
     p = tmp_path / "c.json"
     write_config(p)

@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 import rotshock as rs
+from rotshock.cli import parse_config
+from rotshock.iteration import setup_upstream
 from rotshock.profiles import Profile
 from rotshock import supersonic as sp
 from rotshock.supersonic import entrance_profiles, solve_linear, solve_nonlinear
@@ -157,6 +161,30 @@ def test_warm_start_sigma_zero(hat_rot, grid65, bg_rot):
     sol = solve_nonlinear(hat_rot, pert, grid65, bg_rot, lin=lin)
     assert sol.picard_iters == 1
     assert sol.final_update <= 1e-14
+
+
+def test_newton_stops_at_roundoff_floor():
+    # demo configuration at 129x65: the default tol converges in 2 steps; 1e-15
+    # sits under the round-off floor of the update (about 1.5e-15), which ends
+    # the solve at once instead of after picard_max_iter steps
+    cfg = parse_config(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                    "demos", "config", "almost_flat.json"))
+    opts = rs.TransonicOptions(nx=129, ny=65)
+    bg = rs.build_background(cfg.upstream, cfg.gas)
+    hat, _, _, grid = setup_upstream(bg, cfg.pert, opts)
+    lin, _ = solve_linear(hat, cfg.pert, grid)
+
+    def newton(tol):
+        return solve_nonlinear(hat, cfg.pert, grid, bg, tol=tol,
+                               max_iter=opts.picard_max_iter, lin=lin)
+
+    sup = newton(opts.picard_tol)
+    assert sup.picard_iters == 2
+    with pytest.raises(rs.NonConvergenceError, match="round-off floor") as err:
+        newton(1e-15)
+    h = err.value.history
+    assert len(h) <= 5 and h[:2] == sup.update_history
+    assert f"{h[-1]:.1e} after {len(h)} steps" in str(err.value)
 
 
 def test_newton_jacobian_matches_complex_step(hat_rot, gas_rot):

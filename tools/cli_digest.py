@@ -11,8 +11,9 @@ with one ``diff``:
     python3 tools/cli_digest.py --grid 129 65 > b.txt   # in checkout B
     diff a.txt b.txt
 
-The commands' own console output goes to stderr; exit status is nonzero if
-any command does not exit 0.  ``--keep DIR`` writes the artifacts to DIR
+The commands' own console output and the wall time of each command go to
+stderr, so stdout holds only the digests; exit status is nonzero if any
+command does not exit 0.  ``--keep DIR`` writes the artifacts to DIR
 (new or empty) and leaves them there, for ``tools/cli_compare.py``.
 """
 
@@ -25,6 +26,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -40,15 +42,19 @@ def run_all(work, grid):
     g = ["--grid", str(grid[0]), str(grid[1])]
     d = {c: os.path.join(work, c) for c in ("background", "initial", "solve", "verify", "sweep")}
     codes = {}
+
+    def run(cmd, *extra):
+        t0 = time.perf_counter()
+        codes[cmd] = cli_main([cmd, "--config", CONFIG, "--out", d[cmd], *g, *extra])
+        print(f"{cmd}: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
+
     with contextlib.redirect_stdout(sys.stderr):
-        for cmd in ("background", "initial"):
-            codes[cmd] = cli_main([cmd, "--config", CONFIG, "--out", d[cmd], *g])
-        codes["solve"] = cli_main(["solve", "--config", CONFIG, "--out", d["solve"],
-                                   "--dump-elliptic", *g])
+        run("background")
+        run("initial")
+        run("solve", "--dump-elliptic")
         shutil.copytree(d["solve"], d["verify"])
-        codes["verify"] = cli_main(["verify", "--config", CONFIG, "--out", d["verify"], *g])
-        codes["sweep"] = cli_main(["sweep", "--config", CONFIG, "--out", d["sweep"], *g,
-                                   "--key", "perturbation.P_ex", "--values", SWEEP_VALUES])
+        run("verify")
+        run("sweep", "--key", "perturbation.P_ex", "--values", SWEEP_VALUES)
     return codes
 
 
