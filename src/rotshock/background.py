@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .csvio import write_csv
 from .errors import ConfigError, DegenerateBackgroundError
@@ -137,8 +136,7 @@ class BackgroundSolution:
 
     Attribute names ending in ``_m``/``_p`` hold the upstream/downstream
     profiles; ``deriv`` maps profile names to exact chain-rule first
-    derivatives.  ``spline`` returns a cubic-spline evaluator for any stored
-    profile.
+    derivatives.
     """
 
     gas: GasModel
@@ -156,15 +154,9 @@ class BackgroundSolution:
     S_p: np.ndarray
     B_p: np.ndarray
     deriv: dict = field(default_factory=dict)
-    _splines: dict = field(default_factory=dict, repr=False)
 
     def profile(self, name):
         return getattr(self, name)
-
-    def spline(self, name):
-        if name not in self._splines:
-            self._splines[name] = CubicSpline(self.x2, self.profile(name))
-        return self._splines[name]
 
     @property
     def mass_flux(self):

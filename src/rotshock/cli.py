@@ -12,8 +12,18 @@ Exit codes: 0 success, 1 configuration error or unwritable output,
 2 degenerate background, 3 no admissible shock position, 4 non-convergence
 (including CFL and trust-region failures).  All field files are CSV in the
 one format of `rotshock.csvio`, so identical configurations produce
-byte-identical output; `solve` and `initial` write their two field files
-concurrently (`rotshock.csvio.write_concurrently`).
+byte-identical output.
+
+Independent work runs in processes forked by `rotshock.parallel.run_forked`:
+`solve` and `initial` write their two field files at once, and `sweep`
+spreads its points over up to one process per available CPU, point i to
+share i mod W, the parent running share 0.  Each point returns its
+`sweep.csv` row and its error text; the parent prints the texts in point
+order and writes `sweep.csv`, so the output is the same as from points run
+in turn.  A sweep point is built from the merged configuration and the
+directory of the original config file, and its `run_XXX/config.json` holds
+table paths made absolute, so `solve --config run_XXX/config.json`
+reproduces the point.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from .background import build_background, rh_residual, write_background_csv, UpstreamSpec
-from .csvio import read_csv, write_concurrently, write_csv
+from .csvio import read_csv, write_csv
 from .errors import ConfigError, DegenerateBackgroundError, NoAdmissibleShockError, RotshockError
 from .iteration import (
     IterationState,
@@ -42,6 +52,7 @@ from .iteration import (
     solve_transonic,
 )
 from .lagrangian import Geometry
+from .parallel import available_cpus, run_forked
 from .profiles import profile_from_json
 from .supersonic import PerturbationConfig, solve_linear
 from .thermo import GasModel, GasState
@@ -81,6 +92,7 @@ class RunConfig:
     options: TransonicOptions
     out_dir: str
     dump_fields: bool
+    base_dir: str
 
     def to_dict(self):
         return copy.deepcopy(self.raw)
@@ -152,7 +164,12 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    base_dir = os.path.dirname(os.path.abspath(path))
+    return build_config(data, os.path.dirname(os.path.abspath(path)))
+
+
+def build_config(data, base_dir) -> RunConfig:
+    """Validate and instantiate a configuration dict; relative table paths
+    are read from ``base_dir``."""
     merged = _merge_validate(data)
 
     profiles = {}
@@ -180,7 +197,7 @@ def parse_config(path) -> RunConfig:
     return RunConfig(raw=merged, gas=gas, geometry=geometry, upstream=upstream,
                      pert=pert, options=options,
                      out_dir=merged["output"]["dir"],
-                     dump_fields=merged["output"]["dump_fields"])
+                     dump_fields=merged["output"]["dump_fields"], base_dir=base_dir)
 
 
 def _write_json(path, obj):
@@ -220,17 +237,17 @@ def cmd_background(cfg: RunConfig, out):
 
 def cmd_initial(cfg: RunConfig, out):
     bg = build_background(cfg.upstream, cfg.gas)
-    hat, m, _, grid_minus = setup_upstream(bg, cfg.pert, cfg.options)
+    hat, _, grid_minus = setup_upstream(bg, cfg.pert, cfg.options)
     lin, flux = solve_linear(hat, cfg.pert, grid_minus)
-    init = locate(hat, cfg.pert, grid_minus, m, lin, cfg.options)
+    init = locate(hat, cfg.pert, grid_minus, grid_minus.m, lin, cfg.options)
     rec = {k: init.diagnostics[k] for k in
            ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
     rec["flux_identity_violation"] = flux.max_violation
     _write_json(os.path.join(out, "initial.json"), rec)
     write_csv(os.path.join(out, "shock_slope.csv"),
               {"y2": init.coeffs.y2, "psi_prime": init.front.psi_prime})
-    write_concurrently(partial(init.V_minus.V.write_csv, os.path.join(out, "linear_minus.csv")),
-                       partial(init.V_plus.write_csv, os.path.join(out, "linear_plus.csv")))
+    run_forked(partial(init.V_minus.V.write_csv, os.path.join(out, "linear_minus.csv")),
+               partial(init.V_plus.write_csv, os.path.join(out, "linear_plus.csv")))
     print(f"initial approximation: psi_bar = {init.diagnostics['psi_bar']:.10f} "
           f"(defect {init.diagnostics['defect']:.3e}) -> {out}")
     return 0
@@ -268,9 +285,9 @@ def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
                 "P_m": ctx.hat["m", "P"], "P_p": ctx.hat["p", "P"],
             })
 
-    write_concurrently(partial(res.sup.V.write_csv, os.path.join(out, "fields_minus.csv"),
-                               extra_columns={"x2": x2m}),
-                       plus_and_small_files)
+    run_forked(partial(res.sup.V.write_csv, os.path.join(out, "fields_minus.csv"),
+                       extra_columns={"x2": x2m}),
+               plus_and_small_files)
     ok = rep.pde_residual <= cfg.options.tol_res and rep.rh_residual <= cfg.options.tol_res
     print(f"solve: psi_bar={res.psi_bar:.10f} psi_sharp={res.psi_sharp:.10f} "
           f"iters={len(res.log)} pde={rep.pde_residual:.3e} rh={rep.rh_residual:.3e} "
@@ -333,29 +350,54 @@ def _set_by_path(d, path, value):
     cur[keys[-1]] = value
 
 
+def _absolute_tables(raw, base_dir):
+    """Make the relative table paths of ``raw`` absolute, from ``base_dir``."""
+    for section, key in _PROFILE_KEYS:
+        value = raw[section][key]
+        if isinstance(value, dict) and isinstance(value.get("table"), str):
+            raw[section][key] = {**value, "table": os.path.join(base_dir, value["table"])}
+
+
 def cmd_sweep(cfg: RunConfig, out, key, values):
-    rows = []
-    for i, val in enumerate(values):
+    raws = []
+    for val in values:
         raw = cfg.to_dict()
         _set_by_path(raw, key, val)
+        _absolute_tables(raw, cfg.base_dir)
+        raws.append(raw)
+
+    def point(i):
+        """(sweep.csv row, error text or None) of point ``i``."""
         subdir = os.path.join(out, f"run_{i:03d}")
         os.makedirs(subdir, exist_ok=True)
-        sub_path = os.path.join(subdir, "config.json")
-        with open(sub_path, "w") as fh:
-            json.dump(raw, fh, indent=2, sort_keys=True)
+        with open(os.path.join(subdir, "config.json"), "w") as fh:
+            json.dump(raws[i], fh, indent=2, sort_keys=True)
+        row = {"index": i, "value": str(values[i])}
         try:
-            res = _solve(parse_config(sub_path))
-            rows.append({
-                "index": i, "value": str(val), "status": 0,
-                "psi_bar": res.psi_bar, "psi_sharp": res.psi_sharp,
-                "pde_residual": res.report.pde_residual,
-                "rh_residual": res.report.rh_residual,
-            })
+            res = _solve(build_config(raws[i], cfg.base_dir))
         except RotshockError as exc:
-            rows.append({"index": i, "value": str(val), "status": _exit_code(exc),
-                         "psi_bar": np.nan, "psi_sharp": np.nan,
-                         "pde_residual": np.nan, "rh_residual": np.nan})
-            print(f"sweep {key}={val}: {exc}", file=sys.stderr)
+            row.update(status=_exit_code(exc), psi_bar=np.nan, psi_sharp=np.nan,
+                       pde_residual=np.nan, rh_residual=np.nan)
+            return row, f"sweep {key}={values[i]}: {exc}"
+        row.update(status=0, psi_bar=res.psi_bar, psi_sharp=res.psi_sharp,
+                   pde_residual=res.report.pde_residual, rh_residual=res.report.rh_residual)
+        return row, None
+
+    n = len(values)
+    workers = min(available_cpus(), n)
+
+    def share(w):
+        return [point(i) for i in range(w, n, workers)]
+
+    order = [*range(1, workers), 0]  # share 0 runs in this process
+    shares = run_forked(*(partial(share, w) for w in order))
+    points = [None] * n
+    for w, done in zip(order, shares):
+        points[w::workers] = done
+    for _, message in points:
+        if message:
+            print(message, file=sys.stderr)
+    rows = [row for row, _ in points]
     write_csv(os.path.join(out, "sweep.csv"), {k: [r[k] for r in rows] for k in rows[0]})
     print(f"sweep over {key}: {len(rows)} runs -> {os.path.join(out, 'sweep.csv')}")
     return 0 if all(r["status"] == 0 for r in rows) else max(r["status"] for r in rows)

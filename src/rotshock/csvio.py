@@ -3,20 +3,7 @@
 Floats are written with %.17g, which round-trips every binary64 value; other
 cells with %s, a text cell holding a comma, quote or newline quoted per RFC 4180.
 A 2-D column is written in row-major order.
-
-``write_concurrently`` runs independent artifact writes at the same time:
-formatting a large field file is bound to one core, so the two field files
-of ``solve`` and ``initial`` are written by two processes.  Each write but
-the last runs in a child forked for it, which leaves by ``os._exit`` (no
-buffer of the parent is flushed twice, no exit hook runs); the parent runs
-the last write itself, then waits for every child.  A child only formats
-and writes, so it needs no lock or BLAS thread of the parent; a spawned
-process would first pay an interpreter start and a copy of the fields.
-The files hold the same bytes as when written in turn, which is how the
-writes run where the platform has no ``os.fork``.
 """
-
-import os
 
 import numpy as np
 
@@ -68,66 +55,3 @@ def read_csv(path):
         names = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return {n: data[:, i] for i, n in enumerate(names)}
-
-
-def write_concurrently(*writes):
-    """Run ``writes``, callables that each write their own files, at once.
-
-    Every call but the last runs in a forked child; the parent runs the last
-    one, then reaps each child, also when its own call raised.  A failed
-    child makes the parent raise ``OSError`` with the child's error text.
-    Without ``os.fork``, or when a fork fails, the calls run in turn.
-    """
-    if not hasattr(os, "fork"):
-        for write in writes:
-            write()
-        return
-    *forked, last = writes
-    children = []
-    try:
-        for write in forked:
-            child = _fork(write)
-            if child is None:
-                write()
-            else:
-                children.append(child)
-        last()
-    finally:
-        failures = [err for err in map(_reap, children) if err]
-    if failures:
-        raise OSError("; ".join(failures))
-
-
-def _fork(write):
-    """Start ``write`` in a child; (pid, read end of its error pipe), or None
-    if no process could be started."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            write()
-            code = 0
-        except BaseException as exc:
-            os.write(w, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
-        finally:
-            os._exit(code)  # never unwind into the caller's copy of the stack
-    os.close(w)
-    return pid, r
-
-
-def _reap(child):
-    """Wait for a child of ``_fork``; its error text, or None if it succeeded."""
-    pid, r = child
-    with os.fdopen(r, "rb") as fh:
-        text = fh.read().decode(errors="replace")
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        return text or f"writer process {pid} ended with status {code}"
-    return None

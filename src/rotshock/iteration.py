@@ -29,12 +29,13 @@ and wall abscissa from it.
 
 Every entry point (``solve_transonic`` and the ``initial``/``verify``
 subcommands) shares one setup: ``setup_upstream`` builds the hatted
-profiles, the mass fluxes and the upstream grid, ``solve_linear`` marches
-the linear upstream flow once, ``locate`` places the shock from
-J1(psi_bar) = J2 on that march and builds the linear two-phase
-approximation, and ``build_context`` adds the nonlinear march, solved by
-Newton's method from the background plus the same linear march, and
-freezes an ``IterationContext``.
+profiles, the perturbed inlet maps (mass fluxes and entrance heights) and
+the upstream grid, ``solve_linear`` marches the linear upstream flow once,
+``locate`` places the shock from J1(psi_bar) = J2 on that march and builds
+the linear two-phase approximation, and ``build_context`` adds the
+nonlinear march, solved by Newton's method from the background plus the
+same linear march and reusing the perturbed inlet maps, and freezes an
+``IterationContext``.
 
 Within one pass the downstream state is fixed and only the front moves:
 ``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
@@ -723,11 +724,15 @@ class RunResult:
 
 
 def setup_upstream(bg, pert, opts: TransonicOptions):
-    """Hatted profiles, mass fluxes and the upstream grid: (hat, m, m_bar, grid_minus)."""
+    """Hatted profiles, perturbed inlet maps and the upstream grid: (hat, inlet, grid_minus).
+
+    ``inlet`` is ``inlet_maps(bg, pert, pert.sigma)``; ``grid_minus`` carries
+    its mass fluxes m and m_bar.
+    """
     hat = hatted_background(bg, n2=opts.ny)
-    m, m_bar, _, _ = inlet_maps(bg, pert, pert.sigma)
-    grid_minus = LagrangianGrid(opts.nx, opts.ny, 0.0, pert.geometry.L, m, m_bar)
-    return hat, m, m_bar, grid_minus
+    inlet = inlet_maps(bg, pert, pert.sigma)
+    grid_minus = LagrangianGrid(opts.nx, opts.ny, 0.0, pert.geometry.L, *inlet[:2])
+    return hat, inlet, grid_minus
 
 
 def _n1_sub(L, psi, h1):
@@ -766,11 +771,12 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
     perturbation with ``initial`` None.
     """
     L = pert.geometry.L
-    hat, m, m_bar, grid_minus = setup_upstream(bg, pert, opts)
+    hat, inlet, grid_minus = setup_upstream(bg, pert, opts)
+    m, m_bar = grid_minus.m, grid_minus.m_bar
     lin, _ = solve_linear(hat, pert, grid_minus)
     sup = solve_nonlinear(hat, pert, grid_minus, bg, tol=opts.picard_tol,
                           max_iter=opts.picard_max_iter,
-                          sigma_threshold=opts.sigma_threshold, lin=lin)
+                          sigma_threshold=opts.sigma_threshold, lin=lin, inlet=inlet)
     if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar_fallback
         if psi_bar is None:

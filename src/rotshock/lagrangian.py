@@ -220,24 +220,23 @@ def hatted_background(bg, n2=129) -> HattedProfiles:
     _, mb, x2_of_y2, _ = inlet_maps(bg)
     y2 = np.linspace(0.0, mb, n2)
     x2q = np.clip(x2_of_y2(y2), 0.0, 1.0)
+    # one spline through all 16 columns: its coefficients equal those of one
+    # spline per column bit for bit
+    names = [q + "_" + side for side in ("m", "p") for q in ("u", "rho", "P", "S", "B")]
+    slopes = [q + "_" + side for side in ("m", "p") for q in ("u", "S", "B")]
+    cols = np.column_stack([bg.profile(n) for n in names] + [bg.deriv[n] for n in slopes])
+    at = dict(zip(names + ["d" + n for n in slopes], CubicSpline(bg.x2, cols)(x2q).T.copy()))
+    # chain rule dq/dy2 = (dq/dx2) / (rho*u), with exact x-derivatives
+    flux = at["rho_m"] * at["u_m"]
     g = bg.gas.gamma
     vals = {}
     for side in ("m", "p"):
-        u = bg.spline("u_" + side)(x2q)
-        rho = bg.spline("rho_" + side)(x2q)
-        P = bg.spline("P_" + side)(x2q)
-        S = bg.spline("S_" + side)(x2q)
-        B = bg.spline("B_" + side)(x2q)
+        u, rho, P = at["u_" + side], at["rho_" + side], at["P_" + side]
         c2 = g * P / rho
-        # chain rule dq/dy2 = (dq/dx2) / (rho*u), with exact x-derivatives
-        dudx = CubicSpline(bg.x2, bg.deriv["u_" + side])(x2q)
-        dSdx = CubicSpline(bg.x2, bg.deriv["S_" + side])(x2q)
-        dBdx = CubicSpline(bg.x2, bg.deriv["B_" + side])(x2q)
-        flux = bg.spline("rho_m")(x2q) * bg.spline("u_m")(x2q)
         vals[side] = {
-            "u": u, "rho": rho, "P": P, "S": S, "B": B, "c2": c2,
-            "Msq": u * u / c2,
-            "du": dudx / flux, "dS": dSdx / flux, "dB": dBdx / flux,
+            "u": u, "rho": rho, "P": P, "S": at["S_" + side], "B": at["B_" + side],
+            "c2": c2, "Msq": u * u / c2, "du": at["du_" + side] / flux,
+            "dS": at["dS_" + side] / flux, "dB": at["dB_" + side] / flux,
         }
     hp = HattedProfiles(y2=y2, m_bar=mb, x2=x2q, vals=vals, gas=bg.gas)
     flux_m = vals["m"]["rho"] * vals["m"]["u"]

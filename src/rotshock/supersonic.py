@@ -106,16 +106,16 @@ class FluxIdentityReport:
         return float(np.abs(self.lhs - self.rhs).max())
 
 
-def entrance_profiles(hat, pert: PerturbationConfig, bg, perturbed_map):
+def entrance_profiles(hat, pert: PerturbationConfig, inlet=None):
     """Inflow perturbation profiles re-parametrised to the mass coordinate.
 
-    With ``perturbed_map`` the entrance height is x2(y2) computed from the
-    perturbed inflow flux (and the perturbed total flux m); otherwise the
-    background map is used, which keeps the linear problem exactly
-    proportional to sigma.
+    Given ``inlet``, the result of ``inlet_maps(bg, pert, pert.sigma)``, the
+    entrance height is x2(y2) computed from the perturbed inflow flux (and
+    the perturbed total flux m); otherwise the background map is used, which
+    keeps the linear problem exactly proportional to sigma.
     """
-    if perturbed_map:
-        m, m_bar, x2_of_y2, _ = inlet_maps(bg, pert, pert.sigma)
+    if inlet is not None:
+        m, m_bar, x2_of_y2, _ = inlet
         x2q = np.clip(x2_of_y2(hat.y2), 0.0, 1.0)
     else:
         m, m_bar = hat.m_bar, hat.m_bar
@@ -269,7 +269,7 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
     _check_cfl(mu_max, grid.h1, grid.h2)
 
     # entrance data on the mass coordinate (background map: sigma-linear)
-    _, en = entrance_profiles(hat, pert, None, perturbed_map=False)
+    _, en = entrance_profiles(hat, pert)
     Sdot = sigma * en["S_en"]
     Bdot = sigma * en["B_en"]
     cc = -rho_hat * du_hat + beta * u_hat / c2_hat + rho_hat * u_hat * dS_hat / g
@@ -401,7 +401,7 @@ def _rate_rows(f, U, D, src, gas, mfac, rate, J):
 
 
 def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
-                    tol=1e-12, max_iter=25, sigma_threshold=0.05, lin=None):
+                    tol=1e-12, max_iter=25, sigma_threshold=0.05, lin=None, inlet=None):
     """Newton's method for the nonlinear upstream flow.
 
     The discrete problem is the MacCormack scheme with the coefficients of
@@ -423,7 +423,9 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     the background otherwise.  The warm start is O(sigma^2) from the
     solution instead of O(sigma); on the demo configuration it converges in
     2 steps.  ``picard_iters`` and ``update_history`` of the result count
-    and list the Newton steps.
+    and list the Newton steps.  ``inlet`` is ``inlet_maps(bg, pert,
+    pert.sigma)`` when the caller already has it; otherwise it is built from
+    ``bg``.
 
     An update cannot fall below the round-off of the scheme residual, a few
     eps*max|u| (on the demo configuration about 1.5e-15 at 129x65 and 6e-15
@@ -439,7 +441,11 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     gas = hat.gas
     g = gas.gamma
     beta = gas.beta
-    m, en = entrance_profiles(hat, pert, bg, perturbed_map=sigma > 0.0)
+    if sigma == 0.0:
+        inlet = None
+    elif inlet is None:
+        inlet = inlet_maps(bg, pert, sigma)
+    m, en = entrance_profiles(hat, pert, inlet)
     mfac = hat.m_bar / m
     u_hat = hat["m", "u"]
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2

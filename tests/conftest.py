@@ -1,5 +1,7 @@
 """Shared backgrounds, geometries, and perturbation families for the suite."""
 
+import os
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial as P
@@ -17,6 +19,16 @@ BUMP = 64.0 * P([0, 0, 0, 1.0]) * P([1, -1]) ** 3
 GP_MILD = 1.0 * P([0, 1 / L_DUCT]) ** 4 * P([1, -1 / L_DUCT]) ** 4
 # stronger wall used where a large quadratic response is wanted
 GP_STRONG = P([0, 0, 0, 0, 1.0 / L_DUCT**4])
+
+
+def set_cpus(monkeypatch, n):
+    """Make ``rotshock.parallel.available_cpus`` report ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

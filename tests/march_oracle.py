@@ -13,6 +13,7 @@ reproduced here; the regime and CFL guards live in the package.
 
 import numpy as np
 
+from rotshock.lagrangian import inlet_maps
 from rotshock.supersonic import _d2dir, entrance_profiles
 from rotshock.thermo import rho_P
 
@@ -56,7 +57,7 @@ def linear(hat, pert, grid):
     du_hat = hat["m", "du"]
     dS_hat = hat["m", "dS"]
 
-    _, en = entrance_profiles(hat, pert, None, perturbed_map=False)
+    _, en = entrance_profiles(hat, pert)
     Sdot = sigma * en["S_en"]
     Bdot = sigma * en["B_en"]
     cc = -rho_hat * du_hat + beta * u_hat / c2_hat + rho_hat * u_hat * dS_hat / g
@@ -91,7 +92,7 @@ def _nonlinear_data(hat, pert, grid, bg):
     gas = hat.gas
     g = gas.gamma
     beta = gas.beta
-    m, en = entrance_profiles(hat, pert, bg, perturbed_map=sigma > 0.0)
+    m, en = entrance_profiles(hat, pert, inlet_maps(bg, pert, sigma) if sigma > 0.0 else None)
     u_hat = hat["m", "u"]
     S_row = hat["m", "S"] + sigma * en["S_en"]
     B_row = hat["m", "B"] + sigma * en["B_en"]

@@ -9,7 +9,7 @@ import pytest
 import rotshock as rs
 from rotshock import errors
 from rotshock.cli import _exit_code, cmd_verify, main, parse_config
-from tests.conftest import BUMP, GP_MILD, L_DUCT
+from tests.conftest import BUMP, GP_MILD, L_DUCT, assert_no_child_left, set_cpus
 
 
 def write_config(path, **overrides):
@@ -321,3 +321,102 @@ ERRORS = sorted((c for c in vars(errors).values()
 @pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
 def test_exit_code_of_every_error(cls):
     assert _exit_code(cls.__new__(cls)) == EXIT_CODES.get(cls.__name__, 4)
+
+
+def sweep_outputs(out, capsys, argv):
+    """Exit code, stdout, stderr and every file of one sweep run."""
+    rc = main(argv)
+    std = capsys.readouterr()
+    files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*"))
+             if f.is_file()}
+    return rc, std.out.replace(str(out), "OUT"), std.err, files
+
+
+# two points without an admissible shock position, the first in the process's
+# share and the second in the child's when W = 2
+SWEEP_PEX = [[-0.0561], [-0.058], [-0.08], [-0.082], [-0.0555]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_forked_matches_serial(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "c.json"
+    write_config(p)
+
+    def sweep(name):
+        out = tmp_path / name
+        return sweep_outputs(out, capsys, [
+            "sweep", "--config", str(p), "--out", str(out),
+            "--key", "perturbation.P_ex", "--values", json.dumps(SWEEP_PEX)])
+
+    set_cpus(monkeypatch, 2)
+    forked = sweep("forked")
+    assert_no_child_left()
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        serial = sweep("serial")
+    set_cpus(monkeypatch, 1)
+    one_cpu = sweep("one_cpu")
+    assert forked == serial == one_cpu
+    rc, _, err, files = forked
+    lines = err.splitlines()
+    assert rc == 3 and len(lines) == 2
+    assert lines[0].startswith("sweep perturbation.P_ex=[-0.08]: ")
+    assert lines[1].startswith("sweep perturbation.P_ex=[-0.082]: ")
+    assert sorted(files) == ["run_%03d/config.json" % i for i in range(5)] + ["sweep.csv"]
+    rows = list(csv.reader(files["sweep.csv"].decode().splitlines()))
+    assert [r[2] for r in rows[1:]] == ["0", "0", "3", "3", "0"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_child_errors(tmp_path, capsys, monkeypatch):
+    import rotshock.cli as cli
+    p = tmp_path / "c.json"
+    write_config(p)
+    set_cpus(monkeypatch, 2)
+    values = ["--key", "perturbation.P_ex", "--values", "[[-0.0561], [-0.058], [-0.054]]"]
+    # a bug in a child surfaces with its type and text, not as exit 1
+    solve = cli._solve
+
+    def buggy(cfg):
+        if cfg.raw["perturbation"]["P_ex"] == [-0.058]:
+            raise ValueError("bug at the second point")
+        return solve(cfg)
+
+    monkeypatch.setattr(cli, "_solve", buggy)
+    with pytest.raises(RuntimeError, match="ValueError: bug at the second point") as info:
+        main(["sweep", "--config", str(p), "--out", str(tmp_path / "bug"), *values])
+    assert not isinstance(info.value, OSError)
+    assert_no_child_left()
+    # an unwritable point directory in the child is unwritable output: exit 1
+    out = tmp_path / "unwritable"
+    out.mkdir()
+    (out / "run_001").write_text("")
+    assert main(["sweep", "--config", str(p), "--out", str(out), *values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output to {out}") and "run_001" in err
+    assert_no_child_left()
+
+
+def test_sweep_reads_tables_from_the_config_directory(tmp_path, capsys, monkeypatch):
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    x = np.linspace(0.0, 1.0, 41)
+    np.savetxt(cfg_dir / "umin.csv", np.column_stack([x, 2.0 + 0.05 * x * x]),
+               delimiter=",", header="x,u", comments="")
+    p = cfg_dir / "c.json"
+    write_config(p, **{"upstream.u_minus": {"table": "umin.csv"}})
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "solve")]) == 0
+    psi_bar = json.load(open(tmp_path / "solve" / "report.json"))["psi_bar"]
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(p), "--out", str(out),
+                 "--key", "nozzle.sigma", "--values", "[1e-3]"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert row["status"] == "0" and float(row["psi_bar"]) == psi_bar
+    # the point's config names the table by its absolute path and re-solves
+    written = out / "run_000" / "config.json"
+    assert json.load(open(written))["upstream"]["u_minus"] == {
+        "table": str(cfg_dir / "umin.csv")}
+    assert main(["solve", "--config", str(written), "--out", str(tmp_path / "again")]) == 0
+    assert json.load(open(tmp_path / "again" / "report.json"))["psi_bar"] == psi_bar

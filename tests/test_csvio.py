@@ -1,12 +1,10 @@
 import csv
-import os
-from functools import partial
 
 import numpy as np
 import pytest
 
 from rotshock import csvio
-from rotshock.csvio import read_csv, write_concurrently, write_csv
+from rotshock.csvio import read_csv, write_csv
 from tests import csv_oracle
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
@@ -89,65 +87,3 @@ def test_repeat_detection_is_bitwise():
     assert csvio._column(cols["near_repeat"])[0] == "%.17g"
     assert csvio._column(cols["plain"])[0] == "%.17g"
 
-
-def two_column_sets():
-    """A flat set (nan, +-inf, -0.0, text) and a 2-D set whose rows or columns repeat."""
-    return columns(csvio._BLOCK + 1), repeated_columns(csvio._BLOCK + 1, 3)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_write_concurrently_matches_serial_writes(tmp_path):
-    sets = two_column_sets()
-    write_concurrently(*(partial(write_csv, tmp_path / f"new{i}.csv", c)
-                         for i, c in enumerate(sets)))
-    assert_no_child_left()
-    for i, cols in enumerate(sets):
-        csv_oracle.write_csv(tmp_path / f"old{i}.csv", cols)
-        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_write_concurrently_raises_for_a_failed_child(tmp_path):
-    flat, grid = two_column_sets()
-    bad = tmp_path / "missing" / "child.csv"
-    with pytest.raises(OSError, match="FileNotFoundError.*child.csv"):
-        write_concurrently(partial(write_csv, bad, flat),
-                           partial(write_csv, tmp_path / "parent.csv", grid))
-    assert_no_child_left()
-    csv_oracle.write_csv(tmp_path / "old.csv", grid)
-    assert (tmp_path / "parent.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_write_concurrently_reaps_the_child_when_the_parent_fails(tmp_path):
-    flat, grid = two_column_sets()
-    with pytest.raises(FileNotFoundError):
-        write_concurrently(partial(write_csv, tmp_path / "child.csv", flat),
-                           partial(write_csv, tmp_path / "missing" / "parent.csv", grid))
-    assert_no_child_left()
-    csv_oracle.write_csv(tmp_path / "old.csv", flat)
-    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def _fork_fails():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
-
-
-@pytest.mark.parametrize("fork", [None, _fork_fails], ids=["no_fork", "fork_fails"])
-def test_write_concurrently_without_fork_writes_in_turn(tmp_path, monkeypatch, fork):
-    sets = two_column_sets()
-    write_concurrently(*(partial(write_csv, tmp_path / f"fork{i}.csv", c)
-                         for i, c in enumerate(sets)))
-    if fork is None:
-        monkeypatch.delattr(os, "fork", raising=False)
-    else:
-        monkeypatch.setattr(os, "fork", fork)
-    write_concurrently(*(partial(write_csv, tmp_path / f"serial{i}.csv", c)
-                         for i, c in enumerate(sets)))
-    for i in range(len(sets)):
-        assert (tmp_path / f"serial{i}.csv").read_bytes() == (tmp_path / f"fork{i}.csv").read_bytes()

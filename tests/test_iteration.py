@@ -118,6 +118,25 @@ def test_step_data_pass_terms_match_fresh_assembly(accept_run):
     _assert_step_data_equal(data, assemble_step_data(state, ctx, s))
 
 
+def test_one_perturbed_inlet_map_per_context(bg_rot, monkeypatch):
+    # hatted_background builds the background map, setup_upstream the
+    # perturbed one, which the nonlinear march reuses
+    import rotshock.iteration
+    import rotshock.lagrangian
+    import rotshock.supersonic
+    calls = []
+    orig = rotshock.lagrangian.inlet_maps
+
+    def counted(bg, pert=None, sigma=0.0):
+        calls.append(sigma)
+        return orig(bg, pert, sigma)
+
+    for mod in (rotshock.lagrangian, rotshock.iteration, rotshock.supersonic):
+        monkeypatch.setattr(mod, "inlet_maps", counted)
+    build_ctx(bg_rot, make_pert(1e-3, 0.0))
+    assert calls == [0.0, 1e-3]
+
+
 def test_psi_sharp_zero_data(ctx_zero):
     s, J, _ = solve_psi_sharp(ctx_zero.initial_state, ctx_zero)
     assert s == 0.0

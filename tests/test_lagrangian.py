@@ -89,6 +89,32 @@ def test_hatted_constant_background(bg_classic):
     assert hat.x2[0] == 0.0
 
 
+@pytest.mark.parametrize("n2", [65, 129])
+def test_hatted_profiles_match_per_column_splines(bg_rot, n2):
+    # one spline through the 16 stacked columns against one spline per column
+    hat = rs.hatted_background(bg_rot, n2=n2)
+    x2q = hat.x2
+    flux = CubicSpline(bg_rot.x2, bg_rot.rho_m)(x2q) * CubicSpline(bg_rot.x2, bg_rot.u_m)(x2q)
+    for side in ("m", "p"):
+        for name in ("u", "rho", "P", "S", "B"):
+            ref = CubicSpline(bg_rot.x2, bg_rot.profile(f"{name}_{side}"))(x2q)
+            assert np.array_equal(hat[side, name], ref), (side, name)
+        for name in ("u", "S", "B"):
+            ref = CubicSpline(bg_rot.x2, bg_rot.deriv[f"{name}_{side}"])(x2q) / flux
+            assert np.array_equal(hat[side, "d" + name], ref), (side, name)
+        c2 = bg_rot.gas.gamma * hat[side, "P"] / hat[side, "rho"]
+        assert np.array_equal(hat[side, "c2"], c2)
+        assert np.array_equal(hat[side, "Msq"], hat[side, "u"] ** 2 / c2)
+    # the same holds for arbitrary data
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.random(200))
+    y = rng.standard_normal((200, 16)) * 10.0 ** rng.integers(-5, 5, 16)
+    xq = rng.random(77)
+    both = CubicSpline(x, y)(xq)
+    for k in range(16):
+        assert np.array_equal(both[:, k], CubicSpline(x, y[:, k])(xq)), k
+
+
 def test_hatted_flux_agreement(hat_rot):
     fm = hat_rot["m", "rho"] * hat_rot["m", "u"]
     fp = hat_rot["p", "rho"] * hat_rot["p", "u"]

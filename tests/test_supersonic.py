@@ -6,6 +6,7 @@ import pytest
 import rotshock as rs
 from rotshock.cli import parse_config
 from rotshock.iteration import setup_upstream
+from rotshock.lagrangian import inlet_maps
 from rotshock.profiles import Profile
 from rotshock import supersonic as sp
 from rotshock.supersonic import entrance_profiles, solve_linear, solve_nonlinear
@@ -44,7 +45,7 @@ def test_transport_fields_background(bg_rot, hat_rot, grid65):
 
 def test_transport_fields_perturbed(bg_rot, hat_rot, grid65):
     pert = _entropy_pert(1e-3)
-    prof = entrance_profiles(hat_rot, pert, bg_rot, perturbed_map=True)[1]["S_en"]
+    prof = entrance_profiles(hat_rot, pert, inlet_maps(bg_rot, pert, pert.sigma))[1]["S_en"]
     f = solve_nonlinear(hat_rot, pert, grid65, bg_rot).V
     dev = f["S"] - hat_rot["m", "S"][None, :]
     assert np.abs(dev - 1e-3 * prof[None, :]).max() <= 1e-16
@@ -171,7 +172,7 @@ def test_newton_stops_at_roundoff_floor():
                                     "demos", "config", "almost_flat.json"))
     opts = rs.TransonicOptions(nx=129, ny=65)
     bg = rs.build_background(cfg.upstream, cfg.gas)
-    hat, _, _, grid = setup_upstream(bg, cfg.pert, opts)
+    hat, _, grid = setup_upstream(bg, cfg.pert, opts)
     lin, _ = solve_linear(hat, cfg.pert, grid)
 
     def newton(tol):
@@ -287,7 +288,7 @@ def test_cfl_guard(hat_rot, bg_rot):
 
 def test_entrance_maps_agree_at_sigma_zero(hat_rot, bg_rot):
     pert = make_pert(0.0, 0.0)
-    m_a, en_a = entrance_profiles(hat_rot, pert, bg_rot, perturbed_map=False)
+    m_a, en_a = entrance_profiles(hat_rot, pert)
     assert m_a == hat_rot.m_bar
     assert np.abs(en_a["u1_en"] - pert.u1_en(hat_rot.x2)).max() <= 1e-15
 

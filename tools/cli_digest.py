@@ -14,7 +14,10 @@ with one ``diff``:
 The commands' own console output and the wall time of each command go to
 stderr, so stdout holds only the digests; exit status is nonzero if any
 command does not exit 0.  ``--keep DIR`` writes the artifacts to DIR
-(new or empty) and leaves them there, for ``tools/cli_compare.py``.
+(new or empty) and leaves them there, for ``tools/cli_compare.py``.  On a
+host with more than one CPU the sweep runs its points in forked processes
+and ``solve`` and ``initial`` write their field files in two, so a digest
+from such a host also checks those paths against any other checkout.
 """
 
 from __future__ import annotations
