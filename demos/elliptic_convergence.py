@@ -9,7 +9,7 @@ boundary data are rejected carrying the computed defect.
 import numpy as np
 
 import rotshock as rs
-from rotshock.elliptic import EllipticProblem, SolveOptions, compatibility_defect, solve
+from rotshock.elliptic import EllipticProblem, compatibility_defect, solve
 
 mbar, L1, L2 = 2.8, 0.5, 2.0
 kx = np.pi / (L2 - L1)
@@ -68,9 +68,6 @@ bad = EllipticProblem(0.0, 1.0, 1.0, n, n, *(np.ones(n),) * 4,
                       np.zeros(n), np.zeros(n), np.ones(n))
 print(f"  data defect = {compatibility_defect(bad):+.6f}")
 try:
-    solve(bad, SolveOptions(project=False))
+    solve(bad)
 except rs.IncompatibleDataError as exc:
     print(f"  rejected as expected: {exc}")
-sol = solve(bad, SolveOptions(project=True))
-print(f"  with projection: h2 shifted by {sol.h2_shift:.6f}, "
-      f"remaining defect {sol.projected_defect:.2e}")

@@ -15,7 +15,7 @@ from .background import (
     solve_mach_profile,
     upstream_state,
 )
-from .elliptic import EllipticProblem, EllipticSolution, SolveOptions, compatibility_defect
+from .elliptic import EllipticProblem, EllipticSolution, compatibility_defect
 from .elliptic import solve as solve_elliptic
 from .errors import (
     CflError,

@@ -8,11 +8,11 @@ solve        run the full nonlinear iteration
 verify       recompute the residual suite on stored `solve` output
 sweep        repeat `solve` while varying one configuration key over a list
 
-Exit codes: 0 success, 1 configuration error or unwritable output,
-2 degenerate background, 3 no admissible shock position, 4 non-convergence
-(including CFL and trust-region failures).  All field files are CSV in the
-one format of `rotshock.csvio`, so identical configurations produce
-byte-identical output.
+Exit codes: 0 success, 1 usage or configuration error or unwritable
+output, 2 degenerate background, 3 no admissible shock position,
+4 non-convergence (including CFL and trust-region failures).  All field
+files are CSV in the one format of `rotshock.csvio`, so identical
+configurations produce byte-identical output.
 
 Independent work runs in processes forked by `rotshock.parallel.run_forked`:
 `solve` and `initial` write their two field files at once, and `sweep`
@@ -339,15 +339,17 @@ def cmd_verify(cfg: RunConfig, out):
 
 
 def _set_by_path(d, path, value):
-    keys = path.split(".")
+    *sections, last = path.split(".")
     cur = d
-    for k in keys[:-1]:
+    for k in sections:
         if k not in cur:
             raise ConfigError(f"sweep key {path}: section {k!r} not found")
+        if not isinstance(cur[k], dict):
+            raise ConfigError(f"sweep key {path}: {k!r} holds a value, not a section")
         cur = cur[k]
-    if keys[-1] not in cur:
-        raise ConfigError(f"sweep key {path}: key {keys[-1]!r} not found")
-    cur[keys[-1]] = value
+    if last not in cur:
+        raise ConfigError(f"sweep key {path}: key {last!r} not found")
+    cur[last] = value
 
 
 def _absolute_tables(raw, base_dir):
@@ -413,9 +415,17 @@ def _exit_code(exc):
     return 4
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors print the usage and raise ``ConfigError`` (exit 1)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="rotshock",
-                                 description="Transonic shocks in rotating nozzle flow")
+    ap = _ArgumentParser(prog="rotshock",
+                         description="Transonic shocks in rotating nozzle flow")
     ap.add_argument("command",
                     choices=["background", "initial", "solve", "verify", "sweep"])
     ap.add_argument("--config", required=True, help="JSON configuration file")
@@ -426,9 +436,8 @@ def main(argv=None):
                     help="override solver.nx solver.ny")
     ap.add_argument("--key", help="config key path for sweep (e.g. nozzle.sigma)")
     ap.add_argument("--values", help="JSON list of values for sweep")
-    args = ap.parse_args(argv)
-
     try:
+        args = ap.parse_args(argv)
         cfg = parse_config(args.config)
         if args.grid:
             cfg.options.nx, cfg.options.ny = args.grid

@@ -22,7 +22,9 @@ Dirichlet one, both in divergence form, second order.  The finite-volume
 flux bookkeeping makes the discrete solvability identity hold exactly:
 summing the assembled equations telescopes to the trapezoid form of the
 compatibility condition, so the defect gate and the assembly can never
-disagree.
+disagree.  ``solve`` is that gate, the only one: data whose defect exceeds
+its tolerance raise ``IncompatibleDataError`` before any potential is
+solved, and there is no projection onto compatible data.
 
 Linear solve: the coefficients depend on y2 only and the grid is uniform,
 so both operators separate (the Fourier-analysis fast Poisson solver of
@@ -37,18 +39,17 @@ pinned at one node, and the zero-grid-mean gauge is imposed at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
 
 from .errors import IncompatibleDataError, InvalidStateError
-from .fd import d1 as _d1, d2 as _d2, trap, trap_w
+from .fd import d1 as _d1, d2 as _d2, trap_w
 
 __all__ = [
     "EllipticProblem",
     "EllipticSolution",
-    "SolveOptions",
     "compatibility_defect",
     "solve",
     "solve_scalar",
@@ -109,22 +110,13 @@ class EllipticProblem:
 
 
 @dataclass
-class SolveOptions:
-    defect_tol: float = 1e-9
-    project: bool = False
-
-
-@dataclass
 class EllipticSolution:
     v1: np.ndarray
     v2: np.ndarray
-    defect: float                 # defect of the data as given
-    projected_defect: float       # defect after the optional h2 shift
-    h2_shift: float               # constant subtracted from h2 (0 if no projection)
+    defect: float                 # compatibility defect of the data
     residuals: tuple              # interior max |eq1|, |eq2|
     phi_hat: np.ndarray
     phi_check: np.ndarray
-    problem: EllipticProblem = field(repr=False, default=None)
 
 
 def compatibility_defect(p: EllipticProblem) -> float:
@@ -197,7 +189,7 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
     tridiagonal solve in y2 per mode, inverse DCT-I.  Mode 0 is singular
     (constants); it is integrated by two cumulative sums with its first node
     pinned to zero, and the zero-grid-mean gauge is restored at the end.
-    The data must be discretely compatible (the caller gates on the defect).
+    The data must be discretely compatible (``solve`` gates on the defect).
 
     kind = "dirichlet": the 5-point stencil on the interior nodes with
     homogeneous Dirichlet data (bdata ignored): DST-I along y1, one
@@ -242,41 +234,27 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def solve(p: EllipticProblem, opts: SolveOptions = None) -> EllipticSolution:
+def solve(p: EllipticProblem, defect_tol=1e-9) -> EllipticSolution:
     """Solve the first-order system by the two-potential decomposition.
 
-    The data must satisfy the compatibility condition up to
-    ``opts.defect_tol``; with ``opts.project`` the defect is removed by
-    subtracting the constant ``defect / int lam1`` from h2 (the shift is
-    reported on the solution).
+    This is the solvability gate: data whose compatibility defect exceeds
+    ``defect_tol`` in magnitude raise ``IncompatibleDataError``, carrying the
+    defect, before either potential is solved.
     """
-    opts = opts or SolveOptions()
     defect = compatibility_defect(p)
+    if abs(defect) > defect_tol:
+        raise IncompatibleDataError("elliptic data violate the solvability condition", defect)
     h1s, h2s = p.spacing
-    h2_data = p.h2
-    shift = 0.0
-    if abs(defect) > opts.defect_tol:
-        if not opts.project:
-            raise IncompatibleDataError(
-                "elliptic data violate the solvability condition", defect
-            )
-        shift = defect / trap(p.lam1, h2s)
-        h2_data = p.h2 - shift
-    p_eff = EllipticProblem(
-        p.L1, p.L2, p.m_bar, p.n1, p.n2, p.lam1, p.lam2, p.lam3, p.lam4,
-        p.H1, p.H2, p.h1, h2_data, p.h3,
-    )
-    projected = compatibility_defect(p_eff)
 
     # hat potential: Neumann, carries H1 and all boundary data
     phi_hat = solve_scalar(
-        "neumann", p.lam1 / p.lam4, p.lam2 / p.lam3, p_eff.H1,
-        bdata=(p.lam1 * p.h1, p.lam1 * h2_data, np.zeros(p.n1), p.lam2[-1] * p.h3),
+        "neumann", p.lam1 / p.lam4, p.lam2 / p.lam3, p.H1,
+        bdata=(p.lam1 * p.h1, p.lam1 * p.h2, np.zeros(p.n1), p.lam2[-1] * p.h3),
         n1=p.n1, n2=p.n2, h1=h1s, h2=h2s,
     )
     # check potential: homogeneous Dirichlet, carries H2
     phi_check = solve_scalar(
-        "dirichlet", p.lam3 / p.lam2, p.lam4 / p.lam1, p_eff.H2,
+        "dirichlet", p.lam3 / p.lam2, p.lam4 / p.lam1, p.H2,
         n1=p.n1, n2=p.n2, h1=h1s, h2=h2s,
     )
 
@@ -284,17 +262,14 @@ def solve(p: EllipticProblem, opts: SolveOptions = None) -> EllipticSolution:
     v2 = _d2(phi_hat, h2s) / p.lam3 + _d1(phi_check, h1s) / p.lam2
     # boundary conditions hold exactly at the nodes
     v1[0, :] = p.h1
-    v1[-1, :] = h2_data
+    v1[-1, :] = p.h2
     v2[:, 0] = 0.0
     v2[:, -1] = p.h3
 
-    r1 = _d1(p.lam1 * v1, h1s) + _d2(p.lam2 * v2, h2s) - p_eff.H1
-    r2 = _d1(p.lam3 * v2, h1s) - _d2(p.lam4 * v1, h2s) - p_eff.H2
+    r1 = _d1(p.lam1 * v1, h1s) + _d2(p.lam2 * v2, h2s) - p.H1
+    r2 = _d1(p.lam3 * v2, h1s) - _d2(p.lam4 * v1, h2s) - p.H2
     interior = (slice(1, -1), slice(1, -1))
     res = (float(np.abs(r1[interior]).max()), float(np.abs(r2[interior]).max()))
 
-    return EllipticSolution(
-        v1=v1, v2=v2, defect=defect, projected_defect=projected, h2_shift=shift,
-        residuals=res,
-        phi_hat=phi_hat, phi_check=phi_check, problem=p_eff,
-    )
+    return EllipticSolution(v1=v1, v2=v2, defect=defect, residuals=res,
+                            phi_hat=phi_hat, phi_check=phi_check)

@@ -11,8 +11,9 @@ Starting from the linear two-phase approximation, the scheme repeats:
    z-coordinates, applied to the current full state), so the fixed point
    satisfies the nonlinear equations and jump conditions exactly up to
    discretization,
-3. solve the linearized downstream system by the two-potential elliptic
-   solver,
+3. solve the secant's root problem by the two-potential elliptic solver,
+   the pass's one solvability gate: a defect above ``defect_tol`` raises
+   ``IncompatibleDataError`` before either potential is solved,
 4. update the front slope from the transverse-momentum jump relation.
 
 The map contracts with rate O(sigma); iterates are required to stay in a
@@ -53,10 +54,9 @@ from functools import cached_property
 import numpy as np
 
 from . import fd
-from .elliptic import EllipticProblem, SolveOptions, compatibility_defect, solve
+from .elliptic import EllipticProblem, compatibility_defect, solve
 from .errors import (
     DegenerateSelectionError,
-    IncompatibleDataError,
     InvalidStateError,
     NoAdmissibleShockError,
     NonConvergenceError,
@@ -67,6 +67,7 @@ from .shockfit import (
     ShockCoefficients,
     ShockFront,
     coefficients,
+    eq2_zero_order,
     initial_approximation,
     selection_bracket,
     subsonic_sb_source,
@@ -93,16 +94,22 @@ __all__ = [
 ]
 
 
+# trust radius = TRUST_FACTOR * sigma^(3/2); the factor absorbs the measured
+# one-step constant at desk-scale sigma (strictly 1 only for asymptotically
+# small sigma)
+TRUST_FACTOR = 10.0
+
+
 @dataclass
 class TransonicOptions:
     """Grid, tolerances and limits of ``solve_transonic``.
 
-    ``picard_tol`` and ``picard_max_iter`` bound the Newton solve of the
-    upstream flow: the max-norm of a step's update that ends it and the
-    number of steps (one march each) it may take.  The names predate the
-    Newton solve.  A ``picard_tol`` under the round-off floor of the update
-    (about 1.5e-15 at 129x65) raises ``NonConvergenceError`` as soon as the
-    updates stall there.
+    ``defect_tol`` is the solvability gate of every elliptic solve: the
+    linear subsonic problem of the initial approximation and the downstream
+    problem of each pass.  The Newton solve of the upstream flow runs with
+    the defaults of ``supersonic.solve_nonlinear`` (update tolerance 1e-12,
+    at most 30 steps, sigma at most ``supersonic.SIGMA_THRESHOLD``), and the
+    trust radius of ``run`` is ``TRUST_FACTOR * sigma^(3/2)``.
     """
 
     nx: int = 129
@@ -113,13 +120,6 @@ class TransonicOptions:
     defect_tol: float = 1e-9
     psi_bracket: tuple = None
     psi_bar_fallback: float = None
-    picard_tol: float = 1e-12
-    picard_max_iter: int = 30
-    sigma_threshold: float = 0.05
-    # trust radius = trust_factor * sigma^(3/2); the default absorbs the
-    # measured one-step constant at desk-scale sigma (strictly 1 only for
-    # asymptotically small sigma)
-    trust_factor: float = 10.0
 
 
 @dataclass
@@ -244,11 +244,7 @@ class IterationContext:
 
     def __post_init__(self):
         hat = self.hat
-        g = self.gas.gamma
-        beta = self.gas.beta
-        up, rp = hat["p", "u"], hat["p", "rho"]
-        c2p, dup, dSp = hat["p", "c2"], hat["p", "du"], hat["p", "dS"]
-        self.cc_plus = -rp * dup + beta * up / c2p + rp * up * dSp / g
+        self.cc_plus = eq2_zero_order(hat, "p")
         self.E2 = _background_defect(hat, "p", self.grid_plus.h2, self.m_bar / self.m)
         self.B_row = self.sup.V["B"][0, :] - hat["m", "B"]
 
@@ -326,7 +322,7 @@ class _PassTerms:
         rup_du = hat["p", "rho"] * hat["p", "du"]
         lam1 = ((1.0 - hat["p", "Msq"])[None, :] * fd.d1(state.u1, h1)
                 - rup_du[None, :] * state.u2 + rup[None, :] * fd.d2(state.u2, h2))
-        sb_cur = subsonic_sb_source(ctx.coeffs, hat, state.S[0, :], ctx.B_row, h2)
+        sb_cur = subsonic_sb_source(hat, state.S[0, :], ctx.B_row, h2)
         lam2 = (fd.d1(state.u2, h1) - rup[None, :] * fd.d2(state.u1, h2)
                 + ctx.cc_plus[None, :] * state.u1)
         return lam1, lam2 - sb_cur[None, :]
@@ -476,7 +472,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     f2 = lam2 - N2 + ctx.E2[None, :]
 
     H1 = (co.b2p / rup)[None, :] * f1
-    sb_new = subsonic_sb_source(co, hat, g1, ctx.B_row, h2)
+    sb_new = subsonic_sb_source(hat, g1, ctx.B_row, h2)
     H2 = co.b3p[None, :] * (sb_new[None, :] + f2)
 
     return StepData(H1=H1, H2=H2, g1=g1, g2=g2, g3=g3, g4=g4, g0=g0,
@@ -500,7 +496,7 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
     Secant iteration on psi_sharp_dev; the functional is the discrete
     compatibility defect of the assembled downstream problem, so the
     subsequent elliptic solve is solvable by construction.  Returns
-    (psi_sharp_dev, J, StepData) at the root.
+    (psi_sharp_dev, StepData, EllipticProblem) at the root.
     """
     psi_bar = ctx.grid_plus.y1a
     lo, hi = -psi_bar, ctx.L - psi_bar
@@ -509,23 +505,24 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
 
     def J(s):
         data = assemble_step_data(state, ctx, s, terms)
-        return compatibility_defect(_problem_from_data(ctx, data)), data
+        prob = _problem_from_data(ctx, data)
+        return compatibility_defect(prob), (s, data, prob)
 
     s0 = state.psi_sharp_dev
-    J0, data0 = J(s0)
+    J0, root = J(s0)
     sigma = ctx.pert.sigma
     scale = max(abs(J0), sigma, 1e-14)
     # rounding floor of the assembled quadratures; below it J counts as zero
     atol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.m_bar)
     tol = max(tol_rel * scale, atol)
     if abs(J0) <= tol:
-        return s0, J0, data0
+        return root
     ds = max(1e-3 * max(sigma, 1e-6) * (ctx.L - psi_bar), 1e-9)
     s1 = s0 + ds
-    J1, data1 = J(s1)
+    J1, root = J(s1)
     for _ in range(max_iter):
         if abs(J1) <= tol:
-            return s1, J1, data1
+            return root
         dJ = (J1 - J0) / (s1 - s0)
         if abs(dJ) * (ctx.L - psi_bar) <= 1e-3 * tol:
             raise DegenerateSelectionError(
@@ -537,22 +534,22 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
                 f"psi_sharp update {s2:.6f} leaves the admissible range ({lo:.4f}, {hi:.4f})"
             )
         s0, J0, s1 = s1, J1, s2
-        J1, data1 = J(s1)
+        J1, root = J(s1)
     raise NonConvergenceError(
         f"psi_sharp root search stalled at |J|={abs(J1):.3e} (tol {tol:.3e})"
     )
 
 
 def apply_T(state: IterationState, ctx: IterationContext):
-    """One application of the iteration map; returns (new_state, info)."""
-    s_sharp, Jval, data = solve_psi_sharp(state, ctx)
-    prob = _problem_from_data(ctx, data)
-    esol = solve(prob, SolveOptions(defect_tol=ctx.opts.defect_tol, project=True))
-    if abs(esol.defect) > ctx.opts.defect_tol:
-        raise IncompatibleDataError(
-            "downstream data defect above tolerance after the psi_sharp solve",
-            esol.defect,
-        )
+    """One application of the iteration map; returns (new_state, esol).
+
+    ``esol`` is the downstream elliptic solution at the root of
+    ``solve_psi_sharp``; its ``defect`` is the compatibility defect of that
+    problem, and ``solve`` raises ``IncompatibleDataError`` when it is above
+    ``defect_tol``.
+    """
+    s_sharp, data, prob = solve_psi_sharp(state, ctx)
+    esol = solve(prob, ctx.opts.defect_tol)
     co = ctx.coeffs
     psi_prime_new = (ctx.m / (ctx.m_bar * co.P_jump)) * (esol.v2[0, :] + data.g0)
     new = IterationState(
@@ -563,32 +560,25 @@ def apply_T(state: IterationState, ctx: IterationContext):
         iter=state.iter + 1,
     )
     new.update_norm = new.norm_from(state)
-    info = {
-        "defect": esol.defect,
-        "J": Jval,
-        "psi_sharp_dev": s_sharp,
-        "elliptic_residuals": esol.residuals,
-        "projected_shift": esol.h2_shift,
-    }
-    return new, info
+    return new, esol
 
 
 def run(ctx: IterationContext):
     """Iterate the map to its fixed point; returns (state, log)."""
     opts = ctx.opts
     sigma = ctx.pert.sigma
-    trust = opts.trust_factor * max(sigma, 1e-300) ** 1.5
+    trust = TRUST_FACTOR * max(sigma, 1e-300) ** 1.5
     state = ctx.initial_state.copy()
     log = []
     prev_update = None
     for _ in range(opts.max_iter):
-        state_new, info = apply_T(state, ctx)
+        state_new, esol = apply_T(state, ctx)
         upd = state_new.update_norm
         kappa = upd / prev_update if (prev_update and prev_update > 0.0) else np.nan
         log.append({
             "iter": state_new.iter, "update_norm": upd,
             "psi_sharp": ctx.grid_plus.y1a + state_new.psi_sharp_dev,
-            "defect": info["defect"], "kappa_estimate": kappa,
+            "defect": esol.defect, "kappa_estimate": kappa,
         })
         if sigma > 0.0:
             drift = state_new.trust_drift(ctx.initial_state)
@@ -774,9 +764,7 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
     hat, inlet, grid_minus = setup_upstream(bg, pert, opts)
     m, m_bar = grid_minus.m, grid_minus.m_bar
     lin, _ = solve_linear(hat, pert, grid_minus)
-    sup = solve_nonlinear(hat, pert, grid_minus, bg, tol=opts.picard_tol,
-                          max_iter=opts.picard_max_iter,
-                          sigma_threshold=opts.sigma_threshold, lin=lin, inlet=inlet)
+    sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
     if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar_fallback
         if psi_bar is None:

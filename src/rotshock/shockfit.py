@@ -30,7 +30,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from . import fd
-from .elliptic import EllipticProblem, SolveOptions, solve
+from .elliptic import EllipticProblem, solve
 from .errors import (
     DegenerateBackgroundError,
     DegenerateSelectionError,
@@ -44,6 +44,8 @@ __all__ = [
     "ShockFront",
     "InitialApproximation",
     "b_coefficients",
+    "eq2_zero_order",
+    "eq2_sb_source",
     "coefficients",
     "J_functionals",
     "selection_bracket",
@@ -72,6 +74,27 @@ def b_coefficients(hat, side):
     b1 = (1.0 - Msq) * b2 / (rho * u)
     b3 = b4 / (rho * u)
     return b1, b2, b3, b4
+
+
+def eq2_zero_order(hat, side):
+    """Coefficient of u1dot in eq2 linearized at the hatted background of ``side``."""
+    g = hat.gas.gamma
+    u, rho = hat[side, "u"], hat[side, "rho"]
+    return (-rho * hat[side, "du"] + hat.gas.beta * u / hat[side, "c2"]
+            + rho * u * hat[side, "dS"] / g)
+
+
+def eq2_sb_source(hat, side, S, B, dS, dB):
+    """Entropy/Bernoulli source of eq2 linearized at the hatted background of ``side``.
+
+    S, B are the transported perturbations and dS, dB their y2-differences,
+    taken with the stencil of the caller's scheme.
+    """
+    g = hat.gas.gamma
+    beta = hat.gas.beta
+    rho = hat[side, "rho"]
+    return (hat[side, "P"] / (g - 1.0) * dS - beta / (g - 1.0) * S
+            - rho * dB + (beta / hat[side, "c2"] + rho * hat[side, "dS"] / g) * B)
 
 
 @dataclass
@@ -296,23 +319,14 @@ def find_shock_position(J1, J2, bracket, nsamples=33, tol=1e-10, max_iter=60):
     )
 
 
-def subsonic_sb_source(coeffs, hat, S_row, B_row, h2):
-    """Right side H2 = b3p * (linearized entropy/Bernoulli source) on a z-grid row.
+def subsonic_sb_source(hat, S_row, B_row, h2):
+    """Downstream ``eq2_sb_source`` of the row profiles S_row, B_row.
 
     S_row, B_row are the transported downstream perturbation profiles; their
     derivatives use the same second-order stencils as the residual audit so
     the two cancel exactly at linear order.
     """
-    g = hat.gas.gamma
-    beta = hat.gas.beta
-    Pp = hat["p", "P"]
-    rp = hat["p", "rho"]
-    c2p = hat["p", "c2"]
-    dSp = hat["p", "dS"]
-    dS_row = fd.d2(np.asarray(S_row, dtype=float), h2)
-    dB_row = fd.d2(np.asarray(B_row, dtype=float), h2)
-    return (Pp / (g - 1.0) * dS_row - beta / (g - 1.0) * S_row
-            - rp * dB_row + (beta / c2p + rp * dSp / g) * B_row)
+    return eq2_sb_source(hat, "p", S_row, B_row, fd.d2(S_row, h2), fd.d2(B_row, h2))
 
 
 def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat,
@@ -346,7 +360,7 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat
     )
     gp = pert.geometry.g.deriv(1)
     h3_data = sigma * hat["p", "u"][-1] * gp(grid.y1)
-    H2 = np.broadcast_to(coeffs.b3p * subsonic_sb_source(coeffs, hat, Sdot, Bdot, h2),
+    H2 = np.broadcast_to(coeffs.b3p * subsonic_sb_source(hat, Sdot, Bdot, h2),
                          (n1_sub, n2)).copy()
     prob = EllipticProblem(
         psi_bar, L, hat.m_bar, n1_sub, n2,
@@ -354,7 +368,7 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat
         np.zeros((n1_sub, n2)), H2, h1_data, h2_data, h3_data,
     )
     try:
-        sol = solve(prob, SolveOptions(defect_tol=defect_tol, project=False))
+        sol = solve(prob, defect_tol)
     except IncompatibleDataError as exc:
         raise IncompatibleDataError(
             f"shock position psi_bar={psi_bar:.8f} inconsistent with the data",

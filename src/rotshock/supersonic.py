@@ -36,6 +36,7 @@ from .profiles import Profile
 from .thermo import rho_P
 
 __all__ = [
+    "SIGMA_THRESHOLD",
     "PerturbationConfig",
     "SupersonicSolution",
     "FluxIdentityReport",
@@ -43,6 +44,9 @@ __all__ = [
     "solve_linear",
     "solve_nonlinear",
 ]
+
+# largest sigma the nonlinear march accepts
+SIGMA_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,15 @@ class PerturbationConfig:
 class SupersonicSolution:
     """Marched flow field.
 
-    kind == "linear": V holds the first-order perturbation (u1,u2,S,B are
-    the dotted variables, all O(sigma)).  kind == "nonlinear": V holds the
-    full flow state.  For the nonlinear march ``picard_iters`` counts the
-    Newton steps (one march each) and ``update_history`` holds the max-norm
-    of each step's update, ``final_update`` the last of them; the names
-    predate the Newton solve.
+    From ``solve_linear`` V holds the first-order perturbation (u1,u2,S,B
+    are the dotted variables, all O(sigma)); from ``solve_nonlinear`` it
+    holds the full flow state.  For the nonlinear march ``picard_iters``
+    counts the Newton steps (one march each) and ``update_history`` holds
+    the max-norm of each step's update, ``final_update`` the last of them;
+    the names predate the Newton solve.
     """
 
     V: Field
-    kind: str
     picard_iters: int
     final_update: float
     update_history: list
@@ -251,20 +254,15 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
     All data enter proportionally to sigma (the entrance re-parametrisation
     uses the background map), so the solution is exactly linear in sigma.
     """
-    from .shockfit import b_coefficients
+    from .shockfit import b_coefficients, eq2_sb_source, eq2_zero_order
 
     sigma = pert.sigma
-    g = hat.gas.gamma
-    beta = hat.gas.beta
     u_hat = hat["m", "u"]
     rho_hat = hat["m", "rho"]
-    P_hat = hat["m", "P"]
-    c2_hat = hat["m", "c2"]
     Msq = hat["m", "Msq"]
     if np.any(Msq <= 1.0):
         raise InvalidStateError("background must be supersonic for the upstream march")
     du_hat = hat["m", "du"]
-    dS_hat = hat["m", "dS"]
     mu_max = float(np.max(rho_hat * u_hat / np.sqrt(Msq - 1.0)))
     _check_cfl(mu_max, grid.h1, grid.h2)
 
@@ -272,15 +270,11 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
     _, en = entrance_profiles(hat, pert)
     Sdot = sigma * en["S_en"]
     Bdot = sigma * en["B_en"]
-    cc = -rho_hat * du_hat + beta * u_hat / c2_hat + rho_hat * u_hat * dS_hat / g
+    cc = eq2_zero_order(hat, "m")
 
     def src(forward):
-        return (
-            P_hat / (g - 1.0) * _d2dir(Sdot, grid.h2, forward)
-            - beta / (g - 1.0) * Sdot
-            - rho_hat * _d2dir(Bdot, grid.h2, forward)
-            + (beta / c2_hat + rho_hat * dS_hat / g) * Bdot
-        )
+        return eq2_sb_source(hat, "m", Sdot, Bdot, _d2dir(Sdot, grid.h2, forward),
+                             _d2dir(Bdot, grid.h2, forward))
 
     inv = 1.0 / (1.0 - Msq)
     K = _couplings(0.0, -rho_hat * u_hat * inv, rho_hat * u_hat, 0.0)
@@ -295,7 +289,7 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
         "S": np.broadcast_to(Sdot, u1dot.shape).copy(),
         "B": np.broadcast_to(Bdot, u1dot.shape).copy(),
     })
-    sol = SupersonicSolution(V=V, kind="linear", picard_iters=1,
+    sol = SupersonicSolution(V=V, picard_iters=1,
                              final_update=0.0, update_history=[])
 
     b1m, b2m, _, _ = b_coefficients(hat, "m")
@@ -401,7 +395,7 @@ def _rate_rows(f, U, D, src, gas, mfac, rate, J):
 
 
 def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
-                    tol=1e-12, max_iter=25, sigma_threshold=0.05, lin=None, inlet=None):
+                    tol=1e-12, max_iter=30, lin=None, inlet=None):
     """Newton's method for the nonlinear upstream flow.
 
     The discrete problem is the MacCormack scheme with the coefficients of
@@ -427,17 +421,19 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     pert.sigma)`` when the caller already has it; otherwise it is built from
     ``bg``.
 
-    An update cannot fall below the round-off of the scheme residual, a few
-    eps*max|u| (on the demo configuration about 1.5e-15 at 129x65 and 6e-15
-    at 1025x65).  A ``tol`` under that floor cannot be met: once an update
-    below 1e3*eps*max|u| fails to halve the one before it,
-    ``NonConvergenceError`` is raised at once, naming the floor.
+    ``tol`` is the max-norm of a step's update that ends the solve and
+    ``max_iter`` the number of steps it may take; every pipeline path runs
+    with these defaults.  A sigma above ``SIGMA_THRESHOLD`` raises
+    ``ConfigError``.  An update cannot fall below the round-off of the
+    scheme residual, a few eps*max|u| (on the demo configuration about
+    1.5e-15 at 129x65 and 6e-15 at 1025x65).  A ``tol`` under that floor
+    cannot be met: once an update below 1e3*eps*max|u| fails to halve the
+    one before it, ``NonConvergenceError`` is raised at once, naming the
+    floor.
     """
     sigma = pert.sigma
-    if sigma > sigma_threshold:
-        raise ConfigError(
-            f"sigma={sigma} above the configured supersonic threshold {sigma_threshold}"
-        )
+    if sigma > SIGMA_THRESHOLD:
+        raise ConfigError(f"sigma={sigma} above the supersonic threshold {SIGMA_THRESHOLD}")
     gas = hat.gas
     g = gas.gamma
     beta = gas.beta
@@ -541,5 +537,5 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
         "S": np.broadcast_to(S_row, (n1, n2)).copy(),
         "B": np.broadcast_to(B_row, (n1, n2)).copy(),
     })
-    return SupersonicSolution(V=V, kind="nonlinear", picard_iters=len(history),
+    return SupersonicSolution(V=V, picard_iters=len(history),
                               final_update=history[-1], update_history=history)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock.elliptic import SolveOptions, compatibility_defect, solve
+from rotshock.elliptic import compatibility_defect, solve
 from rotshock.lagrangian import inlet_maps
 from rotshock.profiles import Profile
 from rotshock.shockfit import (
@@ -75,7 +75,7 @@ def test_criterion_3_elliptic():
 
     p_bad = unit_problem(33, h3=np.ones(33))
     try:
-        solve(p_bad, SolveOptions(defect_tol=1e-9, project=False))
+        solve(p_bad, defect_tol=1e-9)
         rejected, defect_val = False, np.nan
     except rs.IncompatibleDataError as exc:
         rejected, defect_val = True, exc.defect

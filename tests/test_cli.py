@@ -8,7 +8,7 @@ import pytest
 
 import rotshock as rs
 from rotshock import errors
-from rotshock.cli import _exit_code, cmd_verify, main, parse_config
+from rotshock.cli import _exit_code, main, parse_config
 from tests.conftest import BUMP, GP_MILD, L_DUCT, assert_no_child_left, set_cpus
 
 
@@ -251,6 +251,35 @@ def test_sweep_requires_key(tmp_path, capsys):
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["solve", "--config", "c.json", "--grid", "9"],
+    ["bogus", "--config", "c.json"],
+], ids=["no-config", "grid-one-number", "unknown-command"])
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse's own exit status, 2, is the code of a degenerate background
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rotshock") and "\nerror: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rotshock")
+
+
+@pytest.mark.parametrize("key", ["gas.gamma.x", "nozzle.g.0", "output.dir.out"])
+def test_sweep_key_through_a_value_exit_1(tmp_path, capsys, key):
+    # a number, a list and a string: none of them is a section
+    p = tmp_path / "c.json"
+    write_config(p)
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sw"),
+                 "--key", key, "--values", "[1]"]) == 1
+    assert "holds a value, not a section" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def solved(tmp_path_factory):
     """Config path and output directory of one `solve` run."""
@@ -300,15 +329,6 @@ def test_verify_without_solve_output_exit_1(tmp_path, capsys):
     write_config(p)
     assert main(["verify", "--config", str(p), "--out", str(tmp_path / "empty")]) == 1
     assert "fields_plus.csv" in capsys.readouterr().err
-
-
-def test_verify_uses_picard_options(solved, capsys):
-    # the Newton solve of the upstream march needs more than one step here
-    p, out = solved
-    cfg = parse_config(p)
-    cfg.options.picard_max_iter = 1
-    with pytest.raises(rs.NonConvergenceError):
-        cmd_verify(cfg, str(out))
 
 
 EXIT_CODES = {"ConfigError": 1, "DegenerateBackgroundError": 2,

@@ -4,7 +4,6 @@ import pytest
 import rotshock as rs
 from rotshock.elliptic import (
     EllipticProblem,
-    SolveOptions,
     _fv_rhs,
     compatibility_defect,
     solve,
@@ -116,21 +115,8 @@ def test_incompatible_rejected_with_defect():
     n = 33
     p = unit_problem(n, h3=np.ones(n))
     with pytest.raises(rs.IncompatibleDataError) as exc:
-        solve(p, SolveOptions(defect_tol=1e-9, project=False))
+        solve(p, defect_tol=1e-9)
     assert exc.value.defect == pytest.approx(1.0, rel=1e-12)
-
-
-def test_projection_shift():
-    n = 33
-    y = np.linspace(0, 1, n)
-    lam1 = 1.0 + 0.4 * y
-    p = unit_problem(n, h3=np.ones(n), lam=[lam1, np.ones(n), np.ones(n), np.ones(n)])
-    d = compatibility_defect(p)
-    sol = solve(p, SolveOptions(defect_tol=1e-9, project=True))
-    w = np.ones(n); w[0] = w[-1] = 0.5
-    int_lam1 = np.sum(lam1 * w) / (n - 1)
-    assert sol.h2_shift == pytest.approx(d / int_lam1, rel=1e-12)
-    assert abs(sol.projected_defect) <= 1e-13
 
 
 def test_mean_zero_gauge():

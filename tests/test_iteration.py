@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import rotshock as rs
+from rotshock import elliptic, iteration
+from rotshock.elliptic import compatibility_defect
 from rotshock.iteration import (
     FrontMap,
     StepData,
@@ -114,7 +116,7 @@ def test_step_data_pass_terms_match_fresh_assembly(accept_run):
     for dev in (0.0, accept_run.state.psi_sharp_dev):
         _assert_step_data_equal(assemble_step_data(state, ctx, dev, terms),
                                 assemble_step_data(state, ctx, dev))
-    s, _, data = solve_psi_sharp(state, ctx)
+    s, data, _ = solve_psi_sharp(state, ctx)
     _assert_step_data_equal(data, assemble_step_data(state, ctx, s))
 
 
@@ -138,15 +140,42 @@ def test_one_perturbed_inlet_map_per_context(bg_rot, monkeypatch):
 
 
 def test_psi_sharp_zero_data(ctx_zero):
-    s, J, _ = solve_psi_sharp(ctx_zero.initial_state, ctx_zero)
+    s, _, prob = solve_psi_sharp(ctx_zero.initial_state, ctx_zero)
     assert s == 0.0
-    assert abs(J) <= 1e-13
+    assert abs(compatibility_defect(prob)) <= 1e-13
 
 
 def test_apply_T_ZERO_is_fixed_point(ctx_zero):
-    new, info = apply_T(ctx_zero.initial_state, ctx_zero)
+    new, esol = apply_T(ctx_zero.initial_state, ctx_zero)
     assert new.update_norm <= 1e-13
-    assert abs(info["defect"]) <= 1e-13
+    assert abs(esol.defect) <= 1e-13
+
+
+def test_pass_defect_is_the_root_problem_defect(accept_run):
+    # the pass's solve reports the defect of the problem the secant stopped on
+    ctx = accept_run.ctx
+    _, _, prob = solve_psi_sharp(ctx.initial_state, ctx)
+    _, esol = apply_T(ctx.initial_state, ctx)
+    assert esol.defect == compatibility_defect(prob)
+
+
+def test_incompatible_pass_raises_before_any_potential(accept_run, monkeypatch):
+    # the elliptic solve is the pass's one solvability gate: a defect above
+    # defect_tol stops the pass before either potential is solved
+    ctx = dataclasses.replace(accept_run.ctx,
+                              opts=dataclasses.replace(accept_run.ctx.opts, defect_tol=1e-30))
+    kinds = []
+    orig = elliptic.solve_scalar
+
+    def counted(kind, *args, **kwargs):
+        kinds.append(kind)
+        return orig(kind, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_scalar", counted)
+    with pytest.raises(rs.IncompatibleDataError) as exc:
+        apply_T(ctx.initial_state, ctx)
+    assert abs(exc.value.defect) > 1e-30
+    assert kinds == []
 
 
 def test_step_data_quadratic_in_state(bg_rot):
@@ -219,7 +248,6 @@ def test_psi_sharp_exit_pressure_sensitivity(bg_rot, tuned_pex):
                           rs.TransonicOptions(nx=129, ny=65,
                                               psi_bracket=(0.35, 0.9)))
     ctx, st = res.ctx, res.state
-    from rotshock.elliptic import compatibility_defect
     from rotshock.iteration import _problem_from_data
 
     J = lambda c, sv: compatibility_defect(
@@ -299,12 +327,12 @@ def test_residuals_detect_pressure_violation(accept_run):
     assert jump2 == pytest.approx(2 * jump1, rel=0.05)
 
 
-def test_trust_region_guard(bg_rot, tuned_pex):
+def test_trust_region_guard(bg_rot, tuned_pex, monkeypatch):
+    monkeypatch.setattr(iteration, "TRUST_FACTOR", 1e-4)
     with pytest.raises(rs.TrustRegionError):
         solve_transonic(bg_rot, make_pert(1e-3, tuned_pex),
                         rs.TransonicOptions(nx=129, ny=65,
-                                            psi_bracket=(0.35, 0.9),
-                                            trust_factor=1e-4))
+                                            psi_bracket=(0.35, 0.9)))
 
 
 def test_eulerian_reconstruction(accept_run):

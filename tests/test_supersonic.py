@@ -167,7 +167,7 @@ def test_warm_start_sigma_zero(hat_rot, grid65, bg_rot):
 def test_newton_stops_at_roundoff_floor():
     # demo configuration at 129x65: the default tol converges in 2 steps; 1e-15
     # sits under the round-off floor of the update (about 1.5e-15), which ends
-    # the solve at once instead of after picard_max_iter steps
+    # the solve at once instead of after max_iter steps
     cfg = parse_config(os.path.join(os.path.dirname(os.path.dirname(__file__)),
                                     "demos", "config", "almost_flat.json"))
     opts = rs.TransonicOptions(nx=129, ny=65)
@@ -175,14 +175,13 @@ def test_newton_stops_at_roundoff_floor():
     hat, _, grid = setup_upstream(bg, cfg.pert, opts)
     lin, _ = solve_linear(hat, cfg.pert, grid)
 
-    def newton(tol):
-        return solve_nonlinear(hat, cfg.pert, grid, bg, tol=tol,
-                               max_iter=opts.picard_max_iter, lin=lin)
+    def newton(**kw):
+        return solve_nonlinear(hat, cfg.pert, grid, bg, lin=lin, **kw)
 
-    sup = newton(opts.picard_tol)
+    sup = newton()
     assert sup.picard_iters == 2
     with pytest.raises(rs.NonConvergenceError, match="round-off floor") as err:
-        newton(1e-15)
+        newton(tol=1e-15)
     h = err.value.history
     assert len(h) <= 5 and h[:2] == sup.update_history
     assert f"{h[-1]:.1e} after {len(h)} steps" in str(err.value)
@@ -275,8 +274,7 @@ def test_nonlinear_close_to_linear_quadratically(hat_rot, grid65, bg_rot):
 
 def test_sigma_threshold(hat_rot, grid65, bg_rot):
     with pytest.raises(rs.ConfigError):
-        solve_nonlinear(hat_rot, make_pert(0.1, 0.0), grid65, bg_rot,
-                        sigma_threshold=0.05)
+        solve_nonlinear(hat_rot, make_pert(0.1, 0.0), grid65, bg_rot)
 
 
 def test_cfl_guard(hat_rot, bg_rot):
