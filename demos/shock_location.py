@@ -14,7 +14,7 @@ import rotshock as rs
 from rotshock.lagrangian import inlet_maps
 from rotshock.profiles import Profile
 from rotshock.shockfit import J_functionals, coefficients, initial_approximation
-from rotshock.supersonic import solve_linear
+from rotshock.supersonic import flux_identity, solve_linear
 
 L = 2.0
 SIGMA = 1e-3
@@ -30,8 +30,8 @@ grid0 = rs.LagrangianGrid(129, 65, 0.0, L, hat0.m_bar, hat0.m_bar)
 zero = Profile.constant(0.0)
 pert0 = rs.PerturbationConfig(SIGMA, Profile.constant(0.2), zero, zero, zero,
                               Profile.constant(0.3),
-                              rs.Geometry(L, zero, SIGMA))
-lin0, _ = solve_linear(hat0, pert0, grid0)
+                              rs.Geometry(L, zero))
+lin0 = solve_linear(hat0, pert0, grid0)
 jf0 = J_functionals(coefficients(hat0), lin0, pert0, hat0, 65, L)
 samples = [jf0.J1(p) for p in np.linspace(0.1, 1.9, 7)]
 print("beta = 0, flat wall: J1 samples", [f"{v:.10f}" for v in samples])
@@ -48,9 +48,10 @@ pert = rs.PerturbationConfig(
     Profile.from_poly((0.001 * bump).coef),
     Profile.from_poly((0.0005 * bump).coef),
     Profile.from_poly([-0.0561]),
-    rs.Geometry(L, Profile.from_poly(wall.coef), SIGMA),
+    rs.Geometry(L, Profile.from_poly(wall.coef)),
 )
-lin, flux = solve_linear(hat, pert, grid)
+lin = solve_linear(hat, pert, grid)
+flux = flux_identity(lin, hat, pert)
 print(f"beta = 0.1: linear supersonic flux-identity violation "
       f"{flux.max_violation:.2e}")
 jf = J_functionals(coefficients(hat), lin, pert, hat, 89, L)
@@ -58,7 +59,7 @@ for p in np.linspace(0.35, 0.9, 6):
     print(f"  J1({p:.2f}) = {jf.J1(p):+.6f}")
 print(f"  J2        = {jf.J2:+.6f}")
 
-m, _, _, _ = inlet_maps(bg, pert, SIGMA)
+m, _, _ = inlet_maps(bg, pert)
 init = initial_approximation(hat, pert, lin, m, L, 89, bracket=(0.35, 0.9))
 d = init.diagnostics
 print(f"\nselected position: psi_bar = {d['psi_bar']:.8f}")

@@ -27,7 +27,7 @@ pert = rs.PerturbationConfig(
     Profile.from_poly((0.001 * bump).coef),
     Profile.from_poly((0.0005 * bump).coef),
     Profile.from_poly([-0.0561]),
-    rs.Geometry(L, Profile.from_poly(wall.coef), SIGMA),
+    rs.Geometry(L, Profile.from_poly(wall.coef)),
 )
 
 res = rs.solve_transonic(bg, pert, rs.TransonicOptions(

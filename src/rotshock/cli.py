@@ -54,7 +54,7 @@ from .iteration import (
 from .lagrangian import Geometry
 from .parallel import available_cpus, run_forked
 from .profiles import profile_from_json
-from .supersonic import PerturbationConfig, solve_linear
+from .supersonic import PerturbationConfig, flux_identity, solve_linear
 from .thermo import GasModel, GasState
 
 SCHEMA_VERSION = 1
@@ -86,12 +86,9 @@ class RunConfig:
 
     raw: dict
     gas: GasModel
-    geometry: Geometry
     upstream: UpstreamSpec
     pert: PerturbationConfig
     options: TransonicOptions
-    out_dir: str
-    dump_fields: bool
     base_dir: str
 
     def to_dict(self):
@@ -177,15 +174,13 @@ def build_config(data, base_dir) -> RunConfig:
         profiles[key] = profile_from_json(merged[section][key], f"{section}.{key}",
                                           base_dir)
     gas = GasModel(gamma=float(merged["gas"]["gamma"]), beta=float(merged["gas"]["beta"]))
-    geometry = Geometry(L=float(merged["nozzle"]["L"]), g=profiles["g"],
-                        sigma=float(merged["nozzle"]["sigma"]))
     upstream = UpstreamSpec(u_minus=profiles["u_minus"],
                             M_top=float(merged["upstream"]["M_top"]),
                             P_top=float(merged["upstream"]["P_top"]))
     pert = PerturbationConfig(
-        sigma=geometry.sigma, u1_en=profiles["u1_en"], u2_en=profiles["u2_en"],
+        sigma=float(merged["nozzle"]["sigma"]), u1_en=profiles["u1_en"], u2_en=profiles["u2_en"],
         S_en=profiles["S_en"], B_en=profiles["B_en"], P_ex=profiles["P_ex"],
-        geometry=geometry,
+        geometry=Geometry(L=float(merged["nozzle"]["L"]), g=profiles["g"]),
     )
     s = merged["solver"]
     options = TransonicOptions(
@@ -194,10 +189,8 @@ def build_config(data, base_dir) -> RunConfig:
         psi_bracket=tuple(s["psi_bracket"]) if s["psi_bracket"] else None,
         psi_bar_fallback=s["psi_bar"],
     )
-    return RunConfig(raw=merged, gas=gas, geometry=geometry, upstream=upstream,
-                     pert=pert, options=options,
-                     out_dir=merged["output"]["dir"],
-                     dump_fields=merged["output"]["dump_fields"], base_dir=base_dir)
+    return RunConfig(raw=merged, gas=gas, upstream=upstream, pert=pert, options=options,
+                     base_dir=base_dir)
 
 
 def _write_json(path, obj):
@@ -238,15 +231,15 @@ def cmd_background(cfg: RunConfig, out):
 def cmd_initial(cfg: RunConfig, out):
     bg = build_background(cfg.upstream, cfg.gas)
     hat, _, grid_minus = setup_upstream(bg, cfg.pert, cfg.options)
-    lin, flux = solve_linear(hat, cfg.pert, grid_minus)
+    lin = solve_linear(hat, cfg.pert, grid_minus)
     init = locate(hat, cfg.pert, grid_minus, grid_minus.m, lin, cfg.options)
     rec = {k: init.diagnostics[k] for k in
            ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
-    rec["flux_identity_violation"] = flux.max_violation
+    rec["flux_identity_violation"] = flux_identity(lin, hat, cfg.pert).max_violation
     _write_json(os.path.join(out, "initial.json"), rec)
     write_csv(os.path.join(out, "shock_slope.csv"),
               {"y2": init.coeffs.y2, "psi_prime": init.front.psi_prime})
-    run_forked(partial(init.V_minus.V.write_csv, os.path.join(out, "linear_minus.csv")),
+    run_forked(partial(lin.V.write_csv, os.path.join(out, "linear_minus.csv")),
                partial(init.V_plus.write_csv, os.path.join(out, "linear_plus.csv")))
     print(f"initial approximation: psi_bar = {init.diagnostics['psi_bar']:.10f} "
           f"(defect {init.diagnostics['defect']:.3e}) -> {out}")
@@ -278,7 +271,7 @@ def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
             "iterations": len(res.log), "C1_measured": res.C1_measured,
             "kappa_final": res.kappa_final, **asdict(rep),
         })
-        if dump_elliptic or cfg.dump_fields:
+        if dump_elliptic or cfg.raw["output"]["dump_fields"]:
             write_csv(os.path.join(out, "hatted_profiles.csv"), {
                 "y2": ctx.hat.y2, "x2": ctx.hat.x2,
                 "u_m": ctx.hat["m", "u"], "u_p": ctx.hat["p", "u"],
@@ -431,7 +424,7 @@ def main(argv=None):
     ap.add_argument("--config", required=True, help="JSON configuration file")
     ap.add_argument("--out", default=None, help="output directory (overrides config)")
     ap.add_argument("--dump-elliptic", action="store_true",
-                    help="dump auxiliary elliptic/debug fields")
+                    help="also write hatted_profiles.csv, as output.dump_fields does")
     ap.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"),
                     help="override solver.nx solver.ny")
     ap.add_argument("--key", help="config key path for sweep (e.g. nozzle.sigma)")
@@ -440,9 +433,9 @@ def main(argv=None):
         args = ap.parse_args(argv)
         cfg = parse_config(args.config)
         if args.grid:
-            cfg.options.nx, cfg.options.ny = args.grid
             cfg.raw["solver"]["nx"], cfg.raw["solver"]["ny"] = args.grid
-        out = args.out or cfg.out_dir
+            cfg = build_config(cfg.raw, cfg.base_dir)
+        out = args.out or cfg.raw["output"]["dir"]
         try:
             return _run(args, cfg, out)
         except OSError as exc:

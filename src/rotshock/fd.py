@@ -23,18 +23,12 @@ def d1(f, h):
 
 
 def d2(f, h):
-    """d/d(axis 1); also differentiates 1-D arrays."""
+    """d/d(axis 1), the last axis; also differentiates 1-D arrays."""
     f = np.asarray(f)
-    if f.ndim == 1:
-        out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
-        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-        return out
     out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * h)
-    out[:, 0] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * h)
-    out[:, -1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * h)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * h)
+    out[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * h)
+    out[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * h)
     return out
 
 

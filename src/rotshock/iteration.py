@@ -98,6 +98,9 @@ __all__ = [
 # one-step constant at desk-scale sigma (strictly 1 only for asymptotically
 # small sigma)
 TRUST_FACTOR = 10.0
+# psi_sharp secant: relative tolerance and most steps
+PSI_SHARP_TOL_REL = 1e-12
+PSI_SHARP_MAX_ITER = 60
 
 
 @dataclass
@@ -183,7 +186,7 @@ class ResidualReport:
     def __post_init__(self):
         vals = [self.pde_residual, self.rh_residual, self.exit_residual,
                 self.wall_residual, self.defect]
-        if not all(np.isfinite(v) and v is not None for v in vals):
+        if not all(np.isfinite(v) for v in vals):
             raise InvalidStateError(f"non-finite residual entries: {vals}")
 
 
@@ -229,7 +232,6 @@ class IterationContext:
     hat: object
     coeffs: ShockCoefficients
     pert: object
-    bg: object
     m: float
     m_bar: float
     L: float
@@ -489,13 +491,14 @@ def _problem_from_data(ctx, data: StepData) -> EllipticProblem:
     )
 
 
-def solve_psi_sharp(state: IterationState, ctx: IterationContext,
-                    tol_rel=1e-12, max_iter=60):
+def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     """Root of the solvability functional over the front wall-intercept.
 
     Secant iteration on psi_sharp_dev; the functional is the discrete
     compatibility defect of the assembled downstream problem, so the
-    subsequent elliptic solve is solvable by construction.  Returns
+    subsequent elliptic solve is solvable by construction.  The root is
+    accepted at |J| <= ``PSI_SHARP_TOL_REL`` * max(|J(start)|, sigma), or
+    at the rounding floor, within ``PSI_SHARP_MAX_ITER`` steps.  Returns
     (psi_sharp_dev, StepData, EllipticProblem) at the root.
     """
     psi_bar = ctx.grid_plus.y1a
@@ -514,13 +517,13 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext,
     scale = max(abs(J0), sigma, 1e-14)
     # rounding floor of the assembled quadratures; below it J counts as zero
     atol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.m_bar)
-    tol = max(tol_rel * scale, atol)
+    tol = max(PSI_SHARP_TOL_REL * scale, atol)
     if abs(J0) <= tol:
         return root
     ds = max(1e-3 * max(sigma, 1e-6) * (ctx.L - psi_bar), 1e-9)
     s1 = s0 + ds
     J1, root = J(s1)
-    for _ in range(max_iter):
+    for _ in range(PSI_SHARP_MAX_ITER):
         if abs(J1) <= tol:
             return root
         dJ = (J1 - J0) / (s1 - s0)
@@ -678,11 +681,14 @@ class RunResult:
     front: ShockFront
     report: ResidualReport
     log: list
-    sup: object
     initial: object
     ctx: IterationContext
     C1_measured: float
     kappa_final: float
+
+    @property
+    def sup(self):
+        return self.ctx.sup
 
     @property
     def psi_bar(self):
@@ -716,11 +722,11 @@ class RunResult:
 def setup_upstream(bg, pert, opts: TransonicOptions):
     """Hatted profiles, perturbed inlet maps and the upstream grid: (hat, inlet, grid_minus).
 
-    ``inlet`` is ``inlet_maps(bg, pert, pert.sigma)``; ``grid_minus`` carries
+    ``inlet`` is ``inlet_maps(bg, pert)``; ``grid_minus`` carries
     its mass fluxes m and m_bar.
     """
     hat = hatted_background(bg, n2=opts.ny)
-    inlet = inlet_maps(bg, pert, pert.sigma)
+    inlet = inlet_maps(bg, pert)
     grid_minus = LagrangianGrid(opts.nx, opts.ny, 0.0, pert.geometry.L, *inlet[:2])
     return hat, inlet, grid_minus
 
@@ -763,7 +769,7 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
     L = pert.geometry.L
     hat, inlet, grid_minus = setup_upstream(bg, pert, opts)
     m, m_bar = grid_minus.m, grid_minus.m_bar
-    lin, _ = solve_linear(hat, pert, grid_minus)
+    lin = solve_linear(hat, pert, grid_minus)
     sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
     if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar_fallback
@@ -789,7 +795,7 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
                                     S=np.zeros(shape), psi_prime=np.zeros(opts.ny),
                                     psi_sharp_dev=0.0)
     ctx = IterationContext(
-        gas=bg.gas, hat=hat, coeffs=co, pert=pert, bg=bg, m=m, m_bar=m_bar,
+        gas=bg.gas, hat=hat, coeffs=co, pert=pert, m=m, m_bar=m_bar,
         L=L, grid_minus=grid_minus, grid_plus=grid_plus, sup=sup,
         initial_state=init_state, opts=opts,
     )
@@ -809,7 +815,6 @@ def solve_transonic(bg, pert, opts: TransonicOptions = None) -> RunResult:
     C1 = abs(log[0]["psi_sharp"] - psi_bar) / sigma if sigma > 0.0 else 0.0
     kappas = [row["kappa_estimate"] for row in log if np.isfinite(row["kappa_estimate"])]
     return RunResult(
-        state=state, front=front, report=report, log=log, sup=ctx.sup,
-        initial=initial, ctx=ctx, C1_measured=C1,
-        kappa_final=(max(kappas) if kappas else np.nan),
+        state=state, front=front, report=report, log=log, initial=initial, ctx=ctx,
+        C1_measured=C1, kappa_final=(max(kappas) if kappas else np.nan),
     )

@@ -47,17 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Geometry:
-    """Nozzle of length L with upper wall x2 = 1 + sigma*g(x1)."""
+    """Nozzle of length L with upper wall x2 = 1 + sigma*g(x1), sigma the
+    perturbation size that ``PerturbationConfig`` holds."""
 
     L: float
     g: Profile
-    sigma: float = 0.0
 
     def __post_init__(self):
         if self.L <= 0.0:
             raise ConfigError(f"nozzle length must be positive, got {self.L}")
-        if self.sigma < 0.0:
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
         vals = [abs(float(self.g(0.0)))] + [
             abs(float(self.g.deriv(k)(0.0))) for k in (1, 2, 3)
         ]
@@ -183,17 +181,19 @@ class HattedProfiles:
         return self.vals[side][name]
 
 
-def inlet_maps(bg, pert=None, sigma=0.0):
-    """Maps between entrance height x2 and mass coordinate y2.
+def inlet_maps(bg, pert=None):
+    """Mass fluxes and the entrance height over the mass coordinate.
 
-    Returns (m, m_bar, x2_of_y2, y2_of_x2) where the maps use the perturbed
-    inflow flux when sigma > 0 and the background flux otherwise.
+    Returns (m, m_bar, x2_of_y2), x2_of_y2 a cubic spline of x2 over y2,
+    from the inflow flux perturbed by ``pert`` when its sigma is > 0 and
+    from the background flux otherwise.
     """
     x2 = bg.x2
     flux0 = bg.mass_flux
     cum0 = cumulative_simpson(flux0, x=x2, initial=0.0)
     m_bar = float(cum0[-1])
-    if pert is None or sigma == 0.0:
+    sigma = 0.0 if pert is None else pert.sigma
+    if sigma == 0.0:
         m = m_bar
         cum = cum0
     else:
@@ -210,14 +210,12 @@ def inlet_maps(bg, pert=None, sigma=0.0):
     # y2 = (m_bar/m) * cum(x2); strictly increasing
     y2_nodes = (m_bar / m) * cum
     y2_nodes[-1] = m_bar  # exact upper end
-    x2_of_y2 = CubicSpline(y2_nodes, x2)
-    y2_of_x2 = CubicSpline(x2, y2_nodes)
-    return m, m_bar, x2_of_y2, y2_of_x2
+    return m, m_bar, CubicSpline(y2_nodes, x2)
 
 
 def hatted_background(bg, n2=129) -> HattedProfiles:
     """Sample the background in Lagrangian coordinates on n2 nodes of [0, m_bar]."""
-    _, mb, x2_of_y2, _ = inlet_maps(bg)
+    _, mb, x2_of_y2 = inlet_maps(bg)
     y2 = np.linspace(0.0, mb, n2)
     x2q = np.clip(x2_of_y2(y2), 0.0, 1.0)
     # one spline through all 16 columns: its coefficients equal those of one

@@ -55,6 +55,13 @@ __all__ = [
     "initial_approximation",
 ]
 
+# position search: J1 samples, relative tolerance on |J1 - J2|, most steps
+POSITION_SAMPLES = 33
+POSITION_TOL = 1e-10
+POSITION_MAX_ITER = 60
+# largest linear response per unit sigma of the initial approximation
+AMPLIFICATION_BOUND = 1e4
+
 
 def b_coefficients(hat, side):
     """Integrating-factor profiles (b1, b2, b3, b4) on the hatted y2 grid."""
@@ -165,7 +172,6 @@ class JFunctionals:
 
     J1: callable
     J2: float
-    J1_closed_form_at0: float
 
 
 def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
@@ -175,8 +181,7 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
     sigma = pert.sigma
     w_int = (coeffs.fa3 - coeffs.fa1) * coeffs.b1p
     wall_c = coeffs.b2p[-1] * hat["p", "u"][-1]
-    gfun = pert.geometry.g
-    gp = gfun.deriv(1)
+    gp = pert.geometry.g.deriv(1)
 
     x2q = hat.x2  # background entrance map (linear theory)
     Pp = hat["p", "P"]
@@ -199,11 +204,7 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
         term2 = wall_c * fd.trap(gp(z1), z1[1] - z1[0])
         return term1 + term2
 
-    J1_at0_closed = (
-        (fd.trap(w_int * V.trace("u1", V.grid.y1a), h2) / sigma if sigma > 0.0 else 0.0)
-        + wall_c * (float(gfun(L)) - float(gfun(V.grid.y1a)))
-    )
-    return JFunctionals(J1=J1, J2=J2, J1_closed_form_at0=J1_at0_closed)
+    return JFunctionals(J1=J1, J2=J2)
 
 
 @dataclass
@@ -264,16 +265,17 @@ def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat, L) -> Selec
     )
 
 
-def find_shock_position(J1, J2, bracket, nsamples=33, tol=1e-10, max_iter=60):
+def find_shock_position(J1, J2, bracket):
     """Root of J1(psi) = J2 on a bracket where sampled J1 is strictly monotone.
 
-    Bracketed bisection refined by secant steps; ties resolve toward the
-    smaller psi.  |J1(root) - J2| <= tol * scale on success.
+    Bracketed bisection of ``POSITION_SAMPLES`` samples refined by secant
+    steps; ties resolve toward the smaller psi.  |J1(root) - J2| <=
+    POSITION_TOL * scale on success, within ``POSITION_MAX_ITER`` steps.
     """
     lo, hi = bracket
     if not hi > lo:
         raise NoAdmissibleShockError(f"empty bracket ({lo}, {hi})")
-    ps = np.linspace(lo, hi, nsamples)
+    ps = np.linspace(lo, hi, POSITION_SAMPLES)
     js = np.array([J1(p) for p in ps])
     scale = max(np.abs(js).max(), abs(J2), 1.0)
     dj = np.diff(js)
@@ -291,14 +293,14 @@ def find_shock_position(J1, J2, bracket, nsamples=33, tol=1e-10, max_iter=60):
     sgn = 1.0 if js[-1] > js[0] else -1.0
     f = lambda p: sgn * (J1(p) - J2)
     k = int(np.searchsorted(sgn * (js - J2), 0.0))
-    a, b = ps[max(k - 1, 0)], ps[min(k, nsamples - 1)]
+    a, b = ps[max(k - 1, 0)], ps[min(k, POSITION_SAMPLES - 1)]
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return float(a)
     if fb == 0.0:
         return float(b)
     x, fx = a, fa
-    for _ in range(max_iter):
+    for _ in range(POSITION_MAX_ITER):
         # secant candidate, fall back to bisection when it leaves (a, b)
         if fb != fa:
             xs = b - fb * (b - a) / (fb - fa)
@@ -308,14 +310,14 @@ def find_shock_position(J1, J2, bracket, nsamples=33, tol=1e-10, max_iter=60):
             xs = 0.5 * (a + b)
         fx = f(xs)
         x = xs
-        if abs(fx) <= tol * scale:
+        if abs(fx) <= POSITION_TOL * scale:
             return float(x)
         if fx < 0.0:
             a, fa = xs, fx
         else:
             b, fb = xs, fx
     raise NoAdmissibleShockError(
-        f"root refinement stalled: |J1-J2|={abs(fx):.3e} after {max_iter} iterations"
+        f"root refinement stalled: |J1-J2|={abs(fx):.3e} after {POSITION_MAX_ITER} iterations"
     )
 
 
@@ -422,15 +424,13 @@ def shock_slope(V_plus, lin_sup, psi_bar, coeffs: ShockCoefficients, m, m_bar):
 
 @dataclass
 class InitialApproximation:
-    V_minus: object
     V_plus: Field
     front: ShockFront
     coeffs: ShockCoefficients
     diagnostics: dict
 
 
-def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket,
-                          defect_tol=1e-9, amplification_bound=1e4):
+def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket, defect_tol=1e-9):
     """Locate psi_bar in ``bracket`` and assemble the linear two-phase approximation."""
     co = coefficients(hat)
     jf = J_functionals(co, lin_sup, pert, hat, n1_sub, L)
@@ -447,15 +447,14 @@ def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket,
             max(np.abs(V_plus[k]).max() for k in ("u1", "u2", "S", "B")),
             np.abs(slope).max(),
         ) / sigma
-        if amp > amplification_bound:
+        if amp > AMPLIFICATION_BOUND:
             raise NoAdmissibleShockError(
-                f"linear response {amp:.3e} exceeds the configured bound "
-                f"{amplification_bound:.1e}: data too violent for the linear theory"
+                f"linear response {amp:.3e} exceeds the bound "
+                f"{AMPLIFICATION_BOUND:.1e}: data too violent for the linear theory"
             )
     diag = {
         "psi_bar": psi_bar, "J2": jf.J2, "J1_at_psi_bar": jf.J1(psi_bar),
         "bracket": tuple(bracket), "defect": esol.defect,
         "amplification": amp,
     }
-    return InitialApproximation(V_minus=lin_sup, V_plus=V_plus, front=front,
-                                coeffs=co, diagnostics=diag)
+    return InitialApproximation(V_plus=V_plus, front=front, coeffs=co, diagnostics=diag)

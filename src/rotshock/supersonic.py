@@ -33,6 +33,7 @@ from . import fd
 from .errors import CflError, ConfigError, InvalidStateError, NonConvergenceError
 from .lagrangian import Field, Geometry, LagrangianGrid, inlet_maps
 from .profiles import Profile
+from .shockfit import b_coefficients, eq2_sb_source, eq2_zero_order
 from .thermo import rho_P
 
 __all__ = [
@@ -42,11 +43,14 @@ __all__ = [
     "FluxIdentityReport",
     "entrance_profiles",
     "solve_linear",
+    "flux_identity",
     "solve_nonlinear",
 ]
 
 # largest sigma the nonlinear march accepts
 SIGMA_THRESHOLD = 0.05
+# largest marching CFL number
+CFL_LIMIT = 0.95
 
 
 @dataclass(frozen=True)
@@ -80,17 +84,18 @@ class SupersonicSolution:
     """Marched flow field.
 
     From ``solve_linear`` V holds the first-order perturbation (u1,u2,S,B
-    are the dotted variables, all O(sigma)); from ``solve_nonlinear`` it
-    holds the full flow state.  For the nonlinear march ``picard_iters``
-    counts the Newton steps (one march each) and ``update_history`` holds
-    the max-norm of each step's update, ``final_update`` the last of them;
-    the names predate the Newton solve.
+    are the dotted variables, all O(sigma)) and ``update_history`` is empty;
+    from ``solve_nonlinear`` V holds the full flow state and
+    ``update_history`` the max-norm of each Newton step's update (one march
+    each).  ``picard_iters``, its length, predates the Newton solve.
     """
 
     V: Field
-    picard_iters: int
-    final_update: float
     update_history: list
+
+    @property
+    def picard_iters(self):
+        return len(self.update_history)
 
 
 @dataclass
@@ -112,16 +117,16 @@ class FluxIdentityReport:
 def entrance_profiles(hat, pert: PerturbationConfig, inlet=None):
     """Inflow perturbation profiles re-parametrised to the mass coordinate.
 
-    Given ``inlet``, the result of ``inlet_maps(bg, pert, pert.sigma)``, the
+    Given ``inlet``, the result of ``inlet_maps(bg, pert)``, the
     entrance height is x2(y2) computed from the perturbed inflow flux (and
     the perturbed total flux m); otherwise the background map is used, which
     keeps the linear problem exactly proportional to sigma.
     """
     if inlet is not None:
-        m, m_bar, x2_of_y2, _ = inlet
+        m, _, x2_of_y2 = inlet
         x2q = np.clip(x2_of_y2(hat.y2), 0.0, 1.0)
     else:
-        m, m_bar = hat.m_bar, hat.m_bar
+        m = hat.m_bar
         x2q = hat.x2
     return m, {
         "u1_en": pert.u1_en(x2q),
@@ -143,11 +148,11 @@ def _d2dir(q, h2, forward):
     return out
 
 
-def _check_cfl(mu_max, h1, h2, limit=0.95):
+def _check_cfl(mu_max, h1, h2):
     cfl = mu_max * h1 / h2
-    if cfl > limit:
+    if cfl > CFL_LIMIT:
         raise CflError(
-            f"marching CFL {cfl:.3f} exceeds {limit}; increase the y1 resolution "
+            f"marching CFL {cfl:.3f} exceeds {CFL_LIMIT}; increase the y1 resolution "
             f"(characteristic slope {mu_max:.3f}, h1={h1:.4g}, h2={h2:.4g})"
         )
     return cfl
@@ -248,14 +253,12 @@ def _march(grid, K, L_pred, L_corr, s_f, s_b, inflow, wa, wb, L_impl=None):
 
 
 def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
-    """March the linearized system; returns the dotted solution and the
-    discrete flux-identity report.
+    """March the linearized system; returns the dotted solution.
 
     All data enter proportionally to sigma (the entrance re-parametrisation
     uses the background map), so the solution is exactly linear in sigma.
+    ``flux_identity`` checks its discrete conservation identity.
     """
-    from .shockfit import b_coefficients, eq2_sb_source, eq2_zero_order
-
     sigma = pert.sigma
     u_hat = hat["m", "u"]
     rho_hat = hat["m", "rho"]
@@ -289,14 +292,20 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
         "S": np.broadcast_to(Sdot, u1dot.shape).copy(),
         "B": np.broadcast_to(Bdot, u1dot.shape).copy(),
     })
-    sol = SupersonicSolution(V=V, picard_iters=1,
-                             final_update=0.0, update_history=[])
+    return SupersonicSolution(V=V, update_history=[])
 
+
+def flux_identity(sol: SupersonicSolution, hat, pert: PerturbationConfig):
+    """``FluxIdentityReport`` of the linear solution ``sol`` of ``solve_linear``."""
+    sigma = pert.sigma
+    grid = sol.V.grid
+    u_hat = hat["m", "u"]
+    _, en = entrance_profiles(hat, pert)
     b1m, b2m, _, _ = b_coefficients(hat, "m")
-    lhs = (u1dot * (b1m * fd.trap_w(grid.n2))).sum(axis=1) * grid.h2
-    rhs_id = sigma * fd.trap(b1m * en["u1_en"], grid.h2) \
+    lhs = (sol.V["u1"] * (b1m * fd.trap_w(grid.n2))).sum(axis=1) * grid.h2
+    rhs = sigma * fd.trap(b1m * en["u1_en"], grid.h2) \
         - sigma * b2m[-1] * u_hat[-1] * pert.geometry.g(grid.y1)
-    return sol, FluxIdentityReport(lhs=lhs, rhs=rhs_id)
+    return FluxIdentityReport(lhs=lhs, rhs=rhs)
 
 
 class _Frozen(NamedTuple):
@@ -416,10 +425,9 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     solution of ``solve_linear`` on the same grid, when it is given, and from
     the background otherwise.  The warm start is O(sigma^2) from the
     solution instead of O(sigma); on the demo configuration it converges in
-    2 steps.  ``picard_iters`` and ``update_history`` of the result count
-    and list the Newton steps.  ``inlet`` is ``inlet_maps(bg, pert,
-    pert.sigma)`` when the caller already has it; otherwise it is built from
-    ``bg``.
+    2 steps.  ``update_history`` of the result lists the update of each
+    Newton step.  ``inlet`` is ``inlet_maps(bg, pert)`` when the caller
+    already has it; otherwise it is built from ``bg``.
 
     ``tol`` is the max-norm of a step's update that ends the solve and
     ``max_iter`` the number of steps it may take; every pipeline path runs
@@ -440,7 +448,7 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     if sigma == 0.0:
         inlet = None
     elif inlet is None:
-        inlet = inlet_maps(bg, pert, sigma)
+        inlet = inlet_maps(bg, pert)
     m, en = entrance_profiles(hat, pert, inlet)
     mfac = hat.m_bar / m
     u_hat = hat["m", "u"]
@@ -537,5 +545,4 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
         "S": np.broadcast_to(S_row, (n1, n2)).copy(),
         "B": np.broadcast_to(B_row, (n1, n2)).copy(),
     })
-    return SupersonicSolution(V=V, picard_iters=len(history),
-                              final_update=history[-1], update_history=history)
+    return SupersonicSolution(V=V, update_history=history)

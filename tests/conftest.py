@@ -63,7 +63,7 @@ def hat_rot(bg_rot):
 
 def make_pert(sigma, pex_amp, wall=GP_MILD, scale=1.0):
     """The mild admissible perturbation family used by the pipeline tests."""
-    geom = rs.Geometry(L_DUCT, Profile.from_poly(wall.coef), sigma)
+    geom = rs.Geometry(L_DUCT, Profile.from_poly(wall.coef))
     return rs.PerturbationConfig(
         sigma,
         Profile.from_poly((scale * (0.01 + 0.002 * BUMP)).coef),
@@ -77,7 +77,7 @@ def make_pert(sigma, pex_amp, wall=GP_MILD, scale=1.0):
 
 def make_pert_strong(sigma):
     """Large-amplitude data where the quadratic response dominates."""
-    geom = rs.Geometry(L_DUCT, Profile.from_poly(GP_STRONG.coef), sigma)
+    geom = rs.Geometry(L_DUCT, Profile.from_poly(GP_STRONG.coef))
     return rs.PerturbationConfig(
         sigma,
         Profile.from_poly([0.3, 0.2]),
@@ -96,7 +96,7 @@ def tuned_pex(bg_rot, hat_rot):
     from rotshock.supersonic import solve_linear
 
     grid = rs.LagrangianGrid(129, 65, 0.0, L_DUCT, hat_rot.m_bar, hat_rot.m_bar)
-    lin, _ = solve_linear(hat_rot, make_pert(1e-3, 0.0), grid)
+    lin = solve_linear(hat_rot, make_pert(1e-3, 0.0), grid)
     co = coefficients(hat_rot)
     jf0 = J_functionals(co, lin, make_pert(1e-3, 0.0), hat_rot, 89, L_DUCT)
     jf1 = J_functionals(co, lin, make_pert(1e-3, 1.0), hat_rot, 89, L_DUCT)

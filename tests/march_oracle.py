@@ -92,7 +92,7 @@ def _nonlinear_data(hat, pert, grid, bg):
     gas = hat.gas
     g = gas.gamma
     beta = gas.beta
-    m, en = entrance_profiles(hat, pert, inlet_maps(bg, pert, sigma) if sigma > 0.0 else None)
+    m, en = entrance_profiles(hat, pert, inlet_maps(bg, pert) if sigma > 0.0 else None)
     u_hat = hat["m", "u"]
     S_row = hat["m", "S"] + sigma * en["S_en"]
     B_row = hat["m", "B"] + sigma * en["B_en"]

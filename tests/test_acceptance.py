@@ -18,7 +18,7 @@ from rotshock.shockfit import (
     find_shock_position,
     selection_bracket,
 )
-from rotshock.supersonic import solve_linear, solve_nonlinear
+from rotshock.supersonic import flux_identity, solve_linear, solve_nonlinear
 from tests.conftest import L_DUCT, make_pert, make_pert_strong
 from tests.sparse_oracle import solvability_sum
 from tests.test_elliptic import manufactured, unit_problem
@@ -97,8 +97,7 @@ def test_criterion_4_flux_identity(bg_rot):
             Profile.from_callable(lambda x: np.sin(2 * np.pi * x), 0, 1),
             Profile.from_poly([0.0, 0.2]), Profile.from_poly([0.1]),
             Profile.constant(0.0),
-            rs.Geometry(L_DUCT, Profile.from_poly([0, 0, 0, 0, 0.3 / L_DUCT**4]),
-                        1e-3)),
+            rs.Geometry(L_DUCT, Profile.from_poly([0, 0, 0, 0, 0.3 / L_DUCT**4]))),
     ]
     details = []
     ok = True
@@ -107,7 +106,7 @@ def test_criterion_4_flux_identity(bg_rot):
         for nx, ny in ((65, 33), (129, 65), (257, 129)):
             hat = rs.hatted_background(bg_rot, n2=ny)
             grid = rs.LagrangianGrid(nx, ny, 0.0, L_DUCT, hat.m_bar, hat.m_bar)
-            _, flux = solve_linear(hat, pert, grid)
+            flux = flux_identity(solve_linear(hat, pert, grid), hat, pert)
             consts.append(flux.max_violation / grid.h2**2)
         spread = max(consts) / min(consts)
         details.append(f"set{k}: C in [{min(consts):.3g},{max(consts):.3g}] "
@@ -122,10 +121,10 @@ def test_criterion_5_shock_position(bg_classic, bg_rot):
     hat0 = rs.hatted_background(bg_classic, n2=65)
     grid0 = rs.LagrangianGrid(129, 65, 0.0, L_DUCT, hat0.m_bar, hat0.m_bar)
     zero = Profile.constant(0.0)
-    geom0 = rs.Geometry(L_DUCT, zero, 1e-3)
+    geom0 = rs.Geometry(L_DUCT, zero)
     pert0 = rs.PerturbationConfig(1e-3, Profile.constant(0.2), zero, zero, zero,
                                   Profile.constant(0.3), geom0)
-    lin0, _ = solve_linear(hat0, pert0, grid0)
+    lin0 = solve_linear(hat0, pert0, grid0)
     jf0 = J_functionals(coefficients(hat0), lin0, pert0, hat0, 65, L_DUCT)
     vals = np.array([jf0.J1(p) for p in np.linspace(0.05, 1.9, 25)])
     flat = np.abs(vals - vals[0]).max()
@@ -143,9 +142,9 @@ def test_criterion_5_shock_position(bg_classic, bg_rot):
             Profile.from_callable(lambda x: np.sin(np.pi * x), 0, 1),
             Profile.from_poly([0.02]), Profile.from_poly([0.01]),
             Profile.from_poly([amp]),
-            rs.Geometry(L_DUCT, Profile.from_poly([0.0]), 1e-3))
+            rs.Geometry(L_DUCT, Profile.from_poly([0.0])))
 
-    lin, _ = solve_linear(hat, pert_for(0.0), grid)
+    lin = solve_linear(hat, pert_for(0.0), grid)
     co = coefficients(hat)
     br = selection_bracket(co, lin, pert_for(0.0), hat, L_DUCT)
     n1_sub = max(9, int(round((L_DUCT - 0.5 * br.hi) / grid.h1)) + 1)
@@ -213,7 +212,7 @@ def test_criterion_7_scaling_laws(bg_rot, hat_rot, tuned_pex):
     diffs = []
     for s in sigmas:
         pert = make_pert_strong(s)
-        lin, _ = solve_linear(hat_rot, pert, grid)
+        lin = solve_linear(hat_rot, pert, grid)
         sup = solve_nonlinear(hat_rot, pert, grid, bg_rot)
         diffs.append(max(
             np.abs(sup.V["u1"] - hat_rot["m", "u"][None, :] - lin.V["u1"]).max(),

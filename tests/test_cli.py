@@ -197,6 +197,29 @@ def test_grid_override(tmp_path, capsys):
                  "--grid", "33", "17"]) == 0
 
 
+@pytest.mark.parametrize("command,grid", [
+    ("background", ["2", "2"]), ("solve", ["2", "65"]), ("verify", ["2", "2"]),
+])
+def test_bad_grid_exit_1(tmp_path, capsys, command, grid):
+    # --grid is validated as solver.nx and solver.ny are, before any work
+    p = tmp_path / "c.json"
+    write_config(p)
+    out = tmp_path / "g"
+    assert main([command, "--config", str(p), "--out", str(out), "--grid", *grid]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: solver.nx: expected an integer >= 3, got 2")
+
+
+def test_sweep_points_take_the_grid(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_config(p, **{"solver.nx": 33, "solver.ny": 17})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(p), "--out", str(out), "--grid", "65", "33",
+                 "--key", "nozzle.sigma", "--values", "[1e-3]"]) == 0
+    solver = json.load(open(out / "run_000" / "config.json"))["solver"]
+    assert (solver["nx"], solver["ny"]) == (65, 33)
+
+
 def test_cmd_sweep(tmp_path, capsys):
     p = tmp_path / "c.json"
     write_config(p)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rotshock as rs
+from rotshock import fd
 from rotshock.lagrangian import HattedProfiles, inlet_maps
 from rotshock.profiles import Profile
 from rotshock.shockfit import (
@@ -26,7 +27,7 @@ def grid65(hat_rot):
 
 @pytest.fixture(scope="module")
 def lin_rot(hat_rot, grid65):
-    sol, _ = solve_linear(hat_rot, make_pert_strong(1e-3), grid65)
+    sol = solve_linear(hat_rot, make_pert_strong(1e-3), grid65)
     return sol
 
 
@@ -110,9 +111,9 @@ def test_equal_mach_identity():
 
 def test_J_zero_data(hat_rot, grid65):
     zero = Profile.constant(0.0)
-    geom = rs.Geometry(L_DUCT, zero, 0.0)
+    geom = rs.Geometry(L_DUCT, zero)
     pert = rs.PerturbationConfig(0.0, zero, zero, zero, zero, zero, geom)
-    lin, _ = solve_linear(hat_rot, pert, grid65)
+    lin = solve_linear(hat_rot, pert, grid65)
     jf = J_functionals(coefficients(hat_rot), lin, pert, hat_rot, 65, L_DUCT)
     assert jf.J2 == 0.0
     assert jf.J1(0.5) == 0.0
@@ -122,11 +123,11 @@ def test_J1_flat_nozzle_classical(bg_classic):
     # beta = 0, flat wall, u2_en = 0: the flux identity makes J1 constant
     hat = rs.hatted_background(bg_classic, n2=65)
     grid = rs.LagrangianGrid(129, 65, 0.0, L_DUCT, hat.m_bar, hat.m_bar)
-    geom = rs.Geometry(L_DUCT, Profile.from_poly([0.0]), 1e-3)
+    geom = rs.Geometry(L_DUCT, Profile.from_poly([0.0]))
     pert = rs.PerturbationConfig(1e-3, Profile.from_poly([0.2, 0.1]),
                                  Profile.constant(0.0), Profile.constant(0.0),
                                  Profile.constant(0.0), Profile.constant(0.0), geom)
-    lin, _ = solve_linear(hat, pert, grid)
+    lin = solve_linear(hat, pert, grid)
     jf = J_functionals(coefficients(hat), lin, pert, hat, 65, L_DUCT)
     vals = np.array([jf.J1(p) for p in np.linspace(0.1, 1.6, 12)])
     assert np.abs(vals - vals[0]).max() <= 2e-6  # O(h^2) conservation drift
@@ -136,8 +137,14 @@ def test_J1_at_zero_matches_closed_form(hat_rot, grid65, lin_rot):
     pert = make_pert_strong(1e-3)
     co = coefficients(hat_rot)
     jf = J_functionals(co, lin_rot, pert, hat_rot, 65, L_DUCT)
+    # closed form: the wall term integrates g' exactly, g(L) - g(0)
+    V = lin_rot.V
+    w_int = (co.fa3 - co.fa1) * co.b1p
+    g = pert.geometry.g
+    closed = (fd.trap(w_int * V.trace("u1", V.grid.y1a), co.y2[1] - co.y2[0]) / pert.sigma
+              + co.b2p[-1] * hat_rot["p", "u"][-1] * (float(g(L_DUCT)) - float(g(V.grid.y1a))))
     # quadrature tolerance: wall term uses the discrete grid integral of g'
-    assert jf.J1(0.0) == pytest.approx(jf.J1_closed_form_at0, abs=5e-4)
+    assert jf.J1(0.0) == pytest.approx(closed, abs=5e-4)
 
 
 def test_find_root_linear():
@@ -171,7 +178,7 @@ def test_find_root_monotone_family():
 
 def test_selection_bracket_case_i(hat_rot, grid65):
     pert = make_pert_strong(1e-3)
-    lin, _ = solve_linear(hat_rot, pert, grid65)
+    lin = solve_linear(hat_rot, pert, grid65)
     br = selection_bracket(coefficients(hat_rot), lin, pert, hat_rot, L_DUCT)
     assert br.case == "increasing"
     assert br.slope_integral > 0
@@ -183,14 +190,14 @@ def test_selection_bracket_degenerate_beta_zero(bg_classic):
     hat = rs.hatted_background(bg_classic, n2=65)
     grid = rs.LagrangianGrid(129, 65, 0.0, L_DUCT, hat.m_bar, hat.m_bar)
     pert = make_pert_strong(1e-3)
-    lin, _ = solve_linear(hat, pert, grid)
+    lin = solve_linear(hat, pert, grid)
     with pytest.raises(rs.DegenerateSelectionError):
         selection_bracket(coefficients(hat), lin, pert, hat, L_DUCT)
 
 
 def test_linear_subsonic_zero_data(hat_rot, grid65):
     pert = make_pert(0.0, 0.0)
-    lin, _ = solve_linear(hat_rot, pert, grid65)
+    lin = solve_linear(hat_rot, pert, grid65)
     co = coefficients(hat_rot)
     V, esol = solve_linear_subsonic(co, 0.6, lin, pert, hat_rot, 65, L_DUCT)
     assert max(np.abs(V[k]).max() for k in ("u1", "u2", "S", "B")) == 0.0
@@ -207,7 +214,7 @@ def test_linear_subsonic_transport_rows(hat_rot, lin_rot):
 def test_linear_subsonic_defect_gate(hat_rot, grid65, bg_rot, tuned_pex):
     # a position far from the solvable one must be rejected
     pert = make_pert(1e-3, tuned_pex)
-    lin, _ = solve_linear(hat_rot, pert, grid65)
+    lin = solve_linear(hat_rot, pert, grid65)
     co = coefficients(hat_rot)
     with pytest.raises(rs.IncompatibleDataError):
         solve_linear_subsonic(co, 0.05, lin, pert, hat_rot, 89, L_DUCT,
@@ -226,7 +233,7 @@ def test_shock_slope_properties(hat_rot, grid65, lin_rot):
     V2 = V.copy()
     for k in V2.data:
         V2[k] = 2.0 * V2[k]
-    lin2, _ = solve_linear(hat_rot, make_pert_strong(2e-3), grid65)
+    lin2 = solve_linear(hat_rot, make_pert_strong(2e-3), grid65)
     sl2 = shock_slope(V2, lin2, 0.6, co, hat_rot.m_bar, hat_rot.m_bar)
     assert np.abs(sl2 - 2.0 * sl).max() <= 1e-14
 
@@ -246,8 +253,8 @@ def test_front_reconstruction():
 
 def test_initial_approximation_consistency(bg_rot, hat_rot, grid65, tuned_pex):
     pert = make_pert(1e-3, tuned_pex)
-    lin, _ = solve_linear(hat_rot, pert, grid65)
-    m, m_bar, _, _ = inlet_maps(bg_rot, pert, 1e-3)
+    lin = solve_linear(hat_rot, pert, grid65)
+    m, m_bar, _ = inlet_maps(bg_rot, pert)
     init = initial_approximation(hat_rot, pert, lin, m, L_DUCT, 89,
                                  bracket=(0.35, 0.9))
     d = init.diagnostics
