@@ -32,7 +32,7 @@ pert0 = rs.PerturbationConfig(SIGMA, Profile.constant(0.2), zero, zero, zero,
                               Profile.constant(0.3),
                               rs.Geometry(L, zero))
 lin0 = solve_linear(hat0, pert0, grid0)
-jf0 = J_functionals(coefficients(hat0), lin0, pert0, hat0, 65, L)
+jf0 = J_functionals(coefficients(hat0), lin0, pert0, hat0, 65)
 samples = [jf0.J1(p) for p in np.linspace(0.1, 1.9, 7)]
 print("beta = 0, flat wall: J1 samples", [f"{v:.10f}" for v in samples])
 print(f"  variation {max(samples) - min(samples):.2e} -> position arbitrary\n")
@@ -40,7 +40,6 @@ print(f"  variation {max(samples) - min(samples):.2e} -> position arbitrary\n")
 # ---- rotation + wall bump: a selected position
 bg = rs.build_background(spec, rs.GasModel(1.4, 0.1))
 hat = rs.hatted_background(bg, n2=65)
-grid = rs.LagrangianGrid(129, 65, 0.0, L, hat.m_bar, hat.m_bar)
 pert = rs.PerturbationConfig(
     SIGMA,
     Profile.from_poly((0.01 + 0.002 * bump).coef),
@@ -50,17 +49,20 @@ pert = rs.PerturbationConfig(
     Profile.from_poly([-0.0561]),
     rs.Geometry(L, Profile.from_poly(wall.coef)),
 )
+# the march grid carries the perturbed mass flux m, which the front slope reads
+m, m_bar, _ = inlet_maps(bg, pert)
+grid = rs.LagrangianGrid(129, 65, 0.0, L, m, m_bar)
 lin = solve_linear(hat, pert, grid)
 flux = flux_identity(lin, hat, pert)
 print(f"beta = 0.1: linear supersonic flux-identity violation "
       f"{flux.max_violation:.2e}")
-jf = J_functionals(coefficients(hat), lin, pert, hat, 89, L)
+co = coefficients(hat)
+jf = J_functionals(co, lin, pert, hat, 89)
 for p in np.linspace(0.35, 0.9, 6):
     print(f"  J1({p:.2f}) = {jf.J1(p):+.6f}")
 print(f"  J2        = {jf.J2:+.6f}")
 
-m, _, _ = inlet_maps(bg, pert)
-init = initial_approximation(hat, pert, lin, m, L, 89, bracket=(0.35, 0.9))
+init = initial_approximation(co, lin, pert, hat, 89, bracket=(0.35, 0.9))
 d = init.diagnostics
 print(f"\nselected position: psi_bar = {d['psi_bar']:.8f}")
 print(f"  |J1(psi_bar) - J2| = {abs(d['J1_at_psi_bar'] - d['J2']):.2e}")

@@ -9,10 +9,12 @@ verify       recompute the residual suite on stored `solve` output
 sweep        repeat `solve` while varying one configuration key over a list
 
 Exit codes: 0 success, 1 usage or configuration error or unwritable
-output, 2 degenerate background, 3 no admissible shock position,
-4 non-convergence (including CFL and trust-region failures).  All field
-files are CSV in the one format of `rotshock.csvio`, so identical
-configurations produce byte-identical output.
+output, 2 degenerate background, 3 no admissible shock position (also
+`initial` at sigma = 0), 4 non-convergence (CFL and trust-region failures
+too) or, for `solve` and `verify`, residuals above `solver.tol_res`; a sweep
+point that misses `tol_res` keeps `status` 0.  All field files are CSV in
+the one format of `rotshock.csvio`, so identical configurations produce
+byte-identical output.
 
 Independent work runs in processes forked by `rotshock.parallel.run_forked`:
 `solve` and `initial` write their two field files at once, and `sweep`
@@ -54,7 +56,7 @@ from .iteration import (
 from .lagrangian import Geometry
 from .parallel import available_cpus, run_forked
 from .profiles import profile_from_json
-from .supersonic import PerturbationConfig, flux_identity, solve_linear
+from .supersonic import PerturbationConfig, flux_identity
 from .thermo import GasModel, GasState
 
 SCHEMA_VERSION = 1
@@ -230,15 +232,14 @@ def cmd_background(cfg: RunConfig, out):
 
 def cmd_initial(cfg: RunConfig, out):
     bg = build_background(cfg.upstream, cfg.gas)
-    hat, _, grid_minus = setup_upstream(bg, cfg.pert, cfg.options)
-    lin = solve_linear(hat, cfg.pert, grid_minus)
-    init = locate(hat, cfg.pert, grid_minus, grid_minus.m, lin, cfg.options)
+    hat, _, coeffs, lin = setup_upstream(bg, cfg.pert, cfg.options)
+    init = locate(hat, coeffs, cfg.pert, lin, cfg.options)
     rec = {k: init.diagnostics[k] for k in
            ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
     rec["flux_identity_violation"] = flux_identity(lin, hat, cfg.pert).max_violation
     _write_json(os.path.join(out, "initial.json"), rec)
     write_csv(os.path.join(out, "shock_slope.csv"),
-              {"y2": init.coeffs.y2, "psi_prime": init.front.psi_prime})
+              {"y2": coeffs.y2, "psi_prime": init.front.psi_prime})
     run_forked(partial(lin.V.write_csv, os.path.join(out, "linear_minus.csv")),
                partial(init.V_plus.write_csv, os.path.join(out, "linear_plus.csv")))
     print(f"initial approximation: psi_bar = {init.diagnostics['psi_bar']:.10f} "

@@ -30,13 +30,14 @@ and wall abscissa from it.
 
 Every entry point (``solve_transonic`` and the ``initial``/``verify``
 subcommands) shares one setup: ``setup_upstream`` builds the hatted
-profiles, the perturbed inlet maps (mass fluxes and entrance heights) and
-the upstream grid, ``solve_linear`` marches the linear upstream flow once,
-``locate`` places the shock from J1(psi_bar) = J2 on that march and builds
-the linear two-phase approximation, and ``build_context`` adds the
-nonlinear march, solved by Newton's method from the background plus the
-same linear march and reusing the perturbed inlet maps, and freezes an
-``IterationContext``.
+profiles, the perturbed inlet maps, the shock coefficients and the linear
+upstream march, whose grid is the upstream grid.  ``locate`` places the
+shock from J1(psi_bar) = J2 on that march and builds the linear two-phase
+approximation.  ``build_context`` runs the setup, the nonlinear march
+(Newton's method from the background plus the same linear march) and the
+front placement (``locate``, or a fixed ``psi_bar``), and freezes an
+``IterationContext``.  m and m_bar are read from a ``LagrangianGrid``, L
+from ``pert.geometry`` and the gas from ``hat``; nothing keeps copies.
 
 Within one pass the downstream state is fixed and only the front moves:
 ``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
@@ -109,7 +110,9 @@ class TransonicOptions:
 
     ``defect_tol`` is the solvability gate of every elliptic solve: the
     linear subsonic problem of the initial approximation and the downstream
-    problem of each pass.  The Newton solve of the upstream flow runs with
+    problem of each pass.  ``psi_bracket`` bounds the position search
+    (default: ``selection_bracket``); ``psi_bar_fallback`` places the front
+    at sigma = 0 (default: mid-bracket or L/2).  The Newton solve of the upstream flow runs with
     the defaults of ``supersonic.solve_nonlinear`` (update tolerance 1e-12,
     at most 30 steps, sigma at most ``supersonic.SIGMA_THRESHOLD``), and the
     trust radius of ``run`` is ``TRUST_FACTOR * sigma^(3/2)``.
@@ -226,16 +229,11 @@ class FrontMap:
 
 @dataclass
 class IterationContext:
-    """Everything frozen during the fixed-point loop."""
+    """Everything frozen during the fixed-point loop; the upstream grid is ``sup.V.grid``."""
 
-    gas: object
     hat: object
     coeffs: ShockCoefficients
     pert: object
-    m: float
-    m_bar: float
-    L: float
-    grid_minus: LagrangianGrid
     grid_plus: LagrangianGrid
     sup: object                      # nonlinear supersonic solution
     initial_state: IterationState
@@ -247,17 +245,17 @@ class IterationContext:
     def __post_init__(self):
         hat = self.hat
         self.cc_plus = eq2_zero_order(hat, "p")
-        self.E2 = _background_defect(hat, "p", self.grid_plus.h2, self.m_bar / self.m)
+        self.E2 = _background_defect(hat, "p", self.grid_plus)
         self.B_row = self.sup.V["B"][0, :] - hat["m", "B"]
 
 
-def _background_defect(hat, side, h2, mfac):
-    """Discrete residual of eq2 at the hatted background of one side (y2-profile)."""
-    g = hat.gas.gamma
+def _background_defect(hat, side, grid):
+    """Discrete residual of eq2 at the hatted background of one side on ``grid`` (y2-profile)."""
+    g, h2 = hat.gas.gamma, grid.h2
     u, rho = hat[side, "u"], hat[side, "rho"]
     disc = (rho * u * fd.d2(u, h2) + hat[side, "P"] / (g - 1.0) * fd.d2(hat[side, "S"], h2)
             - rho * fd.d2(hat[side, "B"], h2))
-    return mfac * (hat.gas.beta - disc)
+    return (grid.m_bar / grid.m) * (hat.gas.beta - disc)
 
 
 def _full_plus(ctx, state):
@@ -266,7 +264,7 @@ def _full_plus(ctx, state):
     u2 = state.u2
     S = state.S + hat["p", "S"][None, :]
     B = np.broadcast_to(ctx.B_row + hat["p", "B"], u1.shape)
-    rho, P = rho_P(S, B, u1, u2, ctx.gas)
+    rho, P = rho_P(S, B, u1, u2, hat.gas)
     return {"u1": u1, "u2": u2, "S": S, "B": B, "rho": rho, "P": P}
 
 
@@ -278,12 +276,12 @@ def _front(ctx, psi_sharp_dev, psi_prime):
     """
     grid = ctx.grid_plus
     fmap = FrontMap(ShockFront(grid.y1a, psi_sharp_dev, psi_prime, grid.y2),
-                    grid.y1, ctx.L)
+                    grid.y1, ctx.pert.geometry.L)
     V = ctx.sup.V
     minus = {"u1": V.trace("u1", fmap.psi), "u2": V.trace("u2", fmap.psi),
              "S": V["S"][0], "B": V["B"][0]}
     minus["rho"], minus["P"] = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"],
-                                     ctx.gas)
+                                     ctx.hat.gas)
     return fmap, minus
 
 
@@ -311,7 +309,7 @@ class _PassTerms:
 
     @cached_property
     def residual(self):
-        return _ResidualTerms(self.ctx, self.ctx.grid_plus, self.full)
+        return _ResidualTerms(self.ctx.grid_plus, self.ctx.hat.gas, self.full)
 
     @cached_property
     def linear_ops(self):
@@ -345,13 +343,13 @@ def _rh_jumps(minus, plus, k):
     return mass, momentum
 
 
-def _heights(ctx, rho, u1, h2):
-    """Physical heights x2 = (m/m_bar) int_0^y2 1/(rho u1) along the last axis."""
-    return (ctx.m / ctx.m_bar) * fd.cumtrap(1.0 / (rho * u1), h2)
+def _heights(grid, rho, u1):
+    """Physical heights x2 = (m/m_bar) int_0^y2 1/(rho u1) along the last axis of ``grid``."""
+    return (grid.m / grid.m_bar) * fd.cumtrap(1.0 / (rho * u1), grid.h2)
 
 
 class _ResidualTerms:
-    """N1, N2 of the transformed system on ``grid`` for one full state.
+    """N1, N2 of the transformed system on ``grid`` for one full state of ``gas``.
 
     The z-derivatives of u1, u2, S, B and their coefficients depend on the
     state alone; ``N(fac1, cross)`` combines them with the factors of a
@@ -359,10 +357,10 @@ class _ResidualTerms:
     upstream region passes fac1 = 1, cross = 0 (the identity map).
     """
 
-    def __init__(self, ctx, grid, full):
-        g = ctx.gas.gamma
-        self.beta = ctx.gas.beta
-        self.mfac = mfac = ctx.m_bar / ctx.m
+    def __init__(self, grid, gas, full):
+        g = gas.gamma
+        self.beta = gas.beta
+        self.mfac = mfac = grid.m_bar / grid.m
         u1, u2, rho, P = full["u1"], full["u2"], full["rho"], full["P"]
         c2 = g * P / rho
         M1 = u1 / np.sqrt(c2)
@@ -420,9 +418,9 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     """
     hat = ctx.hat
     co = ctx.coeffs
-    g = ctx.gas.gamma
+    g = hat.gas.gamma
     sigma = ctx.pert.sigma
-    h2 = ctx.grid_plus.h2
+    grid = ctx.grid_plus
     fmap, minus = _front(ctx, psi_sharp_dev, state.psi_prime)
     if terms is None:
         terms = _PassTerms(ctx, state)
@@ -437,7 +435,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     if np.any(np.abs(Pj) < 1e-10 * np.abs(co.P_jump).max()):
         raise InvalidStateError("pressure jump collapsed on the front")
     u2j = plus["u2"] - minus["u2"]
-    G0 = u2j - (ctx.m_bar / ctx.m) * state.psi_prime * Pj
+    G0 = u2j - (grid.m_bar / grid.m) * state.psi_prime * Pj
     G1, G2 = _rh_jumps(minus, plus, u2j / Pj)
 
     # trace corrections: (g2, g1) = current traces - Minv_plus (mu*G1, G2)
@@ -453,7 +451,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
 
     # ---- exit datum
     PL = full["P"][-1, :]
-    arg = _heights(ctx, full["rho"][-1, :], full["u1"][-1, :], h2)
+    arg = _heights(grid, full["rho"][-1, :], full["u1"][-1, :])
     rup = hat["p", "rho"] * up
     Pp_hat = hat["p", "P"]
     g4 = (
@@ -465,7 +463,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     )
 
     # ---- slope correction
-    g0 = (ctx.m_bar * co.P_jump / ctx.m) * state.psi_prime - state.u2[0, :] + G0
+    g0 = (grid.m_bar * co.P_jump / grid.m) * state.psi_prime - state.u2[0, :] + G0
 
     # ---- interior sources: operator defects of the two momentum equations
     N1, N2 = terms.residual.N(fmap.fac1, fmap.cross)
@@ -474,7 +472,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     f2 = lam2 - N2 + ctx.E2[None, :]
 
     H1 = (co.b2p / rup)[None, :] * f1
-    sb_new = subsonic_sb_source(hat, g1, ctx.B_row, h2)
+    sb_new = subsonic_sb_source(hat, g1, ctx.B_row, grid.h2)
     H2 = co.b3p[None, :] * (sb_new[None, :] + f2)
 
     return StepData(H1=H1, H2=H2, g1=g1, g2=g2, g3=g3, g4=g4, g0=g0,
@@ -502,7 +500,8 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     (psi_sharp_dev, StepData, EllipticProblem) at the root.
     """
     psi_bar = ctx.grid_plus.y1a
-    lo, hi = -psi_bar, ctx.L - psi_bar
+    L = ctx.pert.geometry.L
+    lo, hi = -psi_bar, L - psi_bar
 
     terms = _PassTerms(ctx, state)
 
@@ -516,18 +515,18 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     sigma = ctx.pert.sigma
     scale = max(abs(J0), sigma, 1e-14)
     # rounding floor of the assembled quadratures; below it J counts as zero
-    atol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.m_bar)
+    atol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.grid_plus.m_bar)
     tol = max(PSI_SHARP_TOL_REL * scale, atol)
     if abs(J0) <= tol:
         return root
-    ds = max(1e-3 * max(sigma, 1e-6) * (ctx.L - psi_bar), 1e-9)
+    ds = max(1e-3 * max(sigma, 1e-6) * (L - psi_bar), 1e-9)
     s1 = s0 + ds
     J1, root = J(s1)
     for _ in range(PSI_SHARP_MAX_ITER):
         if abs(J1) <= tol:
             return root
         dJ = (J1 - J0) / (s1 - s0)
-        if abs(dJ) * (ctx.L - psi_bar) <= 1e-3 * tol:
+        if abs(dJ) * (L - psi_bar) <= 1e-3 * tol:
             raise DegenerateSelectionError(
                 f"solvability functional is flat in psi_sharp (slope {dJ:.3e})"
             )
@@ -553,8 +552,8 @@ def apply_T(state: IterationState, ctx: IterationContext):
     """
     s_sharp, data, prob = solve_psi_sharp(state, ctx)
     esol = solve(prob, ctx.opts.defect_tol)
-    co = ctx.coeffs
-    psi_prime_new = (ctx.m / (ctx.m_bar * co.P_jump)) * (esol.v2[0, :] + data.g0)
+    grid = ctx.grid_plus
+    psi_prime_new = (grid.m / (grid.m_bar * ctx.coeffs.P_jump)) * (esol.v2[0, :] + data.g0)
     new = IterationState(
         u1=esol.v1, u2=esol.v2,
         S=np.broadcast_to(data.g1, esol.v1.shape).copy(),
@@ -609,11 +608,11 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     discretely evaluated background), with the raw value kept alongside;
     jump conditions use the upstream state interpolated onto the front.
     """
-    gas = ctx.gas
-    sigma = ctx.pert.sigma
     hat = ctx.hat
-    mfac = ctx.m_bar / ctx.m
-    gm, gp_grid = ctx.grid_minus, ctx.grid_plus
+    gas = hat.gas
+    sigma = ctx.pert.sigma
+    Vm = ctx.sup.V
+    gm, gp_grid = Vm.grid, ctx.grid_plus
 
     frame = 3  # reach of the one-sided boundary closures
     core = (slice(frame, -frame), slice(frame, -frame))
@@ -626,30 +625,29 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     # Each region's _ResidualTerms is a temporary, so the two sets of
     # derivative arrays are never alive at once.
     # --- upstream region (identity map)
-    Vm = ctx.sup.V
     rho_m, P_m = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], gas)
     fullm = {"u1": Vm["u1"], "u2": Vm["u2"], "S": Vm["S"], "B": Vm["B"],
              "rho": rho_m, "P": P_m}
     wb_m, raw_m, frame_m = region_maxima(
-        *_ResidualTerms(ctx, gm, fullm).N(1.0, 0.0),
-        _background_defect(hat, "m", gm.h2, mfac))
+        *_ResidualTerms(gm, gas, fullm).N(1.0, 0.0),
+        _background_defect(hat, "m", gm))
 
     # --- downstream region (z-grid, shock-fitted derivatives)
     fmap, minus = _front(ctx, state.psi_sharp_dev, state.psi_prime)
     terms = _PassTerms(ctx, state)
     full, plus = terms.full, terms.plus
     wb_p, raw_p, frame_p = region_maxima(
-        *_ResidualTerms(ctx, gp_grid, full).N(fmap.fac1, fmap.cross), ctx.E2)
+        *_ResidualTerms(gp_grid, gas, full).N(fmap.fac1, fmap.cross), ctx.E2)
 
     # --- jump conditions on the front
-    k = mfac * state.psi_prime
+    k = (gp_grid.m_bar / gp_grid.m) * state.psi_prime
     r1, r2 = _rh_jumps(minus, plus, k)
     r3 = (plus["u2"] - minus["u2"]) - k * (plus["P"] - minus["P"])
     r4 = plus["B"] - minus["B"]
     rh = max(np.abs(r).max() for r in (r1, r2, r3, r4))
 
     # --- exit pressure
-    x2_exit = _heights(ctx, full["rho"][-1], full["u1"][-1], gp_grid.h2)
+    x2_exit = _heights(gp_grid, full["rho"][-1], full["u1"][-1])
     Pex_target = hat["p", "P"] + sigma * ctx.pert.P_ex(x2_exit)
     exit_res = float(np.abs(full["P"][-1] - Pex_target).max())
 
@@ -677,14 +675,14 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
 
 @dataclass
 class RunResult:
+    """Converged state, audit, pass log, initial approximation (None for a
+    fixed front) and context; the front and C1, kappa derive from them."""
+
     state: IterationState
-    front: ShockFront
     report: ResidualReport
     log: list
     initial: object
     ctx: IterationContext
-    C1_measured: float
-    kappa_final: float
 
     @property
     def sup(self):
@@ -698,9 +696,24 @@ class RunResult:
     def psi_sharp(self):
         return self.psi_bar + self.state.psi_sharp_dev
 
+    @property
+    def C1_measured(self):
+        sigma = self.ctx.pert.sigma
+        return abs(self.log[0]["psi_sharp"] - self.psi_bar) / sigma if sigma > 0.0 else 0.0
+
+    @property
+    def kappa_final(self):
+        kappas = [r["kappa_estimate"] for r in self.log if np.isfinite(r["kappa_estimate"])]
+        return max(kappas) if kappas else np.nan
+
+    @cached_property
+    def front(self) -> ShockFront:
+        grid = self.ctx.grid_plus
+        return ShockFront(grid.y1a, self.state.psi_sharp_dev, self.state.psi_prime, grid.y2)
+
     @cached_property
     def front_map(self) -> FrontMap:
-        return FrontMap(self.front, self.ctx.grid_plus.y1, self.ctx.L)
+        return FrontMap(self.front, self.ctx.grid_plus.y1, self.ctx.pert.geometry.L)
 
     def downstream_field(self) -> Field:
         full = _full_plus(self.ctx, self.state)
@@ -711,24 +724,24 @@ class RunResult:
         """x2 arrays for the upstream grid and the downstream z-grid."""
         ctx = self.ctx
         Vm = ctx.sup.V
-        rho_m, _ = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], ctx.gas)
-        x2m = _heights(ctx, rho_m, Vm["u1"], ctx.grid_minus.h2)
+        rho_m, _ = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], ctx.hat.gas)
+        x2m = _heights(Vm.grid, rho_m, Vm["u1"])
+        grid = ctx.grid_plus
         full = _full_plus(ctx, self.state)
         dxdz2 = (full["u2"] / full["u1"]) * self.front_map.dY1_dz2 \
-            + (ctx.m / ctx.m_bar) / (full["rho"] * full["u1"])
-        return x2m, fd.cumtrap(dxdz2, ctx.grid_plus.h2)
+            + (grid.m / grid.m_bar) / (full["rho"] * full["u1"])
+        return x2m, fd.cumtrap(dxdz2, grid.h2)
 
 
 def setup_upstream(bg, pert, opts: TransonicOptions):
-    """Hatted profiles, perturbed inlet maps and the upstream grid: (hat, inlet, grid_minus).
+    """The setup every entry point shares: (hat, inlet_maps(bg, pert), coefficients(hat), lin).
 
-    ``inlet`` is ``inlet_maps(bg, pert)``; ``grid_minus`` carries
-    its mass fluxes m and m_bar.
+    ``lin`` is the linear upstream march; its grid is the upstream grid.
     """
     hat = hatted_background(bg, n2=opts.ny)
     inlet = inlet_maps(bg, pert)
     grid_minus = LagrangianGrid(opts.nx, opts.ny, 0.0, pert.geometry.L, *inlet[:2])
-    return hat, inlet, grid_minus
+    return hat, inlet, coefficients(hat), solve_linear(hat, pert, grid_minus)
 
 
 def _n1_sub(L, psi, h1):
@@ -736,40 +749,39 @@ def _n1_sub(L, psi, h1):
     return max(9, int(round((L - psi) / h1)) + 1)
 
 
-def locate(hat, pert, grid_minus, m, lin, opts: TransonicOptions):
+def locate(hat, coeffs, pert, lin, opts: TransonicOptions):
     """Shock position from J1(psi_bar) = J2 and the linear two-phase approximation.
 
-    ``lin`` is the linear upstream march (``solve_linear``) on ``grid_minus``.
-    Returns the initial approximation.
+    ``lin`` is the linear upstream march.  At sigma = 0 the position is
+    arbitrary, bracket or not: ``DegenerateSelectionError``.
     """
-    L = pert.geometry.L
+    if pert.sigma == 0.0:
+        raise DegenerateSelectionError("sigma = 0: the shock position is arbitrary")
     if opts.psi_bracket:
         bracket = tuple(opts.psi_bracket)
     else:
-        br = selection_bracket(coefficients(hat), lin, pert, hat, L)
+        br = selection_bracket(coeffs, lin, pert, hat)
         bracket = (br.lo, br.hi)
-    n1_sub = _n1_sub(L, 0.5 * (bracket[0] + bracket[1]), grid_minus.h1)
-    return initial_approximation(hat, pert, lin, m, L, n1_sub,
+    n1_sub = _n1_sub(pert.geometry.L, 0.5 * (bracket[0] + bracket[1]), lin.V.grid.h1)
+    return initial_approximation(coeffs, lin, pert, hat, n1_sub,
                                  bracket=bracket, defect_tol=opts.defect_tol)
 
 
 def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
-    """Upstream setup, linear and nonlinear marches and front placement; returns (ctx, initial).
+    """Setup, nonlinear march and front placement; returns (ctx, initial).
 
-    The Newton solve of the nonlinear march starts from the hatted
-    background plus the linear march, on every path; on the demo
-    configuration it takes 2 steps.  Without ``psi_bar`` the front is
-    located from J1(psi_bar) = J2 and the loop starts from the linear
-    approximation (``initial``); at sigma = 0 it sits at
-    ``opts.psi_bar_fallback`` (default: mid-bracket or L/2).  Given
-    ``psi_bar``, the front is fixed there on ``n1`` downstream nodes
-    (default: the upstream spacing) and the loop starts from zero
-    perturbation with ``initial`` None.
+    After ``setup_upstream``, the Newton solve of the nonlinear march starts
+    from the hatted background plus the linear march, on every path; on the
+    demo configuration it takes 2 steps.  Without ``psi_bar`` the front is
+    placed by ``locate`` and the loop starts from the linear approximation
+    (``initial``); at sigma = 0 it sits at ``opts.psi_bar_fallback``
+    (default: mid-bracket or L/2).  Given ``psi_bar``, the front is fixed
+    there on ``n1`` downstream nodes (default: the upstream spacing) and the
+    loop starts from zero perturbation with ``initial`` None.
     """
     L = pert.geometry.L
-    hat, inlet, grid_minus = setup_upstream(bg, pert, opts)
-    m, m_bar = grid_minus.m, grid_minus.m_bar
-    lin = solve_linear(hat, pert, grid_minus)
+    hat, inlet, coeffs, lin = setup_upstream(bg, pert, opts)
+    grid_minus = lin.V.grid
     sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
     if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar_fallback
@@ -777,8 +789,7 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
             psi_bar = (0.5 * (opts.psi_bracket[0] + opts.psi_bracket[1])
                        if opts.psi_bracket else 0.5 * L)
     if psi_bar is None:
-        initial = locate(hat, pert, grid_minus, m, lin, opts)
-        co = initial.coeffs
+        initial = locate(hat, coeffs, pert, lin, opts)
         grid_plus = initial.V_plus.grid
         init_state = IterationState(
             u1=initial.V_plus["u1"].copy(), u2=initial.V_plus["u2"].copy(),
@@ -787,18 +798,14 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
         )
     else:
         initial = None
-        co = coefficients(hat)
         n1 = n1 or _n1_sub(L, psi_bar, grid_minus.h1)
-        grid_plus = LagrangianGrid(n1, opts.ny, psi_bar, L, m, m_bar)
+        grid_plus = LagrangianGrid(n1, opts.ny, psi_bar, L, grid_minus.m, grid_minus.m_bar)
         shape = (n1, opts.ny)
         init_state = IterationState(u1=np.zeros(shape), u2=np.zeros(shape),
                                     S=np.zeros(shape), psi_prime=np.zeros(opts.ny),
                                     psi_sharp_dev=0.0)
-    ctx = IterationContext(
-        gas=bg.gas, hat=hat, coeffs=co, pert=pert, m=m, m_bar=m_bar,
-        L=L, grid_minus=grid_minus, grid_plus=grid_plus, sup=sup,
-        initial_state=init_state, opts=opts,
-    )
+    ctx = IterationContext(hat=hat, coeffs=coeffs, pert=pert, grid_plus=grid_plus, sup=sup,
+                           initial_state=init_state, opts=opts)
     return ctx, initial
 
 
@@ -808,13 +815,4 @@ def solve_transonic(bg, pert, opts: TransonicOptions = None) -> RunResult:
     ctx, initial = build_context(bg, pert, opts)
     state, log = run(ctx)
     report = residuals(ctx, state, last_defect=log[-1]["defect"])
-    psi_bar = ctx.grid_plus.y1a
-    front = ShockFront(psi_bar, state.psi_sharp_dev, state.psi_prime,
-                       ctx.grid_plus.y2)
-    sigma = pert.sigma
-    C1 = abs(log[0]["psi_sharp"] - psi_bar) / sigma if sigma > 0.0 else 0.0
-    kappas = [row["kappa_estimate"] for row in log if np.isfinite(row["kappa_estimate"])]
-    return RunResult(
-        state=state, front=front, report=report, log=log, initial=initial, ctx=ctx,
-        C1_measured=C1, kappa_final=(max(kappas) if kappas else np.nan),
-    )
+    return RunResult(state=state, report=report, log=log, initial=initial, ctx=ctx)

@@ -174,7 +174,7 @@ class JFunctionals:
     J2: float
 
 
-def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
+def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub):
     y2 = coeffs.y2
     h2 = y2[1] - y2[0]
     V = lin_sup.V
@@ -200,7 +200,7 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, L):
     def J1(psi_bar):
         tr = V.trace("u1", psi_bar)
         term1 = fd.trap(w_int * tr, h2) / sigma if sigma > 0.0 else 0.0
-        z1 = np.linspace(float(psi_bar), L, n1_sub)
+        z1 = np.linspace(float(psi_bar), pert.geometry.L, n1_sub)
         term2 = wall_c * fd.trap(gp(z1), z1[1] - z1[0])
         return term1 + term2
 
@@ -218,7 +218,7 @@ class SelectionBracket:
     diagnostics: dict
 
 
-def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat, L) -> SelectionBracket:
+def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat) -> SelectionBracket:
     """Admissible interval (0, L_plus) on which J1 is provably monotone.
 
     L_plus = |I| / F with I the slope integral of J1 at psi_bar = 0 and F a
@@ -226,7 +226,7 @@ def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat, L) -> Selec
     amplification (the sup norm of the linear solution and its first two
     y1-derivatives, divided by sigma) and the wall curvature.
     """
-    sigma = pert.sigma
+    sigma, L = pert.sigma, pert.geometry.L
     y2 = coeffs.y2
     h2 = y2[1] - y2[0]
     if sigma <= 0.0:
@@ -332,7 +332,7 @@ def subsonic_sb_source(hat, S_row, B_row, h2):
 
 
 def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat,
-                          n1_sub, L, defect_tol=1e-9):
+                          n1_sub, defect_tol=1e-9):
     """Linearized downstream flow on [psi_bar, L] x [0, m_bar].
 
     Shock trace data come from the linearized jump conditions, the exit data
@@ -340,7 +340,7 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat
     condition; S and B ride along y1.  Delegates to the elliptic solver with
     the b-coefficients; the data defect must stay below defect_tol.
     """
-    sigma = pert.sigma
+    sigma, L = pert.sigma, pert.geometry.L
     g = hat.gas.gamma
     y2 = coeffs.y2
     n2 = len(y2)
@@ -412,34 +412,33 @@ class ShockFront:
         return p
 
 
-def shock_slope(V_plus, lin_sup, psi_bar, coeffs: ShockCoefficients, m, m_bar):
-    """Linear front slope: (m / (m_bar [P_hat])) * (u2dot_plus - u2dot_minus) at the shock."""
+def shock_slope(V_plus, lin_sup, psi_bar, coeffs: ShockCoefficients):
+    """Linear front slope (m / (m_bar [P_hat])) (u2dot_plus - u2dot_minus) on V_plus's grid."""
     scale = np.abs(coeffs.P_jump).max()
     if np.abs(coeffs.P_jump).min() <= 1e-12 * max(scale, 1.0):
         raise DegenerateBackgroundError("pressure jump vanishes: degenerate shock")
     u2m = lin_sup.V.trace("u2", psi_bar)
     u2p = V_plus["u2"][0]
-    return (m / (m_bar * coeffs.P_jump)) * (u2p - u2m)
+    return (V_plus.grid.m / (V_plus.grid.m_bar * coeffs.P_jump)) * (u2p - u2m)
 
 
 @dataclass
 class InitialApproximation:
     V_plus: Field
     front: ShockFront
-    coeffs: ShockCoefficients
     diagnostics: dict
 
 
-def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket, defect_tol=1e-9):
+def initial_approximation(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, bracket,
+                          defect_tol=1e-9):
     """Locate psi_bar in ``bracket`` and assemble the linear two-phase approximation."""
-    co = coefficients(hat)
-    jf = J_functionals(co, lin_sup, pert, hat, n1_sub, L)
+    jf = J_functionals(coeffs, lin_sup, pert, hat, n1_sub)
     psi_bar = find_shock_position(jf.J1, jf.J2, bracket)
-    V_plus, esol = solve_linear_subsonic(co, psi_bar, lin_sup, pert, hat,
-                                         n1_sub, L, defect_tol=defect_tol)
-    slope = shock_slope(V_plus, lin_sup, psi_bar, co, m, hat.m_bar)
-    front = ShockFront(psi_bar=psi_bar, psi_sharp_dev=0.0, psi_prime=slope, y2=co.y2)
-    front.validate(L)
+    V_plus, esol = solve_linear_subsonic(coeffs, psi_bar, lin_sup, pert, hat,
+                                         n1_sub, defect_tol=defect_tol)
+    slope = shock_slope(V_plus, lin_sup, psi_bar, coeffs)
+    front = ShockFront(psi_bar=psi_bar, psi_sharp_dev=0.0, psi_prime=slope, y2=coeffs.y2)
+    front.validate(pert.geometry.L)
     sigma = pert.sigma
     amp = np.nan
     if sigma > 0.0:
@@ -457,4 +456,4 @@ def initial_approximation(hat, pert, lin_sup, m, L, n1_sub, bracket, defect_tol=
         "bracket": tuple(bracket), "defect": esol.defect,
         "amplification": amp,
     }
-    return InitialApproximation(V_plus=V_plus, front=front, coeffs=co, diagnostics=diag)
+    return InitialApproximation(V_plus=V_plus, front=front, diagnostics=diag)

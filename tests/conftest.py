@@ -98,8 +98,8 @@ def tuned_pex(bg_rot, hat_rot):
     grid = rs.LagrangianGrid(129, 65, 0.0, L_DUCT, hat_rot.m_bar, hat_rot.m_bar)
     lin = solve_linear(hat_rot, make_pert(1e-3, 0.0), grid)
     co = coefficients(hat_rot)
-    jf0 = J_functionals(co, lin, make_pert(1e-3, 0.0), hat_rot, 89, L_DUCT)
-    jf1 = J_functionals(co, lin, make_pert(1e-3, 1.0), hat_rot, 89, L_DUCT)
+    jf0 = J_functionals(co, lin, make_pert(1e-3, 0.0), hat_rot, 89)
+    jf1 = J_functionals(co, lin, make_pert(1e-3, 1.0), hat_rot, 89)
     target = 0.5 * (jf0.J1(0.35) + jf0.J1(0.9))
     return round((target - jf0.J2) / (jf1.J2 - jf0.J2), 4)
 

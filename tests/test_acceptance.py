@@ -10,7 +10,6 @@ import pytest
 
 import rotshock as rs
 from rotshock.elliptic import compatibility_defect, solve
-from rotshock.lagrangian import inlet_maps
 from rotshock.profiles import Profile
 from rotshock.shockfit import (
     J_functionals,
@@ -125,7 +124,7 @@ def test_criterion_5_shock_position(bg_classic, bg_rot):
     pert0 = rs.PerturbationConfig(1e-3, Profile.constant(0.2), zero, zero, zero,
                                   Profile.constant(0.3), geom0)
     lin0 = solve_linear(hat0, pert0, grid0)
-    jf0 = J_functionals(coefficients(hat0), lin0, pert0, hat0, 65, L_DUCT)
+    jf0 = J_functionals(coefficients(hat0), lin0, pert0, hat0, 65)
     vals = np.array([jf0.J1(p) for p in np.linspace(0.05, 1.9, 25)])
     flat = np.abs(vals - vals[0]).max()
     with pytest.raises(rs.DegenerateSelectionError):
@@ -146,14 +145,14 @@ def test_criterion_5_shock_position(bg_classic, bg_rot):
 
     lin = solve_linear(hat, pert_for(0.0), grid)
     co = coefficients(hat)
-    br = selection_bracket(co, lin, pert_for(0.0), hat, L_DUCT)
+    br = selection_bracket(co, lin, pert_for(0.0), hat)
     n1_sub = max(9, int(round((L_DUCT - 0.5 * br.hi) / grid.h1)) + 1)
-    jfA = J_functionals(co, lin, pert_for(0.0), hat, n1_sub, L_DUCT)
-    jfB = J_functionals(co, lin, pert_for(1.0), hat, n1_sub, L_DUCT)
+    jfA = J_functionals(co, lin, pert_for(0.0), hat, n1_sub)
+    jfB = J_functionals(co, lin, pert_for(1.0), hat, n1_sub)
     target = 0.5 * (jfA.J1(0.25 * br.hi) + jfA.J1(0.75 * br.hi))
     amp = (target - jfA.J2) / (jfB.J2 - jfA.J2)
     pert = pert_for(amp)
-    jf = J_functionals(co, lin, pert, hat, n1_sub, L_DUCT)
+    jf = J_functionals(co, lin, pert, hat, n1_sub)
     psi_bar = find_shock_position(jf.J1, jf.J2, (br.lo, br.hi))
     scale = max(1.0, abs(jf.J2))
     root_err = abs(jf.J1(psi_bar) - jf.J2)

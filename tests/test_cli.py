@@ -132,6 +132,11 @@ def test_cmd_initial_zero_perturbation_exit3(tmp_path, capsys):
     write_config(p, **{"nozzle.sigma": 0.0, "solver.psi_bracket": None})
     rc = main(["initial", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 3
+    assert "the shock position is arbitrary" in capsys.readouterr().err
+    # a bracket does not make the sigma = 0 position less arbitrary
+    write_config(p, **{"nozzle.sigma": 0.0})
+    assert main(["initial", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert "sigma = 0: the shock position is arbitrary" in capsys.readouterr().err
 
 
 def test_cmd_solve_verify_and_determinism(tmp_path, capsys):

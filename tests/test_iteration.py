@@ -1,10 +1,14 @@
 import dataclasses
+import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock import elliptic, iteration
+from rotshock import elliptic, iteration, shockfit
+from rotshock.cli import main, parse_config
 from rotshock.elliptic import compatibility_defect
 from rotshock.iteration import (
     FrontMap,
@@ -21,6 +25,9 @@ from rotshock.shockfit import ShockFront
 from rotshock.thermo import rho_P
 from tests.conftest import L_DUCT, make_pert
 from tests.lagrangian_oracle import x2_of_y
+
+DEMO_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "demos", "config", "almost_flat.json")
 
 
 def build_ctx(bg, pert, psi_bar=0.6):
@@ -139,6 +146,44 @@ def test_one_perturbed_inlet_map_per_context(bg_rot, monkeypatch):
     assert calls == [0.0, 1e-3]
 
 
+def _count_calls(monkeypatch, module, name):
+    """Route every rotshock binding of ``module.name`` through a counter."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "rotshock" or modname.startswith("rotshock."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_one_coefficients_call_per_setup(tmp_path, monkeypatch, capsys):
+    # without psi_bracket the position search and the initial approximation
+    # share the setup's coefficients; on the demo configuration the search
+    # then finds J2 outside the attainable range
+    cfg = parse_config(DEMO_CONFIG)
+    opts = dataclasses.replace(cfg.options, nx=65, ny=33, psi_bracket=None)
+    bg = rs.build_background(cfg.upstream, cfg.gas)
+    calls = _count_calls(monkeypatch, shockfit, "coefficients")
+    with pytest.raises(rs.NoAdmissibleShockError, match="outside the attainable range"):
+        solve_transonic(bg, cfg.pert, opts)
+    assert len(calls) == 1
+    # `rotshock initial` makes the same single call
+    calls.clear()
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({**cfg.raw, "solver": {**cfg.raw["solver"], "psi_bracket": None}}))
+    argv = ["initial", "--config", str(conf), "--out", str(tmp_path / "o"), "--grid", "65", "33"]
+    assert main(argv) == 3
+    assert "outside the attainable range" in capsys.readouterr().err
+    assert len(calls) == 1
+
+
 def test_psi_sharp_zero_data(ctx_zero):
     s, _, prob = solve_psi_sharp(ctx_zero.initial_state, ctx_zero)
     assert s == 0.0
@@ -189,7 +234,8 @@ def test_step_data_quadratic_in_state(bg_rot):
     st, ctx = res.state, res.ctx
     # the constant flux-renormalisation forcing beta*(1 - m_bar/m) belongs to
     # f2 by construction; remove it so the pure remainder is measured
-    offset = ctx.gas.beta * (1.0 - ctx.m_bar / ctx.m)
+    grid = ctx.grid_plus
+    offset = ctx.hat.gas.beta * (1.0 - grid.m_bar / grid.m)
     norms = []
     ts = (0.5, 0.25, 0.125)
     for t in ts:
@@ -352,25 +398,25 @@ def test_eulerian_reconstruction(accept_run, bg_rot):
     u2 = sigma * ctx.pert.u2_en(x2)
     S = bg.S_m + sigma * ctx.pert.S_en(x2)
     B = bg.B_m + sigma * ctx.pert.B_en(x2)
-    rho_pert, _ = rho_P(S, B, u1, u2, ctx.gas)
+    rho_pert, _ = rho_P(S, B, u1, u2, ctx.hat.gas)
     m_true = np.trapezoid(rho_pert * u1, x2)
-    offset = (ctx.m - m_true) / ctx.m_bar * 1.0  # uniform height error
+    m = ctx.grid_plus.m
 
     assert np.abs(x2m[:, 0]).max() == 0.0
-    y1 = ctx.grid_minus.y1
-    assert np.abs(x2m[:, -1] - (1.0 + sigma * g(y1)) * (ctx.m / m_true)).max() <= 5e-7
+    y1 = ctx.sup.V.grid.y1
+    assert np.abs(x2m[:, -1] - (1.0 + sigma * g(y1)) * (m / m_true)).max() <= 5e-7
     z1 = ctx.grid_plus.y1
     st = accept_run.state
     Y1w = z1 + (L_DUCT - z1) * st.psi_sharp_dev / (L_DUCT - accept_run.psi_bar)
-    assert np.abs(x2p[:, -1] - (1.0 + sigma * g(Y1w)) * (ctx.m / m_true)).max() <= 5e-7
+    assert np.abs(x2p[:, -1] - (1.0 + sigma * g(Y1w)) * (m / m_true)).max() <= 5e-7
 
 
 def test_upstream_heights_match_oracle(accept_run):
     # x2 on the upstream grid nodes equals the off-grid reconstruction x2_of_y
     ctx = accept_run.ctx
-    gm = ctx.grid_minus
     V = ctx.sup.V
-    rho, _ = rho_P(V["S"], V["B"], V["u1"], V["u2"], ctx.gas)
+    gm = V.grid
+    rho, _ = rho_P(V["S"], V["B"], V["u1"], V["u2"], ctx.hat.gas)
     x2m, _ = accept_run.eulerian_heights()
     for i in range(0, gm.n1, 16):
         ref = x2_of_y(rho * V["u1"], gm, gm.y1[i], gm.y2)

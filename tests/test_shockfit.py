@@ -114,7 +114,7 @@ def test_J_zero_data(hat_rot, grid65):
     geom = rs.Geometry(L_DUCT, zero)
     pert = rs.PerturbationConfig(0.0, zero, zero, zero, zero, zero, geom)
     lin = solve_linear(hat_rot, pert, grid65)
-    jf = J_functionals(coefficients(hat_rot), lin, pert, hat_rot, 65, L_DUCT)
+    jf = J_functionals(coefficients(hat_rot), lin, pert, hat_rot, 65)
     assert jf.J2 == 0.0
     assert jf.J1(0.5) == 0.0
 
@@ -128,7 +128,7 @@ def test_J1_flat_nozzle_classical(bg_classic):
                                  Profile.constant(0.0), Profile.constant(0.0),
                                  Profile.constant(0.0), Profile.constant(0.0), geom)
     lin = solve_linear(hat, pert, grid)
-    jf = J_functionals(coefficients(hat), lin, pert, hat, 65, L_DUCT)
+    jf = J_functionals(coefficients(hat), lin, pert, hat, 65)
     vals = np.array([jf.J1(p) for p in np.linspace(0.1, 1.6, 12)])
     assert np.abs(vals - vals[0]).max() <= 2e-6  # O(h^2) conservation drift
 
@@ -136,7 +136,7 @@ def test_J1_flat_nozzle_classical(bg_classic):
 def test_J1_at_zero_matches_closed_form(hat_rot, grid65, lin_rot):
     pert = make_pert_strong(1e-3)
     co = coefficients(hat_rot)
-    jf = J_functionals(co, lin_rot, pert, hat_rot, 65, L_DUCT)
+    jf = J_functionals(co, lin_rot, pert, hat_rot, 65)
     # closed form: the wall term integrates g' exactly, g(L) - g(0)
     V = lin_rot.V
     w_int = (co.fa3 - co.fa1) * co.b1p
@@ -179,7 +179,7 @@ def test_find_root_monotone_family():
 def test_selection_bracket_case_i(hat_rot, grid65):
     pert = make_pert_strong(1e-3)
     lin = solve_linear(hat_rot, pert, grid65)
-    br = selection_bracket(coefficients(hat_rot), lin, pert, hat_rot, L_DUCT)
+    br = selection_bracket(coefficients(hat_rot), lin, pert, hat_rot)
     assert br.case == "increasing"
     assert br.slope_integral > 0
     assert 0.0 < br.hi < L_DUCT
@@ -192,21 +192,21 @@ def test_selection_bracket_degenerate_beta_zero(bg_classic):
     pert = make_pert_strong(1e-3)
     lin = solve_linear(hat, pert, grid)
     with pytest.raises(rs.DegenerateSelectionError):
-        selection_bracket(coefficients(hat), lin, pert, hat, L_DUCT)
+        selection_bracket(coefficients(hat), lin, pert, hat)
 
 
 def test_linear_subsonic_zero_data(hat_rot, grid65):
     pert = make_pert(0.0, 0.0)
     lin = solve_linear(hat_rot, pert, grid65)
     co = coefficients(hat_rot)
-    V, esol = solve_linear_subsonic(co, 0.6, lin, pert, hat_rot, 65, L_DUCT)
+    V, esol = solve_linear_subsonic(co, 0.6, lin, pert, hat_rot, 65)
     assert max(np.abs(V[k]).max() for k in ("u1", "u2", "S", "B")) == 0.0
 
 
 def test_linear_subsonic_transport_rows(hat_rot, lin_rot):
     pert = make_pert_strong(1e-3)
     co = coefficients(hat_rot)
-    V, _ = solve_linear_subsonic(co, 0.6, lin_rot, pert, hat_rot, 65, L_DUCT,
+    V, _ = solve_linear_subsonic(co, 0.6, lin_rot, pert, hat_rot, 65,
                                  defect_tol=1e9)
     assert np.abs(np.diff(V["S"], axis=0)).max() == 0.0
 
@@ -217,16 +217,16 @@ def test_linear_subsonic_defect_gate(hat_rot, grid65, bg_rot, tuned_pex):
     lin = solve_linear(hat_rot, pert, grid65)
     co = coefficients(hat_rot)
     with pytest.raises(rs.IncompatibleDataError):
-        solve_linear_subsonic(co, 0.05, lin, pert, hat_rot, 89, L_DUCT,
+        solve_linear_subsonic(co, 0.05, lin, pert, hat_rot, 89,
                               defect_tol=1e-9)
 
 
 def test_shock_slope_properties(hat_rot, grid65, lin_rot):
     pert = make_pert_strong(1e-3)
     co = coefficients(hat_rot)
-    V, _ = solve_linear_subsonic(co, 0.6, lin_rot, pert, hat_rot, 65, L_DUCT,
+    V, _ = solve_linear_subsonic(co, 0.6, lin_rot, pert, hat_rot, 65,
                                  defect_tol=1e9)
-    sl = shock_slope(V, lin_rot, 0.6, co, hat_rot.m_bar, hat_rot.m_bar)
+    sl = shock_slope(V, lin_rot, 0.6, co)
     # u2 data vanish on the bottom wall on both sides: slope is exactly 0 there
     assert sl[0] == 0.0
     # linearity in the fields
@@ -234,7 +234,7 @@ def test_shock_slope_properties(hat_rot, grid65, lin_rot):
     for k in V2.data:
         V2[k] = 2.0 * V2[k]
     lin2 = solve_linear(hat_rot, make_pert_strong(2e-3), grid65)
-    sl2 = shock_slope(V2, lin2, 0.6, co, hat_rot.m_bar, hat_rot.m_bar)
+    sl2 = shock_slope(V2, lin2, 0.6, co)
     assert np.abs(sl2 - 2.0 * sl).max() <= 1e-14
 
 
@@ -251,11 +251,12 @@ def test_front_reconstruction():
         bad.validate(2.0)
 
 
-def test_initial_approximation_consistency(bg_rot, hat_rot, grid65, tuned_pex):
+def test_initial_approximation_consistency(bg_rot, hat_rot, tuned_pex):
+    # the march grid carries the perturbed mass flux m, which the slope reads
     pert = make_pert(1e-3, tuned_pex)
-    lin = solve_linear(hat_rot, pert, grid65)
     m, m_bar, _ = inlet_maps(bg_rot, pert)
-    init = initial_approximation(hat_rot, pert, lin, m, L_DUCT, 89,
+    lin = solve_linear(hat_rot, pert, rs.LagrangianGrid(129, 65, 0.0, L_DUCT, m, m_bar))
+    init = initial_approximation(coefficients(hat_rot), lin, pert, hat_rot, 89,
                                  bracket=(0.35, 0.9))
     d = init.diagnostics
     scale = max(1.0, abs(d["J2"]))

@@ -173,8 +173,8 @@ def test_newton_stops_at_roundoff_floor():
                                     "demos", "config", "almost_flat.json"))
     opts = rs.TransonicOptions(nx=129, ny=65)
     bg = rs.build_background(cfg.upstream, cfg.gas)
-    hat, _, grid = setup_upstream(bg, cfg.pert, opts)
-    lin = solve_linear(hat, cfg.pert, grid)
+    hat, _, _, lin = setup_upstream(bg, cfg.pert, opts)
+    grid = lin.V.grid
 
     def newton(**kw):
         return solve_nonlinear(hat, cfg.pert, grid, bg, lin=lin, **kw)

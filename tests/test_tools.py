@@ -81,3 +81,25 @@ def test_cli_compare(tmp_path):
     (tmp_path / "d" / "report.json").unlink()
     proc = _tool("cli_compare.py", tmp_path / "a", tmp_path / "d")
     assert proc.returncode == 1 and "report.json: only in" in proc.stderr
+
+
+def test_ladder_smoke(tmp_path):
+    # one ladder row at 65x33: stage times, counts and the fingerprint of the demo solve
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "ladder.py"),
+                           "--grids", "65x33", "--repeats", "1", "--side", "smoke",
+                           "--out", str(out)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("smoke 65x33: solve ")
+    bench = json.loads(out.read_text())
+    (row,) = bench["rows"]
+    assert row["side"] == "smoke" and row["grid"] == "65x33" and row["repeats"] == 1
+    assert set(bench["environment"]) == {"smoke"}
+    stages = row["stage_s"]
+    assert 0.0 < stages["supersonic.solve_nonlinear"] < stages["iteration.solve_transonic"]
+    assert row["counts"]["shockfit.coefficients.calls"] == 1
+    assert row["counts"]["lagrangian.inlet_maps.calls"] == 2
+    fp = row["fingerprint"]
+    assert fp["passes"] == row["counts"]["iteration.apply_T.calls"]
+    assert fp["picard_sweeps"] == row["counts"]["supersonic.picard_sweeps"]
+    assert 0.35 < fp["psi_bar"] < fp["psi_sharp"] < 0.9
