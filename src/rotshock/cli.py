@@ -26,6 +26,16 @@ in turn.  A sweep point is built from the merged configuration and the
 directory of the original config file, and its `run_XXX/config.json` holds
 table paths made absolute, so `solve --config run_XXX/config.json`
 reproduces the point.
+
+A sweep over a key that the upstream setup does not read (`_SHARED_SETUP_KEYS`:
+`perturbation.P_ex` and the solver keys other than `nx` and `ny`) builds the
+background and the `setup_upstream` result (hatted profiles, inlet maps,
+shock coefficients, linear march) once, before the fork; every point reuses
+it.  If building it raises, every point raises that error after building its
+own configuration, as its own solve would.  The Newton march of the upstream
+flow still runs at every point: perfbench's traced self-check counts its
+marches inside each `solve_transonic` call.  Any other key builds the setup
+at every point.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from .iteration import (
     IterationState,
     TransonicOptions,
     build_context,
+    check_audit_grid,
     locate,
     residuals,
     setup_upstream,
@@ -79,6 +90,13 @@ _PROFILE_KEYS = {
     ("perturbation", "u1_en"), ("perturbation", "u2_en"),
     ("perturbation", "S_en"), ("perturbation", "B_en"),
     ("perturbation", "P_ex"),
+}
+
+# Sweep keys that neither build_background nor setup_upstream reads: a sweep
+# over one of them builds that setup once and every point reuses it.
+_SHARED_SETUP_KEYS = {
+    "perturbation.P_ex", "solver.tol_fp", "solver.tol_res", "solver.max_iter",
+    "solver.defect_tol", "solver.psi_bracket", "solver.psi_bar",
 }
 
 
@@ -247,9 +265,23 @@ def cmd_initial(cfg: RunConfig, out):
     return 0
 
 
-def _solve(cfg: RunConfig):
-    bg = build_background(cfg.upstream, cfg.gas)
-    return solve_transonic(bg, cfg.pert, cfg.options)
+def _solve(cfg: RunConfig, shared=None):
+    """``solve_transonic`` on ``cfg``; ``shared`` is a sweep's ``_shared_setup``."""
+    if isinstance(shared, RotshockError):
+        raise shared
+    bg, setup = shared or (build_background(cfg.upstream, cfg.gas), None)
+    return solve_transonic(bg, cfg.pert, cfg.options, setup=setup)
+
+
+def _shared_setup(cfg: RunConfig):
+    """``(bg, setup_upstream(...))`` of ``cfg``, or the ``RotshockError`` that
+    building it raised, for every point to raise as its own solve would."""
+    try:
+        bg = build_background(cfg.upstream, cfg.gas)
+        check_audit_grid(cfg.options)
+        return bg, setup_upstream(bg, cfg.pert, cfg.options)
+    except RotshockError as exc:
+        return exc
 
 
 def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
@@ -361,6 +393,8 @@ def cmd_sweep(cfg: RunConfig, out, key, values):
         _set_by_path(raw, key, val)
         _absolute_tables(raw, cfg.base_dir)
         raws.append(raw)
+    # built here, before the fork, so that every share inherits it
+    shared = _shared_setup(cfg) if key in _SHARED_SETUP_KEYS else None
 
     def point(i):
         """(sweep.csv row, error text or None) of point ``i``."""
@@ -370,7 +404,7 @@ def cmd_sweep(cfg: RunConfig, out, key, values):
             json.dump(raws[i], fh, indent=2, sort_keys=True)
         row = {"index": i, "value": str(values[i])}
         try:
-            res = _solve(build_config(raws[i], cfg.base_dir))
+            res = _solve(build_config(raws[i], cfg.base_dir), shared)
         except RotshockError as exc:
             row.update(status=_exit_code(exc), psi_bar=np.nan, psi_sharp=np.nan,
                        pde_residual=np.nan, rh_residual=np.nan)

@@ -33,7 +33,8 @@ subcommands) shares one setup: ``setup_upstream`` builds the hatted
 profiles, the perturbed inlet maps, the shock coefficients and the linear
 upstream march, whose grid is the upstream grid.  ``locate`` places the
 shock from J1(psi_bar) = J2 on that march and builds the linear two-phase
-approximation.  ``build_context`` runs the setup, the nonlinear march
+approximation.  ``build_context`` runs the setup (or takes one built
+before, as a sweep over the exit pressure shares it), the nonlinear march
 (Newton's method from the background plus the same linear march) and the
 front placement (``locate``, or a fixed ``psi_bar``), and freezes an
 ``IterationContext``.  m and m_bar are read from a ``LagrangianGrid``, L
@@ -57,6 +58,7 @@ import numpy as np
 from . import fd
 from .elliptic import EllipticProblem, compatibility_defect, solve
 from .errors import (
+    ConfigError,
     DegenerateSelectionError,
     InvalidStateError,
     NoAdmissibleShockError,
@@ -88,6 +90,7 @@ __all__ = [
     "run",
     "residuals",
     "setup_upstream",
+    "check_audit_grid",
     "locate",
     "build_context",
     "solve_transonic",
@@ -102,6 +105,9 @@ TRUST_FACTOR = 10.0
 # psi_sharp secant: relative tolerance and most steps
 PSI_SHARP_TOL_REL = 1e-12
 PSI_SHARP_MAX_ITER = 60
+# reach of the one-sided boundary closures: the residual audit leaves out a
+# frame of this many nodes on every side of each region
+AUDIT_FRAME = 3
 
 
 @dataclass
@@ -614,8 +620,7 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     Vm = ctx.sup.V
     gm, gp_grid = Vm.grid, ctx.grid_plus
 
-    frame = 3  # reach of the one-sided boundary closures
-    core = (slice(frame, -frame), slice(frame, -frame))
+    core = (slice(AUDIT_FRAME, -AUDIT_FRAME), slice(AUDIT_FRAME, -AUDIT_FRAME))
 
     def region_maxima(N1, N2, E2):
         """(well-balanced core, raw core, well-balanced whole-region) maxima."""
@@ -744,6 +749,20 @@ def setup_upstream(bg, pert, opts: TransonicOptions):
     return hat, inlet, coefficients(hat), solve_linear(hat, pert, grid_minus)
 
 
+def check_audit_grid(opts: TransonicOptions):
+    """``ConfigError`` unless the nx x ny grid leaves the residual audit a core.
+
+    The audit leaves out a frame of ``AUDIT_FRAME`` nodes on every side, so
+    a grid that ``residuals`` can audit needs at least 7 nodes each way.
+    """
+    least = 2 * AUDIT_FRAME + 1
+    if min(opts.nx, opts.ny) < least:
+        raise ConfigError(
+            f"solver.nx = {opts.nx}, solver.ny = {opts.ny}: the residual audit leaves out "
+            f"a frame of {AUDIT_FRAME} nodes on every side, so a solved grid needs at "
+            f"least {least} nodes each way")
+
+
 def _n1_sub(L, psi, h1):
     """Downstream node count matching the upstream y1 spacing on [psi, L]."""
     return max(9, int(round((L - psi) / h1)) + 1)
@@ -767,10 +786,14 @@ def locate(hat, coeffs, pert, lin, opts: TransonicOptions):
                                  bracket=bracket, defect_tol=opts.defect_tol)
 
 
-def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
+def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup=None):
     """Setup, nonlinear march and front placement; returns (ctx, initial).
 
-    After ``setup_upstream``, the Newton solve of the nonlinear march starts
+    ``check_audit_grid`` runs first.  ``setup`` is the ``(hat, inlet,
+    coeffs, lin)`` of ``setup_upstream(bg, pert, opts)`` when the caller
+    already has it (a sweep over a key the setup does not read builds it
+    once for all its points); by default it is built here.  After the
+    setup, the Newton solve of the nonlinear march starts
     from the hatted background plus the linear march, on every path; on the
     demo configuration it takes 2 steps.  Without ``psi_bar`` the front is
     placed by ``locate`` and the loop starts from the linear approximation
@@ -779,8 +802,9 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
     there on ``n1`` downstream nodes (default: the upstream spacing) and the
     loop starts from zero perturbation with ``initial`` None.
     """
+    check_audit_grid(opts)
     L = pert.geometry.L
-    hat, inlet, coeffs, lin = setup_upstream(bg, pert, opts)
+    hat, inlet, coeffs, lin = setup or setup_upstream(bg, pert, opts)
     grid_minus = lin.V.grid
     sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
     if psi_bar is None and pert.sigma == 0.0:
@@ -809,10 +833,17 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None):
     return ctx, initial
 
 
-def solve_transonic(bg, pert, opts: TransonicOptions = None) -> RunResult:
-    """Full pipeline: supersonic solves, shock location, nonlinear iteration."""
+def solve_transonic(bg, pert, opts: TransonicOptions = None, setup=None) -> RunResult:
+    """Full pipeline: supersonic solves, shock location, nonlinear iteration.
+
+    ``setup``, the ``(hat, inlet, coeffs, lin)`` of ``setup_upstream(bg,
+    pert, opts)``, is passed on to ``build_context``; without it the setup
+    is built here.  It may be shared by solves that differ only in what the
+    setup does not read: the exit pressure ``pert.P_ex`` and the options
+    other than ``nx`` and ``ny``.  The Newton march always runs per solve.
+    """
     opts = opts or TransonicOptions()
-    ctx, initial = build_context(bg, pert, opts)
+    ctx, initial = build_context(bg, pert, opts, setup=setup)
     state, log = run(ctx)
     report = residuals(ctx, state, last_defect=log[-1]["defect"])
     return RunResult(state=state, report=report, log=log, initial=initial, ctx=ctx)

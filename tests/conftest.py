@@ -1,6 +1,7 @@
 """Shared backgrounds, geometries, and perturbation families for the suite."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import rotshock as rs
 from rotshock.profiles import Profile
 
 L_DUCT = 2.0
+DEMO_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "demos", "config", "almost_flat.json")
 
 # flat-ended bump, 64 x^3 (1-x)^3: value 1 at the midpoint, first and second
 # derivatives vanish at both ends
@@ -24,6 +27,23 @@ GP_STRONG = P([0, 0, 0, 0, 1.0 / L_DUCT**4])
 def set_cpus(monkeypatch, n):
     """Make ``rotshock.parallel.available_cpus`` report ``n`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_calls(monkeypatch, module, name):
+    """Route every rotshock binding of ``module.name`` through a counter."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "rotshock" or modname.startswith("rotshock."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def assert_no_child_left():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock import errors
+import rotshock.cli as cli
+from rotshock import background, errors, iteration, supersonic
 from rotshock.cli import _exit_code, main, parse_config
-from tests.conftest import BUMP, GP_MILD, L_DUCT, assert_no_child_left, set_cpus
+from tests.conftest import (
+    BUMP, DEMO_CONFIG, GP_MILD, L_DUCT, assert_no_child_left, count_calls, set_cpus,
+)
 
 
 def write_config(path, **overrides):
@@ -417,7 +421,6 @@ def test_sweep_forked_matches_serial(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_sweep_child_errors(tmp_path, capsys, monkeypatch):
-    import rotshock.cli as cli
     p = tmp_path / "c.json"
     write_config(p)
     set_cpus(monkeypatch, 2)
@@ -425,10 +428,10 @@ def test_sweep_child_errors(tmp_path, capsys, monkeypatch):
     # a bug in a child surfaces with its type and text, not as exit 1
     solve = cli._solve
 
-    def buggy(cfg):
+    def buggy(cfg, shared=None):
         if cfg.raw["perturbation"]["P_ex"] == [-0.058]:
             raise ValueError("bug at the second point")
-        return solve(cfg)
+        return solve(cfg, shared)
 
     monkeypatch.setattr(cli, "_solve", buggy)
     with pytest.raises(RuntimeError, match="ValueError: bug at the second point") as info:
@@ -468,3 +471,140 @@ def test_sweep_reads_tables_from_the_config_directory(tmp_path, capsys, monkeypa
         "table": str(cfg_dir / "umin.csv")}
     assert main(["solve", "--config", str(written), "--out", str(tmp_path / "again")]) == 0
     assert json.load(open(tmp_path / "again" / "report.json"))["psi_bar"] == psi_bar
+
+
+# the three kinds of point a P_ex sweep over a shared setup meets: solved and
+# without a shock position; a setup that raises (CFL 5.4), the same error at
+# every point; a value that is no profile, exit 1 at its own point only
+SHARED_CASES = {
+    "pex": ([], SWEEP_PEX, ["0", "0", "3", "3", "0"]),
+    "setup_raises": (["--grid", "9", "33"], SWEEP_PEX, ["4"] * 5),
+    "bad_value": ([], [[-0.058], "abc"], ["0", "1"]),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "serial"])
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_shared_setup_sweep_matches_per_point_setup(tmp_path, capsys, monkeypatch, case, cpus):
+    # the same exit code, stdout, stderr, sweep.csv and run_*/config.json as
+    # when every point builds its own setup
+    p = tmp_path / "c.json"
+    write_config(p)
+    extra, values, statuses = SHARED_CASES[case]
+    set_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(p), "--out", str(out), *extra,
+            "--key", "perturbation.P_ex", "--values", json.dumps(values)]
+    shared = sweep_outputs(out, capsys, argv)
+    shutil.rmtree(out)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_SHARED_SETUP_KEYS", set())
+        per_point = sweep_outputs(out, capsys, argv)
+    assert shared == per_point
+    rc, _, err, files = shared
+    rows = list(csv.reader(files["sweep.csv"].decode().splitlines()))
+    assert [r[2] for r in rows[1:]] == statuses
+    assert rc == max(int(s) for s in statuses)
+    assert len(err.splitlines()) == sum(s != "0" for s in statuses)
+    if case == "setup_raises":
+        assert all("marching CFL" in line for line in err.splitlines())
+
+
+def test_sweep_builds_a_shared_setup_once(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "c.json"
+    write_config(p)
+    set_cpus(monkeypatch, 1)  # every point in this process, where the counters are
+    calls = {name: count_calls(monkeypatch, module, name) for module, name in (
+        (background, "build_background"), (iteration, "setup_upstream"),
+        (supersonic, "solve_nonlinear"))}
+
+    def sweep(key, values):
+        for c in calls.values():
+            c.clear()
+        out = tmp_path / key
+        main(["sweep", "--config", str(p), "--out", str(out),
+              "--key", key, "--values", json.dumps(values)])
+        return {name: len(c) for name, c in calls.items()}
+
+    assert sweep("perturbation.P_ex", [[-0.0561], [-0.058], [-0.0555], [-0.057], [-0.059]]) \
+        == {"build_background": 1, "setup_upstream": 1, "solve_nonlinear": 5}
+    # a key the setup reads: every point builds its own
+    assert sweep("nozzle.sigma", [1e-3, 8e-4, 6e-4]) \
+        == {"build_background": 3, "setup_upstream": 3, "solve_nonlinear": 3}
+
+
+# a valid new value for each key of the shared set
+SHARED_KEY_VALUES = {
+    "perturbation.P_ex": [-0.058, 0.002], "solver.tol_fp": 1e-8, "solver.tol_res": 1e-5,
+    "solver.max_iter": 7, "solver.defect_tol": 1e-7, "solver.psi_bracket": [0.4, 0.8],
+    "solver.psi_bar": 0.5,
+}
+
+
+def _arrays(obj, path="", seen=None):
+    """Every array and number reachable from ``obj``, by attribute path."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or callable(obj) and not hasattr(obj, "__dict__"):
+        return {}
+    seen.add(id(obj))
+    if isinstance(obj, (np.ndarray, int, float)):
+        return {path: np.asarray(obj)}
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:
+        return {}
+    found = {}
+    for k, v in items:
+        found.update(_arrays(v, f"{path}.{k}", seen))
+    return found
+
+
+def _setup_arrays(raw):
+    cfg = cli.build_config(raw, os.path.dirname(DEMO_CONFIG))
+    cfg = dataclasses.replace(cfg, options=dataclasses.replace(cfg.options, nx=65, ny=33))
+    bg = rs.build_background(cfg.upstream, cfg.gas)
+    return _arrays((bg, iteration.setup_upstream(bg, cfg.pert, cfg.options)))
+
+
+def test_shared_keys_leave_the_setup_bit_identical():
+    assert set(SHARED_KEY_VALUES) == cli._SHARED_SETUP_KEYS
+    base = parse_config(DEMO_CONFIG).raw
+    ref = _setup_arrays(base)
+    assert len(ref) > 50 and any(a.size >= 65 * 33 for a in ref.values())
+
+    def changed(key, value):
+        raw = json.loads(json.dumps(base))
+        section, name = key.split(".")
+        raw[section][name] = value
+        arrays = _setup_arrays(raw)
+        assert arrays.keys() == ref.keys()
+        return [k for k in ref if not np.array_equal(arrays[k], ref[k])]
+
+    for key, value in SHARED_KEY_VALUES.items():
+        assert changed(key, value) == [], key
+    # the comparison sees a change of a key that the setup reads
+    assert changed("nozzle.sigma", 2e-3)
+
+
+@pytest.mark.parametrize("grid", [["129", "5"], ["129", "3"], ["65", "5"]], ids="x".join)
+def test_grid_without_an_audit_core_exit_1(tmp_path, capsys, grid):
+    # the residual audit leaves out 3 nodes on every side: solve and sweep
+    # need 7 nodes each way and say so before they start
+    argv = ["--config", DEMO_CONFIG, "--grid", *grid]
+    assert main(["solve", *argv, "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver.nx") and "at least 7 nodes" in err
+    out = tmp_path / "sw"
+    assert main(["sweep", *argv, "--out", str(out), "--key", "perturbation.P_ex",
+                 "--values", "[[-0.0561], [-0.058]]"]) == 1
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["1", "1"]
+    # initial and background run no residual audit
+    assert main(["background", *argv, "--out", str(tmp_path / "b")]) == 0
+    if grid == ["65", "5"]:
+        assert main(["initial", *argv, "--out", str(tmp_path / "i")]) == 0

@@ -1,7 +1,5 @@
 import dataclasses
 import json
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -23,12 +21,8 @@ from rotshock.iteration import (
 )
 from rotshock.shockfit import ShockFront
 from rotshock.thermo import rho_P
-from tests.conftest import L_DUCT, make_pert
+from tests.conftest import DEMO_CONFIG, L_DUCT, count_calls, make_pert
 from tests.lagrangian_oracle import x2_of_y
-
-DEMO_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "demos", "config", "almost_flat.json")
-
 
 def build_ctx(bg, pert, psi_bar=0.6):
     """Context around an arbitrary fixed shock position (no root search)."""
@@ -146,23 +140,6 @@ def test_one_perturbed_inlet_map_per_context(bg_rot, monkeypatch):
     assert calls == [0.0, 1e-3]
 
 
-def _count_calls(monkeypatch, module, name):
-    """Route every rotshock binding of ``module.name`` through a counter."""
-    orig = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return orig(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname == "rotshock" or modname.startswith("rotshock."):
-            for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 def test_one_coefficients_call_per_setup(tmp_path, monkeypatch, capsys):
     # without psi_bracket the position search and the initial approximation
     # share the setup's coefficients; on the demo configuration the search
@@ -170,7 +147,7 @@ def test_one_coefficients_call_per_setup(tmp_path, monkeypatch, capsys):
     cfg = parse_config(DEMO_CONFIG)
     opts = dataclasses.replace(cfg.options, nx=65, ny=33, psi_bracket=None)
     bg = rs.build_background(cfg.upstream, cfg.gas)
-    calls = _count_calls(monkeypatch, shockfit, "coefficients")
+    calls = count_calls(monkeypatch, shockfit, "coefficients")
     with pytest.raises(rs.NoAdmissibleShockError, match="outside the attainable range"):
         solve_transonic(bg, cfg.pert, opts)
     assert len(calls) == 1
