@@ -45,7 +45,7 @@ print(f"  jump conditions on the front:           {rep.rh_residual:.3e}")
 print(f"  exit-pressure condition:                {rep.exit_residual:.3e}")
 print(f"  wall slip conditions:                   {rep.wall_residual:.3e}")
 
-psi = res.front.psi()
+psi = res.front.psi
 print(f"\nshock front: psi_bar = {res.psi_bar:.8f}, "
       f"psi(m_bar) = {res.psi_sharp:.8f}")
 print(f"  shape range [{psi.min():.8f}, {psi.max():.8f}] over the duct height")

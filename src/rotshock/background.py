@@ -69,8 +69,6 @@ def solve_mach_profile(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES):
     Uses the closed form d = 1 + (d(1)-1) exp(-int_x2^1 beta*gamma/u_minus);
     the integral is a composite Simpson cumulative quadrature on the grid.
     """
-    if spec.M_top <= 1.0:
-        raise DegenerateBackgroundError(f"M_top={spec.M_top} <= 1")
     x2 = np.linspace(0.0, 1.0, n)
     u = spec.u_minus(x2)
     d1 = 1.0 / spec.M_top**2

@@ -31,8 +31,8 @@ A sweep over a key that the upstream setup does not read (`_SHARED_SETUP_KEYS`:
 `perturbation.P_ex` and the solver keys other than `nx` and `ny`) builds the
 background and the `setup_upstream` result (hatted profiles, inlet maps,
 shock coefficients, linear march) once, before the fork; every point reuses
-it.  If building it raises, every point raises that error after building its
-own configuration, as its own solve would.  The Newton march of the upstream
+it.  If building it raises, every point builds its own setup and so raises
+that error, as its own solve would.  The Newton march of the upstream
 flow still runs at every point: perfbench's traced self-check counts its
 marches inside each `solve_transonic` call.  Any other key builds the setup
 at every point.
@@ -43,10 +43,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -66,7 +65,7 @@ from .iteration import (
 )
 from .lagrangian import Geometry
 from .parallel import available_cpus, run_forked
-from .profiles import profile_from_json
+from .profiles import is_number, profile_from_json
 from .supersonic import PerturbationConfig, flux_identity
 from .thermo import GasModel, GasState
 
@@ -74,14 +73,12 @@ SCHEMA_VERSION = 1
 
 _DEFAULTS = {
     "schema": SCHEMA_VERSION,
-    "gas": {"gamma": 1.4, "beta": 0.0},
+    "gas": asdict(GasModel()),
     "nozzle": {"L": 2.0, "g": [0.0], "sigma": 0.0},
     "upstream": {"u_minus": [2.0], "M_top": 2.0, "P_top": 1.0},
     "perturbation": {"u1_en": [0.0], "u2_en": [0.0], "S_en": [0.0],
                      "B_en": [0.0], "P_ex": [0.0]},
-    "solver": {"nx": 129, "ny": 65, "tol_fp": 1e-10, "tol_res": 1e-6,
-               "max_iter": 50, "defect_tol": 1e-9, "psi_bracket": None,
-               "psi_bar": None},
+    "solver": asdict(TransonicOptions()),
     "output": {"dir": "out", "dump_fields": False},
 }
 
@@ -94,10 +91,8 @@ _PROFILE_KEYS = {
 
 # Sweep keys that neither build_background nor setup_upstream reads: a sweep
 # over one of them builds that setup once and every point reuses it.
-_SHARED_SETUP_KEYS = {
-    "perturbation.P_ex", "solver.tol_fp", "solver.tol_res", "solver.max_iter",
-    "solver.defect_tol", "solver.psi_bracket", "solver.psi_bar",
-}
+_SHARED_SETUP_KEYS = {"perturbation.P_ex"} | {
+    f"solver.{f.name}" for f in fields(TransonicOptions) if f.name not in ("nx", "ny")}
 
 
 @dataclass
@@ -113,11 +108,6 @@ class RunConfig:
 
     def to_dict(self):
         return copy.deepcopy(self.raw)
-
-
-def _is_number(v):
-    """A finite int or float; not a bool (JSON true/false would pass as 1/0)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _merge_validate(data):
@@ -143,7 +133,7 @@ def _merge_validate(data):
                          ("nozzle", "sigma"), ("upstream", "M_top"),
                          ("upstream", "P_top")):
         v = merged[section][key]
-        if not _is_number(v):
+        if not is_number(v):
             raise ConfigError(f"{section}.{key}: expected a number, got {v!r}")
     gas = merged["gas"]
     if not gas["gamma"] > 1:
@@ -155,14 +145,14 @@ def _merge_validate(data):
         if not isinstance(s[key], int) or s[key] < 3:
             raise ConfigError(f"solver.{key}: expected an integer >= 3, got {s[key]!r}")
     for key in ("tol_fp", "tol_res", "defect_tol"):
-        if not _is_number(s[key]) or s[key] <= 0:
+        if not is_number(s[key]) or s[key] <= 0:
             raise ConfigError(f"solver.{key}: expected a positive number")
     if s["psi_bracket"] is not None:
         pb = s["psi_bracket"]
         if (not isinstance(pb, list) or len(pb) != 2
-                or not all(_is_number(v) for v in pb) or pb[0] >= pb[1]):
+                or not all(is_number(v) for v in pb) or pb[0] >= pb[1]):
             raise ConfigError("solver.psi_bracket: expected [lo, hi] with lo < hi")
-    if s["psi_bar"] is not None and not _is_number(s["psi_bar"]):
+    if s["psi_bar"] is not None and not is_number(s["psi_bar"]):
         raise ConfigError("solver.psi_bar: expected a number")
     out = merged["output"]
     if not isinstance(out["dir"], str):
@@ -204,11 +194,7 @@ def build_config(data, base_dir) -> RunConfig:
     )
     s = merged["solver"]
     options = TransonicOptions(
-        nx=s["nx"], ny=s["ny"], tol_fp=float(s["tol_fp"]), tol_res=float(s["tol_res"]),
-        max_iter=s["max_iter"], defect_tol=float(s["defect_tol"]),
-        psi_bracket=tuple(s["psi_bracket"]) if s["psi_bracket"] else None,
-        psi_bar_fallback=s["psi_bar"],
-    )
+        **{**s, "psi_bracket": tuple(s["psi_bracket"]) if s["psi_bracket"] else None})
     return RunConfig(raw=merged, gas=gas, upstream=upstream, pert=pert, options=options,
                      base_dir=base_dir)
 
@@ -267,36 +253,35 @@ def cmd_initial(cfg: RunConfig, out):
 
 def _solve(cfg: RunConfig, shared=None):
     """``solve_transonic`` on ``cfg``; ``shared`` is a sweep's ``_shared_setup``."""
-    if isinstance(shared, RotshockError):
-        raise shared
     bg, setup = shared or (build_background(cfg.upstream, cfg.gas), None)
     return solve_transonic(bg, cfg.pert, cfg.options, setup=setup)
 
 
 def _shared_setup(cfg: RunConfig):
-    """``(bg, setup_upstream(...))`` of ``cfg``, or the ``RotshockError`` that
-    building it raised, for every point to raise as its own solve would."""
+    """``(bg, setup_upstream(...))`` of ``cfg``, or None if building it raises
+    a ``RotshockError``: every point then builds its own setup and raises
+    that error as its own solve would."""
     try:
         bg = build_background(cfg.upstream, cfg.gas)
         check_audit_grid(cfg.options)
         return bg, setup_upstream(bg, cfg.pert, cfg.options)
-    except RotshockError as exc:
-        return exc
+    except RotshockError:
+        return None
 
 
 def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
     res = _solve(cfg)
     x2m, x2p = res.eulerian_heights()
     ctx = res.ctx
-    fmap = res.front_map
+    front = res.front
     plus = res.downstream_field()
     rep = res.report
 
     def plus_and_small_files():
         plus.write_csv(os.path.join(out, "fields_plus.csv"),
-                       extra_columns={"x2": x2p, "y1_phys": fmap.Y1})
+                       extra_columns={"x2": x2p, "y1_phys": front.Y1})
         write_csv(os.path.join(out, "front.csv"),
-                  {"y2": res.front.y2, "psi": fmap.psi, "psi_prime": res.front.psi_prime})
+                  {"y2": front.grid.y2, "psi": front.psi, "psi_prime": front.psi_prime})
         write_csv(os.path.join(out, "iteration_log.csv"),
                   {k: [row[k] for row in res.log] for k in res.log[0]})
         _write_json(os.path.join(out, "report.json"), {

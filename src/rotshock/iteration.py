@@ -21,12 +21,13 @@ sigma^(3/2)-neighbourhood of the initial approximation.  Sources are
 well balanced: the discrete residual of the exact background is subtracted,
 so sigma = 0 reproduces the background to machine precision.
 
-The free front is fixed by one shock-fitted change of coordinates,
-``FrontMap``, which maps the fixed rectangle [psi_bar, L] x [0, m_bar] onto
-the subsonic region between the front psi(y2) and the exit.  One map is
-built per front; the step assembly, the residual audit, the reconstructed
-heights and the CLI's physical abscissa all take their derivative factors
-and wall abscissa from it.
+The free front is one object, ``shockfit.ShockFront``, built on the
+downstream grid, whose y1-ends are psi_bar and L.  Its shock-fitted change
+of coordinates maps the fixed rectangle [psi_bar, L] x [0, m_bar] onto the
+subsonic region between the front psi(y2) and the exit.  One front is built
+per (psi_sharp_dev, psi'); the step assembly, the residual audit, the
+reconstructed heights and the CLI's physical abscissa all take their
+derivative factors and wall abscissa from it.
 
 Every entry point (``solve_transonic`` and the ``initial``/``verify``
 subcommands) shares one setup: ``setup_upstream`` builds the hatted
@@ -37,13 +38,14 @@ approximation.  ``build_context`` runs the setup (or takes one built
 before, as a sweep over the exit pressure shares it), the nonlinear march
 (Newton's method from the background plus the same linear march) and the
 front placement (``locate``, or a fixed ``psi_bar``), and freezes an
-``IterationContext``.  m and m_bar are read from a ``LagrangianGrid``, L
-from ``pert.geometry`` and the gas from ``hat``; nothing keeps copies.
+``IterationContext``.  m and m_bar are read from a ``LagrangianGrid`` (the
+front's psi_bar and L from the downstream one), L elsewhere from
+``pert.geometry`` and the gas from ``hat``; nothing keeps copies.
 
 Within one pass the downstream state is fixed and only the front moves:
 ``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
 row, z-derivatives and linear operators) once and every secant evaluation
-of ``assemble_step_data`` combines them with the current ``FrontMap``.  The
+of ``assemble_step_data`` combines them with the current ``ShockFront``.  The
 residual audit evaluates both regions with the same operator; the upstream
 region is its own identity map.
 """
@@ -83,7 +85,6 @@ __all__ = [
     "IterationState",
     "ResidualReport",
     "IterationContext",
-    "FrontMap",
     "assemble_step_data",
     "solve_psi_sharp",
     "apply_T",
@@ -117,11 +118,13 @@ class TransonicOptions:
     ``defect_tol`` is the solvability gate of every elliptic solve: the
     linear subsonic problem of the initial approximation and the downstream
     problem of each pass.  ``psi_bracket`` bounds the position search
-    (default: ``selection_bracket``); ``psi_bar_fallback`` places the front
-    at sigma = 0 (default: mid-bracket or L/2).  The Newton solve of the upstream flow runs with
-    the defaults of ``supersonic.solve_nonlinear`` (update tolerance 1e-12,
-    at most 30 steps, sigma at most ``supersonic.SIGMA_THRESHOLD``), and the
-    trust radius of ``run`` is ``TRUST_FACTOR * sigma^(3/2)``.
+    (default: ``selection_bracket``); ``psi_bar`` places the front at
+    sigma = 0 (default: mid-bracket or L/2).  The Newton solve of the
+    upstream flow runs with the defaults of ``supersonic.solve_nonlinear``
+    (update tolerance 1e-12, at most 30 steps, sigma at most
+    ``supersonic.SIGMA_THRESHOLD``), and the trust radius of ``run`` is
+    ``TRUST_FACTOR * sigma^(3/2)``.  The CLI's defaults of the ``solver``
+    section are these fields.
     """
 
     nx: int = 129
@@ -131,7 +134,7 @@ class TransonicOptions:
     max_iter: int = 50
     defect_tol: float = 1e-9
     psi_bracket: tuple = None
-    psi_bar_fallback: float = None
+    psi_bar: float = None
 
 
 @dataclass
@@ -199,40 +202,6 @@ class ResidualReport:
             raise InvalidStateError(f"non-finite residual entries: {vals}")
 
 
-class FrontMap:
-    """Shock-fitted coordinates of one front on the z1 nodes ``z1``.
-
-    Y1(z1, y2) = z1 + (L - z1) (psi(y2) - psi_bar) / (L - psi_bar) sends
-    z1 = psi_bar onto the front and z1 = L onto the exit.  The map carries
-    the nodal front ``psi``, the factors of the transformed derivatives
-    d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1, and the top-wall
-    abscissa ``Y1_wall``, taken from psi_sharp_dev itself rather than from
-    the wall row of ``Y1`` (the two differ in the last bit).  The full-grid
-    arrays ``Y1`` and ``dY1_dz2`` are built on first use.  Construction
-    validates the front: it must stay inside the duct.
-    """
-
-    def __init__(self, front: ShockFront, z1, L):
-        self.psi = front.validate(L)
-        self.front = front
-        self.z1 = z1
-        self._to_exit = L - z1
-        self._span = L - front.psi_bar
-        gap = L - self.psi
-        self.fac1 = self._span / gap
-        self.cross = (self._to_exit[:, None] / gap) * front.psi_prime
-        self.Y1_wall = z1 + self._to_exit * front.psi_sharp_dev / self._span
-
-    @cached_property
-    def dY1_dz2(self):
-        return (self._to_exit[:, None] / self._span) * self.front.psi_prime[None, :]
-
-    @cached_property
-    def Y1(self):
-        return (self.z1[:, None] + self._to_exit[:, None]
-                * (self.psi - self.front.psi_bar)[None, :] / self._span)
-
-
 @dataclass
 class IterationContext:
     """Everything frozen during the fixed-point loop; the upstream grid is ``sup.V.grid``."""
@@ -275,20 +244,18 @@ def _full_plus(ctx, state):
 
 
 def _front(ctx, psi_sharp_dev, psi_prime):
-    """(FrontMap, upstream state on the front) for one front.
+    """(ShockFront, upstream state on the front) for one front.
 
     The upstream velocities are read on the front by ``Field.trace``; S and B
     are transported along y1, so their front values are the entrance rows.
     """
-    grid = ctx.grid_plus
-    fmap = FrontMap(ShockFront(grid.y1a, psi_sharp_dev, psi_prime, grid.y2),
-                    grid.y1, ctx.pert.geometry.L)
+    front = ShockFront(ctx.grid_plus, psi_sharp_dev, psi_prime)
     V = ctx.sup.V
-    minus = {"u1": V.trace("u1", fmap.psi), "u2": V.trace("u2", fmap.psi),
+    minus = {"u1": V.trace("u1", front.psi), "u2": V.trace("u2", front.psi),
              "S": V["S"][0], "B": V["B"][0]}
     minus["rho"], minus["P"] = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"],
                                      ctx.hat.gas)
-    return fmap, minus
+    return front, minus
 
 
 class _PassTerms:
@@ -359,7 +326,7 @@ class _ResidualTerms:
 
     The z-derivatives of u1, u2, S, B and their coefficients depend on the
     state alone; ``N(fac1, cross)`` combines them with the factors of a
-    ``FrontMap``, d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1.  The
+    ``ShockFront``, d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1.  The
     upstream region passes fac1 = 1, cross = 0 (the identity map).
     """
 
@@ -427,14 +394,14 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     g = hat.gas.gamma
     sigma = ctx.pert.sigma
     grid = ctx.grid_plus
-    fmap, minus = _front(ctx, psi_sharp_dev, state.psi_prime)
+    front, minus = _front(ctx, psi_sharp_dev, state.psi_prime)
     if terms is None:
         terms = _PassTerms(ctx, state)
     full, plus = terms.full, terms.plus
 
     # ---- wall datum
     gp = ctx.pert.geometry.g.deriv(1)
-    g3 = sigma * (hat["p", "u"][-1] + state.u1[:, -1]) * gp(fmap.Y1_wall)
+    g3 = sigma * (hat["p", "u"][-1] + state.u1[:, -1]) * gp(front.Y1_wall)
 
     # ---- jump functionals on the front
     Pj = plus["P"] - minus["P"]
@@ -472,7 +439,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     g0 = (grid.m_bar * co.P_jump / grid.m) * state.psi_prime - state.u2[0, :] + G0
 
     # ---- interior sources: operator defects of the two momentum equations
-    N1, N2 = terms.residual.N(fmap.fac1, fmap.cross)
+    N1, N2 = terms.residual.N(front.fac1, front.cross)
     lam1, lam2 = terms.linear_ops
     f1 = lam1 - N1
     f2 = lam2 - N2 + ctx.E2[None, :]
@@ -638,11 +605,11 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
         _background_defect(hat, "m", gm))
 
     # --- downstream region (z-grid, shock-fitted derivatives)
-    fmap, minus = _front(ctx, state.psi_sharp_dev, state.psi_prime)
+    front, minus = _front(ctx, state.psi_sharp_dev, state.psi_prime)
     terms = _PassTerms(ctx, state)
     full, plus = terms.full, terms.plus
     wb_p, raw_p, frame_p = region_maxima(
-        *_ResidualTerms(gp_grid, gas, full).N(fmap.fac1, fmap.cross), ctx.E2)
+        *_ResidualTerms(gp_grid, gas, full).N(front.fac1, front.cross), ctx.E2)
 
     # --- jump conditions on the front
     k = (gp_grid.m_bar / gp_grid.m) * state.psi_prime
@@ -659,7 +626,7 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     # --- wall slip conditions
     gp = ctx.pert.geometry.g.deriv(1)
     wall_m = np.abs(Vm["u2"][:, -1] / Vm["u1"][:, -1] - sigma * gp(gm.y1)).max()
-    wall_p = np.abs(full["u2"][:, -1] / full["u1"][:, -1] - sigma * gp(fmap.Y1_wall)).max()
+    wall_p = np.abs(full["u2"][:, -1] / full["u1"][:, -1] - sigma * gp(front.Y1_wall)).max()
     wall_b = max(np.abs(Vm["u2"][:, 0]).max(), np.abs(full["u2"][:, 0]).max())
     wall = float(max(wall_m, wall_p, wall_b))
 
@@ -681,7 +648,8 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
 @dataclass
 class RunResult:
     """Converged state, audit, pass log, initial approximation (None for a
-    fixed front) and context; the front and C1, kappa derive from them."""
+    fixed front) and context; C1, kappa and ``front``, the converged
+    ``ShockFront`` on the downstream grid with its map, derive from them."""
 
     state: IterationState
     report: ResidualReport
@@ -713,12 +681,7 @@ class RunResult:
 
     @cached_property
     def front(self) -> ShockFront:
-        grid = self.ctx.grid_plus
-        return ShockFront(grid.y1a, self.state.psi_sharp_dev, self.state.psi_prime, grid.y2)
-
-    @cached_property
-    def front_map(self) -> FrontMap:
-        return FrontMap(self.front, self.ctx.grid_plus.y1, self.ctx.pert.geometry.L)
+        return ShockFront(self.ctx.grid_plus, self.state.psi_sharp_dev, self.state.psi_prime)
 
     def downstream_field(self) -> Field:
         full = _full_plus(self.ctx, self.state)
@@ -733,7 +696,7 @@ class RunResult:
         x2m = _heights(Vm.grid, rho_m, Vm["u1"])
         grid = ctx.grid_plus
         full = _full_plus(ctx, self.state)
-        dxdz2 = (full["u2"] / full["u1"]) * self.front_map.dY1_dz2 \
+        dxdz2 = (full["u2"] / full["u1"]) * self.front.dY1_dz2 \
             + (grid.m / grid.m_bar) / (full["rho"] * full["u1"])
         return x2m, fd.cumtrap(dxdz2, grid.h2)
 
@@ -772,7 +735,9 @@ def locate(hat, coeffs, pert, lin, opts: TransonicOptions):
     """Shock position from J1(psi_bar) = J2 and the linear two-phase approximation.
 
     ``lin`` is the linear upstream march.  At sigma = 0 the position is
-    arbitrary, bracket or not: ``DegenerateSelectionError``.
+    arbitrary, bracket or not: ``DegenerateSelectionError``.  Without
+    ``opts.psi_bracket`` the search runs on the interval of
+    ``selection_bracket``, and a ``NoAdmissibleShockError`` names it.
     """
     if pert.sigma == 0.0:
         raise DegenerateSelectionError("sigma = 0: the shock position is arbitrary")
@@ -782,8 +747,16 @@ def locate(hat, coeffs, pert, lin, opts: TransonicOptions):
         br = selection_bracket(coeffs, lin, pert, hat)
         bracket = (br.lo, br.hi)
     n1_sub = _n1_sub(pert.geometry.L, 0.5 * (bracket[0] + bracket[1]), lin.V.grid.h1)
-    return initial_approximation(coeffs, lin, pert, hat, n1_sub,
-                                 bracket=bracket, defect_tol=opts.defect_tol)
+    try:
+        return initial_approximation(coeffs, lin, pert, hat, n1_sub,
+                                     bracket=bracket, defect_tol=opts.defect_tol)
+    except NoAdmissibleShockError as exc:
+        if opts.psi_bracket:
+            raise
+        raise NoAdmissibleShockError(
+            f"{exc}; the search ran on ({bracket[0]:.6g}, {bracket[1]:.6g}), the "
+            "sufficient monotonicity interval of selection_bracket; "
+            "solver.psi_bracket sets the search bracket") from None
 
 
 def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup=None):
@@ -797,7 +770,7 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup
     from the hatted background plus the linear march, on every path; on the
     demo configuration it takes 2 steps.  Without ``psi_bar`` the front is
     placed by ``locate`` and the loop starts from the linear approximation
-    (``initial``); at sigma = 0 it sits at ``opts.psi_bar_fallback``
+    (``initial``); at sigma = 0 it sits at ``opts.psi_bar``
     (default: mid-bracket or L/2).  Given ``psi_bar``, the front is fixed
     there on ``n1`` downstream nodes (default: the upstream spacing) and the
     loop starts from zero perturbation with ``initial`` None.
@@ -808,7 +781,7 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup
     grid_minus = lin.V.grid
     sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
     if psi_bar is None and pert.sigma == 0.0:
-        psi_bar = opts.psi_bar_fallback
+        psi_bar = opts.psi_bar
         if psi_bar is None:
             psi_bar = (0.5 * (opts.psi_bracket[0] + opts.psi_bracket[1])
                        if opts.psi_bracket else 0.5 * L)

@@ -105,8 +105,7 @@ class LagrangianGrid:
 class Field:
     """Named nodal components on a LagrangianGrid (axis 0 = y1, axis 1 = y2).
 
-    The y1-splines that ``trace`` reads are built on first use and dropped
-    when ``__setitem__`` replaces their component.
+    The y1-splines that ``trace`` reads are built on first use.
     """
 
     grid: LagrangianGrid
@@ -123,10 +122,6 @@ class Field:
 
     def __getitem__(self, name):
         return self.data[name]
-
-    def __setitem__(self, name, arr):
-        self.data[name] = np.asarray(arr, dtype=float)
-        self._splines.pop(name, None)
 
     def trace(self, name, psi):
         """Cubic spline in y1 of component ``name`` at y1 = psi.
@@ -146,9 +141,6 @@ class Field:
         c = spl.c[:, i] if psi.ndim == 0 else spl.c[:, i, np.arange(psi.size)]
         s = psi - x[i]
         return c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
-
-    def copy(self):
-        return Field(self.grid, {k: v.copy() for k, v in self.data.items()})
 
     def write_csv(self, path, extra_columns=None):
         """Dump as CSV with columns y1, y2, <components...>[, extras]."""

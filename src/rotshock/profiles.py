@@ -10,12 +10,19 @@ differentiate.  Three concrete sources are supported:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 
-__all__ = ["Profile", "profile_from_json"]
+__all__ = ["Profile", "is_number", "profile_from_json"]
+
+
+def is_number(v):
+    """A finite int or float; not a bool (JSON true/false would pass as 1/0)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class Profile:
@@ -66,15 +73,19 @@ def profile_from_json(value, key, base_dir="."):
 
     Accepted forms: number (constant), list of numbers (ascending polynomial
     coefficients), or ``{"table": "<csv path>"}`` with two comma separated
-    columns ``x,f`` and an optional header line.
+    columns ``x,f`` and an optional header line.  Every number must be
+    finite and no boolean: anything else raises ``ConfigError`` naming ``key``.
     """
     import os
 
     if isinstance(value, (int, float)):
+        if not is_number(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         return Profile.constant(float(value), label=key)
     if isinstance(value, list):
-        if not value or not all(isinstance(v, (int, float)) for v in value):
-            raise ConfigError(f"{key}: polynomial coefficients must be a non-empty number list")
+        if not value or not all(is_number(v) for v in value):
+            raise ConfigError(
+                f"{key}: polynomial coefficients must be a non-empty list of finite numbers")
         return Profile.from_poly(value, label=key)
     if isinstance(value, dict):
         extra = set(value) - {"table"}
@@ -92,6 +103,8 @@ def profile_from_json(value, key, base_dir="."):
             raise ConfigError(f"{key}.table: cannot parse {full}: {exc}") from exc
         if data.ndim != 2 or data.shape[1] < 2:
             raise ConfigError(f"{key}.table: expected two columns in {full}")
+        if not np.isfinite(data[:, :2]).all():
+            raise ConfigError(f"{key}.table: non-finite value in {full}")
         return Profile.from_table(data[:, 0], data[:, 1], label=key)
     raise ConfigError(f"{key}: expected number, coefficient list, or {{'table': path}}")
 

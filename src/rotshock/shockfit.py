@@ -24,6 +24,7 @@ the root of J1 - J2 is exactly the discretely compatible position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -213,9 +214,7 @@ class SelectionBracket:
     hi: float
     case: str            # "increasing" (condition i) or "decreasing" (condition ii)
     slope_integral: float
-    F_bound: float
     C_minus: float
-    diagnostics: dict
 
 
 def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat) -> SelectionBracket:
@@ -259,10 +258,7 @@ def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat) -> Selectio
     L_star = abs(I) / F
     hi = 0.999 * min(L_star, L)
     case = "increasing" if I > 0.0 else "decreasing"
-    return SelectionBracket(
-        lo=0.0, hi=hi, case=case, slope_integral=I, F_bound=F, C_minus=C_minus,
-        diagnostics={"L_star": L_star, "g2max": g2max, "supersonic_amplification": C_minus},
-    )
+    return SelectionBracket(lo=0.0, hi=hi, case=case, slope_integral=I, C_minus=C_minus)
 
 
 def find_shock_position(J1, J2, bracket):
@@ -384,32 +380,58 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat
     return V, sol
 
 
-@dataclass
 class ShockFront:
-    """psi_bar + accumulated slope: psi(y2) = psi_bar + psi_sharp_dev
-    - int_{y2}^{m_bar} psi_prime, with psi(m_bar) = psi_bar + psi_sharp_dev
-    exact by construction."""
+    """The shock front and its shock-fitted coordinates on the downstream grid.
 
-    psi_bar: float
-    psi_sharp_dev: float         # psi(m_bar) - psi_bar
-    psi_prime: np.ndarray
-    y2: np.ndarray
+    ``grid`` is the downstream ``LagrangianGrid``: the front's position
+    psi_bar is ``grid.y1a``, the exit L is ``grid.y1b``, the z1 nodes are
+    ``grid.y1`` and y2 is ``grid.y2``.  The nodal front is psi(y2) =
+    psi_bar + psi_sharp_dev - int_{y2}^{m_bar} psi_prime, with psi(m_bar) =
+    psi_bar + psi_sharp_dev exact by construction.  Y1(z1, y2) = z1 +
+    (L - z1) (psi(y2) - psi_bar) / (L - psi_bar) sends z1 = psi_bar onto the
+    front and z1 = L onto the exit.  The front carries ``psi``, the factors
+    of the transformed derivatives d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 -
+    cross d/dz1, and the top-wall abscissa ``Y1_wall``, taken from
+    psi_sharp_dev itself rather than from the wall row of ``Y1`` (the two
+    differ in the last bit).  The full-grid arrays ``Y1`` and ``dY1_dz2``
+    are built on first use.  Construction validates the front: it must stay
+    inside the duct.
+    """
+
+    def __init__(self, grid: LagrangianGrid, psi_sharp_dev, psi_prime):
+        self.grid = grid
+        self.psi_sharp_dev = psi_sharp_dev
+        self.psi_prime = psi_prime
+        psi_bar, L, z1, y2 = grid.y1a, grid.y1b, grid.y1, grid.y2
+        cum = fd.cumtrap(psi_prime, y2[1] - y2[0])
+        self.psi = psi = psi_bar + psi_sharp_dev - (cum[-1] - cum)
+        if not (0.0 < psi.min() and psi.max() < L):
+            raise NoAdmissibleShockError(
+                f"front leaves the duct: psi range [{psi.min():.6f}, {psi.max():.6f}], L={L}"
+            )
+        self._to_exit = L - z1
+        self._span = L - psi_bar
+        gap = L - psi
+        self.fac1 = self._span / gap
+        self.cross = (self._to_exit[:, None] / gap) * psi_prime
+        self.Y1_wall = z1 + self._to_exit * psi_sharp_dev / self._span
+
+    @property
+    def psi_bar(self):
+        return self.grid.y1a
 
     @property
     def psi_sharp(self):
         return self.psi_bar + self.psi_sharp_dev
 
-    def psi(self):
-        cum = fd.cumtrap(self.psi_prime, self.y2[1] - self.y2[0])
-        return self.psi_bar + self.psi_sharp_dev - (cum[-1] - cum)
+    @cached_property
+    def dY1_dz2(self):
+        return (self._to_exit[:, None] / self._span) * self.psi_prime[None, :]
 
-    def validate(self, L):
-        p = self.psi()
-        if not (0.0 < p.min() and p.max() < L):
-            raise NoAdmissibleShockError(
-                f"front leaves the duct: psi range [{p.min():.6f}, {p.max():.6f}], L={L}"
-            )
-        return p
+    @cached_property
+    def Y1(self):
+        return (self.grid.y1[:, None] + self._to_exit[:, None]
+                * (self.psi - self.psi_bar)[None, :] / self._span)
 
 
 def shock_slope(V_plus, lin_sup, psi_bar, coeffs: ShockCoefficients):
@@ -437,8 +459,7 @@ def initial_approximation(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub,
     V_plus, esol = solve_linear_subsonic(coeffs, psi_bar, lin_sup, pert, hat,
                                          n1_sub, defect_tol=defect_tol)
     slope = shock_slope(V_plus, lin_sup, psi_bar, coeffs)
-    front = ShockFront(psi_bar=psi_bar, psi_sharp_dev=0.0, psi_prime=slope, y2=coeffs.y2)
-    front.validate(pert.geometry.L)
+    front = ShockFront(V_plus.grid, 0.0, slope)
     sigma = pert.sigma
     amp = np.nan
     if sigma > 0.0:

@@ -102,6 +102,8 @@ def test_bad_wall_polynomial_rejected(tmp_path):
     {"nozzle.sigma": False}, {"solver.tol_res": True}, {"solver.psi_bar": True},
     {"upstream.P_top": float("nan")}, {"nozzle.L": float("inf")},
     {"upstream.P_top": -1.0}, {"upstream.P_top": 0.0}, {"upstream.u_minus": [-1.0]},
+    {"perturbation.P_ex": True}, {"perturbation.P_ex": float("nan")},
+    {"perturbation.u1_en": [float("inf")]}, {"nozzle.g": False},
 ], ids=lambda o: "=".join(map(str, next(iter(o.items())))))
 def test_bad_numeric_values_exit_1(tmp_path, capsys, override):
     # rejected at validation as configuration errors, before any solve
@@ -110,6 +112,34 @@ def test_bad_numeric_values_exit_1(tmp_path, capsys, override):
     rc = main(["solve", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_table_cell_exit_1(tmp_path, capsys):
+    t = tmp_path / "pex.csv"
+    t.write_text("x2,P_ex\n0,-0.0561\n0.25,-0.0561\n0.5,nan\n0.75,-0.0561\n1,-0.0561\n")
+    p = tmp_path / "c.json"
+    write_config(p, **{"perturbation.P_ex": {"table": "pex.csv"}})
+    rc = main(["solve", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: perturbation.P_ex.table: non-finite value" in capsys.readouterr().err
+
+
+def test_default_bracket_failure_names_the_bracket(tmp_path, capsys):
+    # without solver.psi_bracket the search runs on selection_bracket's
+    # interval; when it finds no shock, the error says where it looked
+    raw = parse_config(DEMO_CONFIG).raw
+    raw["solver"]["psi_bracket"] = None
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw))
+    for command in ("initial", "solve"):
+        rc = main([command, "--config", str(p), "--out", str(tmp_path / command),
+                   "--grid", "65", "33"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "outside the attainable range" in err
+        assert "the search ran on (0, " in err
+        assert "sufficient monotonicity interval of selection_bracket" in err
+        assert "solver.psi_bracket sets the search bracket" in err
 
 
 def test_cmd_background(tmp_path, capsys):

@@ -9,7 +9,6 @@ from rotshock import elliptic, iteration, shockfit
 from rotshock.cli import main, parse_config
 from rotshock.elliptic import compatibility_defect
 from rotshock.iteration import (
-    FrontMap,
     StepData,
     _PassTerms,
     apply_T,
@@ -36,9 +35,8 @@ def ctx_zero(bg_rot):
 
 def test_front_map_identity():
     # a flat front at psi_bar: the map and its factors are exactly trivial
-    y2 = np.linspace(0.0, 2.9, 33)
     z1 = np.linspace(0.7, 2.0, 11)
-    fm = FrontMap(ShockFront(0.7, 0.0, np.zeros(33), y2), z1, 2.0)
+    fm = ShockFront(rs.LagrangianGrid(11, 33, 0.7, 2.0, 2.9, 2.9), 0.0, np.zeros(33))
     assert np.all(fm.Y1 == z1[:, None])
     assert np.all(fm.Y1_wall == z1)
     assert np.all(fm.fac1 == 1.0)
@@ -49,15 +47,15 @@ def test_front_map_identity():
 def test_front_map_end_rows():
     # z1 = psi_bar lands on the front, z1 = L on the exit
     y2 = np.linspace(0.0, 2.9, 65)
-    front = ShockFront(0.7, 5e-4, 1e-3 * np.sin(np.pi * y2 / 2.9), y2)
-    fm = FrontMap(front, np.linspace(0.7, 2.0, 11), 2.0)
-    assert np.abs(fm.Y1[0] - front.psi()).max() <= 1e-15
+    fm = ShockFront(rs.LagrangianGrid(11, 65, 0.7, 2.0, 2.9, 2.9), 5e-4,
+                    1e-3 * np.sin(np.pi * y2 / 2.9))
+    assert np.abs(fm.Y1[0] - fm.psi).max() <= 1e-15
     assert np.all(fm.Y1[-1] == 2.0)
 
 
 def test_front_map_wall_row(accept_run):
     # the top row of Y1 and Y1_wall (built from psi_sharp_dev) agree to 1 ulp
-    fm = accept_run.front_map
+    fm = accept_run.front
     assert np.all(np.abs(fm.Y1[:, -1] - fm.Y1_wall) <= np.spacing(np.abs(fm.Y1_wall)))
 
 
@@ -65,8 +63,8 @@ def _front_map_factor_errors(n2):
     """Max errors of fac1 and cross against centred differences of z1(y1, y2)."""
     L, psi_bar, dev, a, m = 2.0, 0.7, 5e-4, 0.05, 2.9
     y2 = np.linspace(0.0, m, n2)
-    fm = FrontMap(ShockFront(psi_bar, dev, a * np.cos(np.pi * y2 / m), y2),
-                  np.linspace(psi_bar, L, 17), L)
+    fm = ShockFront(rs.LagrangianGrid(17, n2, psi_bar, L, m, m), dev,
+                    a * np.cos(np.pi * y2 / m))
 
     def psi(s):  # the front whose slope is a cos(pi y2 / m), in closed form
         return psi_bar + dev + a * m / np.pi * np.sin(np.pi * s / m)
@@ -89,9 +87,8 @@ def test_front_map_derivative_factors():
 
 
 def test_front_map_rejects_front_at_exit():
-    y2 = np.linspace(0.0, 2.9, 33)
     with pytest.raises(rs.NoAdmissibleShockError):
-        FrontMap(ShockFront(1.9, 0.2, np.zeros(33), y2), np.linspace(1.9, 2.0, 5), 2.0)
+        ShockFront(rs.LagrangianGrid(5, 33, 1.9, 2.0, 2.9, 2.9), 0.2, np.zeros(33))
 
 
 def test_step_data_zero_perturbation(ctx_zero):
@@ -303,7 +300,7 @@ def test_pairwise_contraction(accept_run):
 
 def test_run_sigma_zero(bg_rot):
     res = solve_transonic(bg_rot, make_pert(0.0, 0.0),
-                          rs.TransonicOptions(nx=65, ny=33, psi_bar_fallback=0.8))
+                          rs.TransonicOptions(nx=65, ny=33, psi_bar=0.8))
     assert len(res.log) == 1
     assert res.psi_bar == 0.8
     assert res.report.rh_residual <= 1e-10

@@ -195,18 +195,3 @@ def test_field_trace_matches_cubic_spline(n1, n2):
             assert same_bits(f.trace(k, psi), np.diagonal(spl(psi)))
             for p in (psi[0], y1[0], y1[n1 // 2], y1[-1], float(psi[-1])):
                 assert same_bits(f.trace(k, p), spl(p))
-
-
-def test_field_trace_fresh_spline_after_setitem():
-    rng = np.random.default_rng(7)
-    f = random_field(rng, 17, 9)
-    y1 = f.grid.y1
-    psi = rng.uniform(y1[0], y1[-1], 9)
-    before = f.trace("u1", psi)
-    u2_before = f.trace("u2", psi)
-    new = rng.standard_normal((17, 9))
-    f["u1"] = new
-    after = f.trace("u1", psi)
-    assert same_bits(after, np.diagonal(CubicSpline(y1, new, axis=0)(psi)))
-    assert not np.array_equal(before, after)
-    assert same_bits(f.trace("u2", psi), u2_before)

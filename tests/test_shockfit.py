@@ -230,9 +230,7 @@ def test_shock_slope_properties(hat_rot, grid65, lin_rot):
     # u2 data vanish on the bottom wall on both sides: slope is exactly 0 there
     assert sl[0] == 0.0
     # linearity in the fields
-    V2 = V.copy()
-    for k in V2.data:
-        V2[k] = 2.0 * V2[k]
+    V2 = rs.Field(V.grid, {k: 2.0 * v for k, v in V.data.items()})
     lin2 = solve_linear(hat_rot, make_pert_strong(2e-3), grid65)
     sl2 = shock_slope(V2, lin2, 0.6, co)
     assert np.abs(sl2 - 2.0 * sl).max() <= 1e-14
@@ -241,14 +239,12 @@ def test_shock_slope_properties(hat_rot, grid65, lin_rot):
 def test_front_reconstruction():
     y2 = np.linspace(0.0, 2.9, 65)
     slope = 1e-3 * np.sin(np.pi * y2 / 2.9)
-    f = ShockFront(psi_bar=0.8, psi_sharp_dev=2e-3, psi_prime=slope, y2=y2)
-    psi = f.psi()
+    f = ShockFront(rs.LagrangianGrid(17, 65, 0.8, 2.0, 2.9, 2.9), 2e-3, slope)
+    psi = f.psi
     assert psi[-1] == 0.8 + 2e-3  # exact by construction
     assert f.psi_sharp == pytest.approx(0.802)
-    f.validate(2.0)
-    bad = ShockFront(1.99, 0.5, slope, y2)
     with pytest.raises(rs.NoAdmissibleShockError):
-        bad.validate(2.0)
+        ShockFront(rs.LagrangianGrid(17, 65, 1.99, 2.0, 2.9, 2.9), 0.5, slope)
 
 
 def test_initial_approximation_consistency(bg_rot, hat_rot, tuned_pex):
@@ -264,4 +260,5 @@ def test_initial_approximation_consistency(bg_rot, hat_rot, tuned_pex):
     assert abs(d["defect"]) <= 1e-9
     assert 0.35 < d["psi_bar"] < 0.9
     assert np.isfinite(d["amplification"])
-    init.front.validate(L_DUCT)
+    assert init.front.grid.y1b == L_DUCT
+    assert 0.0 < init.front.psi.min() and init.front.psi.max() < L_DUCT
