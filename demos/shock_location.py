@@ -62,7 +62,7 @@ for p in np.linspace(0.35, 0.9, 6):
     print(f"  J1({p:.2f}) = {jf.J1(p):+.6f}")
 print(f"  J2        = {jf.J2:+.6f}")
 
-init = initial_approximation(co, lin, pert, hat, 89, bracket=(0.35, 0.9))
+init = initial_approximation(co, lin, pert, hat, bracket=(0.35, 0.9))
 d = init.diagnostics
 print(f"\nselected position: psi_bar = {d['psi_bar']:.8f}")
 print(f"  |J1(psi_bar) - J2| = {abs(d['J1_at_psi_bar'] - d['J2']):.2e}")

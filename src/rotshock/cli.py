@@ -58,7 +58,6 @@ from .iteration import (
     TransonicOptions,
     build_context,
     check_audit_grid,
-    locate,
     residuals,
     setup_upstream,
     solve_transonic,
@@ -66,6 +65,7 @@ from .iteration import (
 from .lagrangian import Geometry
 from .parallel import available_cpus, run_forked
 from .profiles import is_number, profile_from_json
+from .shockfit import initial_approximation
 from .supersonic import PerturbationConfig, flux_identity
 from .thermo import GasModel, GasState
 
@@ -199,17 +199,25 @@ def build_config(data, base_dir) -> RunConfig:
                      base_dir=base_dir)
 
 
+def _jsonable(v):
+    """``v`` with numpy numbers as floats, arrays and tuples as lists and every
+    non-finite float as None: JSON (RFC 8259) has no NaN or Infinity."""
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, (np.floating, np.integer)):
+        v = float(v)
+    if isinstance(v, float) and not is_number(v):
+        return None
+    return v
+
+
 def _write_json(path, obj):
-    def default(v):
-        if isinstance(v, (np.floating, np.integer)):
-            return float(v)
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, tuple):
-            return list(v)
-        raise TypeError(f"not serializable: {type(v)}")
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=default)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -235,16 +243,17 @@ def cmd_background(cfg: RunConfig, out):
 
 
 def cmd_initial(cfg: RunConfig, out):
+    opts = cfg.options
     bg = build_background(cfg.upstream, cfg.gas)
-    hat, _, coeffs, lin = setup_upstream(bg, cfg.pert, cfg.options)
-    init = locate(hat, coeffs, cfg.pert, lin, cfg.options)
+    hat, _, coeffs, lin = setup_upstream(bg, cfg.pert, opts)
+    init = initial_approximation(coeffs, lin, cfg.pert, hat, opts.psi_bracket, opts.defect_tol)
     rec = {k: init.diagnostics[k] for k in
            ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
     rec["flux_identity_violation"] = flux_identity(lin, hat, cfg.pert).max_violation
     _write_json(os.path.join(out, "initial.json"), rec)
     write_csv(os.path.join(out, "shock_slope.csv"),
               {"y2": coeffs.y2, "psi_prime": init.front.psi_prime})
-    run_forked(partial(lin.V.write_csv, os.path.join(out, "linear_minus.csv")),
+    run_forked(partial(lin.write_csv, os.path.join(out, "linear_minus.csv")),
                partial(init.V_plus.write_csv, os.path.join(out, "linear_plus.csv")))
     print(f"initial approximation: psi_bar = {init.diagnostics['psi_bar']:.10f} "
           f"(defect {init.diagnostics['defect']:.3e}) -> {out}")
@@ -330,7 +339,7 @@ def cmd_verify(cfg: RunConfig, out):
     n1s = _columns(plus["y1"].size, n2, "fields_plus.csv")
     psi_bar = plus["y1"].reshape(n1s, n2)[0, 0]
     bg = build_background(cfg.upstream, cfg.gas)
-    ctx, _ = build_context(bg, cfg.pert, opts, psi_bar=psi_bar, n1=n1s)
+    ctx = build_context(bg, cfg.pert, opts, psi_bar=psi_bar, n1=n1s)
     hat = ctx.hat
     state = IterationState(
         u1=plus["u1"].reshape(n1s, n2) - hat["p", "u"][None, :],

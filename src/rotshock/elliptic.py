@@ -48,12 +48,17 @@ from .errors import IncompatibleDataError, InvalidStateError
 from .fd import d1 as _d1, d2 as _d2, trap_w
 
 __all__ = [
+    "DEFECT_TOL",
     "EllipticProblem",
     "EllipticSolution",
     "compatibility_defect",
     "solve",
     "solve_scalar",
 ]
+
+# default solvability gate: the largest compatibility defect ``solve`` accepts
+DEFECT_TOL = 1e-9
+
 
 @dataclass
 class EllipticProblem:
@@ -234,7 +239,7 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def solve(p: EllipticProblem, defect_tol=1e-9) -> EllipticSolution:
+def solve(p: EllipticProblem, defect_tol=DEFECT_TOL) -> EllipticSolution:
     """Solve the first-order system by the two-potential decomposition.
 
     This is the solvability gate: data whose compatibility defect exceeds

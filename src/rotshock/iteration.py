@@ -32,15 +32,17 @@ derivative factors and wall abscissa from it.
 Every entry point (``solve_transonic`` and the ``initial``/``verify``
 subcommands) shares one setup: ``setup_upstream`` builds the hatted
 profiles, the perturbed inlet maps, the shock coefficients and the linear
-upstream march, whose grid is the upstream grid.  ``locate`` places the
-shock from J1(psi_bar) = J2 on that march and builds the linear two-phase
-approximation.  ``build_context`` runs the setup (or takes one built
-before, as a sweep over the exit pressure shares it), the nonlinear march
-(Newton's method from the background plus the same linear march) and the
-front placement (``locate``, or a fixed ``psi_bar``), and freezes an
-``IterationContext``.  m and m_bar are read from a ``LagrangianGrid`` (the
-front's psi_bar and L from the downstream one), L elsewhere from
-``pert.geometry`` and the gas from ``hat``; nothing keeps copies.
+upstream march, whose grid is the upstream grid.
+``shockfit.initial_approximation`` places the shock from J1(psi_bar) = J2
+on that march and builds the linear two-phase approximation in one call.
+``build_context`` runs the setup (or takes one built before, as a sweep
+over the exit pressure shares it), the nonlinear march (Newton's method
+from the background plus the same linear march) and the front placement
+(``initial_approximation``, or a fixed ``psi_bar``), and freezes an
+``IterationContext``, the one thing it returns.  m and m_bar are read
+from a ``LagrangianGrid`` (the front's psi_bar and L from the downstream
+one), L elsewhere from ``pert.geometry`` and the gas from ``hat``; nothing
+keeps copies.
 
 Within one pass the downstream state is fixed and only the front moves:
 ``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
@@ -58,23 +60,16 @@ from functools import cached_property
 import numpy as np
 
 from . import fd
-from .elliptic import EllipticProblem, compatibility_defect, solve
-from .errors import (
-    ConfigError,
-    DegenerateSelectionError,
-    InvalidStateError,
-    NoAdmissibleShockError,
-    NonConvergenceError,
-    TrustRegionError,
-)
+from .elliptic import DEFECT_TOL, EllipticProblem, compatibility_defect, solve
+from .errors import ConfigError, InvalidStateError, NonConvergenceError, TrustRegionError
 from .lagrangian import Field, LagrangianGrid, hatted_background, inlet_maps
 from .shockfit import (
     ShockCoefficients,
     ShockFront,
     coefficients,
+    downstream_nodes,
     eq2_zero_order,
     initial_approximation,
-    selection_bracket,
     subsonic_sb_source,
 )
 from .supersonic import solve_linear, solve_nonlinear
@@ -92,7 +87,6 @@ __all__ = [
     "residuals",
     "setup_upstream",
     "check_audit_grid",
-    "locate",
     "build_context",
     "solve_transonic",
     "RunResult",
@@ -132,7 +126,7 @@ class TransonicOptions:
     tol_fp: float = 1e-10
     tol_res: float = 1e-6
     max_iter: int = 50
-    defect_tol: float = 1e-9
+    defect_tol: float = DEFECT_TOL
     psi_bracket: tuple = None
     psi_bar: float = None
 
@@ -647,14 +641,13 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
 
 @dataclass
 class RunResult:
-    """Converged state, audit, pass log, initial approximation (None for a
-    fixed front) and context; C1, kappa and ``front``, the converged
-    ``ShockFront`` on the downstream grid with its map, derive from them."""
+    """Converged state, audit, pass log and context; C1, kappa and ``front``,
+    the converged ``ShockFront`` on the downstream grid with its map, derive
+    from them."""
 
     state: IterationState
     report: ResidualReport
     log: list
-    initial: object
     ctx: IterationContext
 
     @property
@@ -704,7 +697,7 @@ class RunResult:
 def setup_upstream(bg, pert, opts: TransonicOptions):
     """The setup every entry point shares: (hat, inlet_maps(bg, pert), coefficients(hat), lin).
 
-    ``lin`` is the linear upstream march; its grid is the upstream grid.
+    ``lin`` is the linear upstream march, a ``Field`` on the upstream grid.
     """
     hat = hatted_background(bg, n2=opts.ny)
     inlet = inlet_maps(bg, pert)
@@ -726,41 +719,8 @@ def check_audit_grid(opts: TransonicOptions):
             f"least {least} nodes each way")
 
 
-def _n1_sub(L, psi, h1):
-    """Downstream node count matching the upstream y1 spacing on [psi, L]."""
-    return max(9, int(round((L - psi) / h1)) + 1)
-
-
-def locate(hat, coeffs, pert, lin, opts: TransonicOptions):
-    """Shock position from J1(psi_bar) = J2 and the linear two-phase approximation.
-
-    ``lin`` is the linear upstream march.  At sigma = 0 the position is
-    arbitrary, bracket or not: ``DegenerateSelectionError``.  Without
-    ``opts.psi_bracket`` the search runs on the interval of
-    ``selection_bracket``, and a ``NoAdmissibleShockError`` names it.
-    """
-    if pert.sigma == 0.0:
-        raise DegenerateSelectionError("sigma = 0: the shock position is arbitrary")
-    if opts.psi_bracket:
-        bracket = tuple(opts.psi_bracket)
-    else:
-        br = selection_bracket(coeffs, lin, pert, hat)
-        bracket = (br.lo, br.hi)
-    n1_sub = _n1_sub(pert.geometry.L, 0.5 * (bracket[0] + bracket[1]), lin.V.grid.h1)
-    try:
-        return initial_approximation(coeffs, lin, pert, hat, n1_sub,
-                                     bracket=bracket, defect_tol=opts.defect_tol)
-    except NoAdmissibleShockError as exc:
-        if opts.psi_bracket:
-            raise
-        raise NoAdmissibleShockError(
-            f"{exc}; the search ran on ({bracket[0]:.6g}, {bracket[1]:.6g}), the "
-            "sufficient monotonicity interval of selection_bracket; "
-            "solver.psi_bracket sets the search bracket") from None
-
-
 def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup=None):
-    """Setup, nonlinear march and front placement; returns (ctx, initial).
+    """Setup, nonlinear march and front placement; returns the ``IterationContext``.
 
     ``check_audit_grid`` runs first.  ``setup`` is the ``(hat, inlet,
     coeffs, lin)`` of ``setup_upstream(bg, pert, opts)`` when the caller
@@ -769,16 +729,17 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup
     setup, the Newton solve of the nonlinear march starts
     from the hatted background plus the linear march, on every path; on the
     demo configuration it takes 2 steps.  Without ``psi_bar`` the front is
-    placed by ``locate`` and the loop starts from the linear approximation
-    (``initial``); at sigma = 0 it sits at ``opts.psi_bar``
-    (default: mid-bracket or L/2).  Given ``psi_bar``, the front is fixed
-    there on ``n1`` downstream nodes (default: the upstream spacing) and the
-    loop starts from zero perturbation with ``initial`` None.
+    placed by ``initial_approximation`` (in ``opts.psi_bracket``) and the loop
+    starts from the linear approximation, which is not kept; at sigma = 0 it
+    sits at ``opts.psi_bar`` (default: mid-bracket or L/2).  Given
+    ``psi_bar``, the front is fixed there on ``n1`` downstream nodes
+    (default: ``downstream_nodes`` at the upstream spacing) and the loop
+    starts from zero perturbation.
     """
     check_audit_grid(opts)
     L = pert.geometry.L
     hat, inlet, coeffs, lin = setup or setup_upstream(bg, pert, opts)
-    grid_minus = lin.V.grid
+    grid_minus = lin.grid
     sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
     if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar
@@ -786,24 +747,21 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup
             psi_bar = (0.5 * (opts.psi_bracket[0] + opts.psi_bracket[1])
                        if opts.psi_bracket else 0.5 * L)
     if psi_bar is None:
-        initial = locate(hat, coeffs, pert, lin, opts)
-        grid_plus = initial.V_plus.grid
-        init_state = IterationState(
-            u1=initial.V_plus["u1"].copy(), u2=initial.V_plus["u2"].copy(),
-            S=initial.V_plus["S"].copy(),
-            psi_prime=initial.front.psi_prime.copy(), psi_sharp_dev=0.0,
-        )
+        initial = initial_approximation(coeffs, lin, pert, hat, opts.psi_bracket,
+                                        opts.defect_tol)
+        V_plus = initial.V_plus
+        grid_plus = V_plus.grid
+        init_state = IterationState(u1=V_plus["u1"], u2=V_plus["u2"], S=V_plus["S"],
+                                    psi_prime=initial.front.psi_prime, psi_sharp_dev=0.0)
     else:
-        initial = None
-        n1 = n1 or _n1_sub(L, psi_bar, grid_minus.h1)
+        n1 = n1 or downstream_nodes(L, psi_bar, grid_minus.h1)
         grid_plus = LagrangianGrid(n1, opts.ny, psi_bar, L, grid_minus.m, grid_minus.m_bar)
         shape = (n1, opts.ny)
         init_state = IterationState(u1=np.zeros(shape), u2=np.zeros(shape),
                                     S=np.zeros(shape), psi_prime=np.zeros(opts.ny),
                                     psi_sharp_dev=0.0)
-    ctx = IterationContext(hat=hat, coeffs=coeffs, pert=pert, grid_plus=grid_plus, sup=sup,
-                           initial_state=init_state, opts=opts)
-    return ctx, initial
+    return IterationContext(hat=hat, coeffs=coeffs, pert=pert, grid_plus=grid_plus, sup=sup,
+                            initial_state=init_state, opts=opts)
 
 
 def solve_transonic(bg, pert, opts: TransonicOptions = None, setup=None) -> RunResult:
@@ -816,7 +774,7 @@ def solve_transonic(bg, pert, opts: TransonicOptions = None, setup=None) -> RunR
     other than ``nx`` and ``ny``.  The Newton march always runs per solve.
     """
     opts = opts or TransonicOptions()
-    ctx, initial = build_context(bg, pert, opts, setup=setup)
+    ctx = build_context(bg, pert, opts, setup=setup)
     state, log = run(ctx)
     report = residuals(ctx, state, last_defect=log[-1]["defect"])
-    return RunResult(state=state, report=report, log=log, initial=initial, ctx=ctx)
+    return RunResult(state=state, report=report, log=log, ctx=ctx)

@@ -205,7 +205,7 @@ def inlet_maps(bg, pert=None):
     return m, m_bar, CubicSpline(y2_nodes, x2)
 
 
-def hatted_background(bg, n2=129) -> HattedProfiles:
+def hatted_background(bg, n2) -> HattedProfiles:
     """Sample the background in Lagrangian coordinates on n2 nodes of [0, m_bar]."""
     _, mb, x2_of_y2 = inlet_maps(bg)
     y2 = np.linspace(0.0, mb, n2)

@@ -31,7 +31,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from . import fd
-from .elliptic import EllipticProblem, solve
+from .elliptic import DEFECT_TOL, EllipticProblem, solve
 from .errors import (
     DegenerateBackgroundError,
     DegenerateSelectionError,
@@ -52,6 +52,7 @@ __all__ = [
     "selection_bracket",
     "find_shock_position",
     "solve_linear_subsonic",
+    "downstream_nodes",
     "shock_slope",
     "initial_approximation",
 ]
@@ -175,10 +176,9 @@ class JFunctionals:
     J2: float
 
 
-def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub):
+def J_functionals(coeffs: ShockCoefficients, lin: Field, pert, hat, n1_sub):
     y2 = coeffs.y2
     h2 = y2[1] - y2[0]
-    V = lin_sup.V
     sigma = pert.sigma
     w_int = (coeffs.fa3 - coeffs.fa1) * coeffs.b1p
     wall_c = coeffs.b2p[-1] * hat["p", "u"][-1]
@@ -199,7 +199,7 @@ def J_functionals(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub):
     )
 
     def J1(psi_bar):
-        tr = V.trace("u1", psi_bar)
+        tr = lin.trace("u1", psi_bar)
         term1 = fd.trap(w_int * tr, h2) / sigma if sigma > 0.0 else 0.0
         z1 = np.linspace(float(psi_bar), pert.geometry.L, n1_sub)
         term2 = wall_c * fd.trap(gp(z1), z1[1] - z1[0])
@@ -217,7 +217,7 @@ class SelectionBracket:
     C_minus: float
 
 
-def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat) -> SelectionBracket:
+def selection_bracket(coeffs: ShockCoefficients, lin: Field, pert, hat) -> SelectionBracket:
     """Admissible interval (0, L_plus) on which J1 is provably monotone.
 
     L_plus = |I| / F with I the slope integral of J1 at psi_bar = 0 and F a
@@ -235,13 +235,11 @@ def selection_bracket(coeffs: ShockCoefficients, lin_sup, pert, hat) -> Selectio
     u2_en_y2 = pert.u2_en(hat.x2)
     I = fd.trap(dcomp * coeffs.b2m * u2_en_y2, h2)
 
-    grid = lin_sup.V.grid
-    h1 = grid.h1
-    u1 = lin_sup.V["u1"]
-    d1 = np.gradient(u1, h1, axis=0, edge_order=2)
+    h1 = lin.grid.h1
+    d1 = np.gradient(lin["u1"], h1, axis=0, edge_order=2)
     d11 = np.gradient(d1, h1, axis=0, edge_order=2)
     supnorm = max(
-        max(np.abs(lin_sup.V[k]).max() for k in ("u1", "u2", "S", "B")),
+        max(np.abs(lin[k]).max() for k in ("u1", "u2", "S", "B")),
         np.abs(d1).max(), np.abs(d11).max(),
     )
     C_minus = supnorm / sigma
@@ -327,8 +325,8 @@ def subsonic_sb_source(hat, S_row, B_row, h2):
     return eq2_sb_source(hat, "p", S_row, B_row, fd.d2(S_row, h2), fd.d2(B_row, h2))
 
 
-def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat,
-                          n1_sub, defect_tol=1e-9):
+def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin: Field, pert, hat,
+                          n1_sub, defect_tol=DEFECT_TOL):
     """Linearized downstream flow on [psi_bar, L] x [0, m_bar].
 
     Shock trace data come from the linearized jump conditions, the exit data
@@ -341,8 +339,8 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin_sup, pert, hat
     y2 = coeffs.y2
     n2 = len(y2)
     h2 = y2[1] - y2[0]
-    grid = LagrangianGrid(n1_sub, n2, psi_bar, L, lin_sup.V.grid.m, hat.m_bar)
-    tr = lin_sup.V.trace("u1", psi_bar)
+    grid = LagrangianGrid(n1_sub, n2, psi_bar, L, lin.grid.m, hat.m_bar)
+    tr = lin.trace("u1", psi_bar)
     x2q = hat.x2
     S_en = pert.S_en(x2q)
     B_en = pert.B_en(x2q)
@@ -434,14 +432,20 @@ class ShockFront:
                 * (self.psi - self.psi_bar)[None, :] / self._span)
 
 
-def shock_slope(V_plus, lin_sup, psi_bar, coeffs: ShockCoefficients):
-    """Linear front slope (m / (m_bar [P_hat])) (u2dot_plus - u2dot_minus) on V_plus's grid."""
+def shock_slope(V_plus, lin: Field, coeffs: ShockCoefficients):
+    """Linear front slope (m / (m_bar [P_hat])) (u2dot_plus - u2dot_minus) on V_plus's grid,
+    whose y1a is the front's position psi_bar."""
     scale = np.abs(coeffs.P_jump).max()
     if np.abs(coeffs.P_jump).min() <= 1e-12 * max(scale, 1.0):
         raise DegenerateBackgroundError("pressure jump vanishes: degenerate shock")
-    u2m = lin_sup.V.trace("u2", psi_bar)
+    u2m = lin.trace("u2", V_plus.grid.y1a)
     u2p = V_plus["u2"][0]
     return (V_plus.grid.m / (V_plus.grid.m_bar * coeffs.P_jump)) * (u2p - u2m)
+
+
+def downstream_nodes(L, psi, h1):
+    """Downstream node count matching the upstream y1 spacing h1 on [psi, L]."""
+    return max(9, int(round((L - psi) / h1)) + 1)
 
 
 @dataclass
@@ -451,18 +455,34 @@ class InitialApproximation:
     diagnostics: dict
 
 
-def initial_approximation(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub, bracket,
-                          defect_tol=1e-9):
-    """Locate psi_bar in ``bracket`` and assemble the linear two-phase approximation."""
-    jf = J_functionals(coeffs, lin_sup, pert, hat, n1_sub)
-    psi_bar = find_shock_position(jf.J1, jf.J2, bracket)
-    V_plus, esol = solve_linear_subsonic(coeffs, psi_bar, lin_sup, pert, hat,
-                                         n1_sub, defect_tol=defect_tol)
-    slope = shock_slope(V_plus, lin_sup, psi_bar, coeffs)
-    front = ShockFront(V_plus.grid, 0.0, slope)
+def initial_approximation(coeffs: ShockCoefficients, lin: Field, pert, hat, bracket=None,
+                          defect_tol=DEFECT_TOL):
+    """Shock position from J1(psi_bar) = J2 and the linear two-phase approximation.
+
+    ``lin`` is the linear upstream march of ``supersonic.solve_linear``.  At
+    sigma = 0 the position is arbitrary, bracket or not:
+    ``DegenerateSelectionError``.  Without ``bracket`` the search runs on the
+    interval of ``selection_bracket``, and a ``NoAdmissibleShockError`` of
+    the search, the linear subsonic solve or the front names it.  The
+    downstream grid has ``downstream_nodes`` at the bracket's midpoint.
+    """
     sigma = pert.sigma
-    amp = np.nan
-    if sigma > 0.0:
+    if sigma == 0.0:
+        raise DegenerateSelectionError("sigma = 0: the shock position is arbitrary")
+    given = bool(bracket)
+    if given:
+        bracket = tuple(bracket)
+    else:
+        br = selection_bracket(coeffs, lin, pert, hat)
+        bracket = (br.lo, br.hi)
+    n1_sub = downstream_nodes(pert.geometry.L, 0.5 * (bracket[0] + bracket[1]), lin.grid.h1)
+    try:
+        jf = J_functionals(coeffs, lin, pert, hat, n1_sub)
+        psi_bar = find_shock_position(jf.J1, jf.J2, bracket)
+        V_plus, esol = solve_linear_subsonic(coeffs, psi_bar, lin, pert, hat,
+                                             n1_sub, defect_tol=defect_tol)
+        slope = shock_slope(V_plus, lin, coeffs)
+        front = ShockFront(V_plus.grid, 0.0, slope)
         amp = max(
             max(np.abs(V_plus[k]).max() for k in ("u1", "u2", "S", "B")),
             np.abs(slope).max(),
@@ -472,9 +492,16 @@ def initial_approximation(coeffs: ShockCoefficients, lin_sup, pert, hat, n1_sub,
                 f"linear response {amp:.3e} exceeds the bound "
                 f"{AMPLIFICATION_BOUND:.1e}: data too violent for the linear theory"
             )
-    diag = {
-        "psi_bar": psi_bar, "J2": jf.J2, "J1_at_psi_bar": jf.J1(psi_bar),
-        "bracket": tuple(bracket), "defect": esol.defect,
-        "amplification": amp,
-    }
-    return InitialApproximation(V_plus=V_plus, front=front, diagnostics=diag)
+        diag = {
+            "psi_bar": psi_bar, "J2": jf.J2, "J1_at_psi_bar": jf.J1(psi_bar),
+            "bracket": bracket, "defect": esol.defect,
+            "amplification": amp,
+        }
+        return InitialApproximation(V_plus=V_plus, front=front, diagnostics=diag)
+    except NoAdmissibleShockError as exc:
+        if given:
+            raise
+        raise NoAdmissibleShockError(
+            f"{exc}; the search ran on ({bracket[0]:.6g}, {bracket[1]:.6g}), the "
+            "sufficient monotonicity interval of selection_bracket; "
+            "solver.psi_bracket sets the search bracket") from None

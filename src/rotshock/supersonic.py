@@ -81,13 +81,11 @@ class PerturbationConfig:
 
 @dataclass
 class SupersonicSolution:
-    """Marched flow field.
+    """Result of ``solve_nonlinear``.
 
-    From ``solve_linear`` V holds the first-order perturbation (u1,u2,S,B
-    are the dotted variables, all O(sigma)) and ``update_history`` is empty;
-    from ``solve_nonlinear`` V holds the full flow state and
-    ``update_history`` the max-norm of each Newton step's update (one march
-    each).  ``picard_iters``, its length, predates the Newton solve.
+    V holds the full flow state and ``update_history`` the max-norm of each
+    Newton step's update (one march each).  ``picard_iters``, its length,
+    predates the Newton solve.
     """
 
     V: Field
@@ -252,8 +250,9 @@ def _march(grid, K, L_pred, L_corr, s_f, s_b, inflow, wa, wb, L_impl=None):
     return W[0], W[1]
 
 
-def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
-    """March the linearized system; returns the dotted solution.
+def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid) -> Field:
+    """March the linearized system; returns the dotted solution as a ``Field``
+    (u1, u2, S, B are the dotted variables, all O(sigma)).
 
     All data enter proportionally to sigma (the entrance re-parametrisation
     uses the background map), so the solution is exactly linear in sigma.
@@ -287,22 +286,21 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid):
     inflow = (sigma * en["u1_en"], sigma * en["u2_en"])
     u1dot, u2dot = _march(grid, K, Lc, Lc, s_f, s_b, inflow, np.zeros(grid.n1), wall)
 
-    V = Field(grid, {
+    return Field(grid, {
         "u1": u1dot, "u2": u2dot,
         "S": np.broadcast_to(Sdot, u1dot.shape).copy(),
         "B": np.broadcast_to(Bdot, u1dot.shape).copy(),
     })
-    return SupersonicSolution(V=V, update_history=[])
 
 
-def flux_identity(sol: SupersonicSolution, hat, pert: PerturbationConfig):
-    """``FluxIdentityReport`` of the linear solution ``sol`` of ``solve_linear``."""
+def flux_identity(lin: Field, hat, pert: PerturbationConfig):
+    """``FluxIdentityReport`` of the linear solution ``lin`` of ``solve_linear``."""
     sigma = pert.sigma
-    grid = sol.V.grid
+    grid = lin.grid
     u_hat = hat["m", "u"]
     _, en = entrance_profiles(hat, pert)
     b1m, b2m, _, _ = b_coefficients(hat, "m")
-    lhs = (sol.V["u1"] * (b1m * fd.trap_w(grid.n2))).sum(axis=1) * grid.h2
+    lhs = (lin["u1"] * (b1m * fd.trap_w(grid.n2))).sum(axis=1) * grid.h2
     rhs = sigma * fd.trap(b1m * en["u1_en"], grid.h2) \
         - sigma * b2m[-1] * u_hat[-1] * pert.geometry.g(grid.y1)
     return FluxIdentityReport(lhs=lhs, rhs=rhs)
@@ -506,7 +504,7 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     if lin is None:
         U = np.stack([np.broadcast_to(u_hat, (n1, n2)), np.zeros((n1, n2))])
     else:
-        U = np.stack([u_hat + lin.V["u1"], lin.V["u2"]])
+        U = np.stack([u_hat + lin["u1"], lin["u2"]])
     U[:, 0] = (u_hat + sigma * en["u1_en"], sigma * en["u2_en"])
     U[1, 1:, 0] = 0.0
     U[1, 1:, -1] = wall[1:] * U[0, 1:, -1]

@@ -214,9 +214,9 @@ def test_criterion_7_scaling_laws(bg_rot, hat_rot, tuned_pex):
         lin = solve_linear(hat_rot, pert, grid)
         sup = solve_nonlinear(hat_rot, pert, grid, bg_rot)
         diffs.append(max(
-            np.abs(sup.V["u1"] - hat_rot["m", "u"][None, :] - lin.V["u1"]).max(),
-            np.abs(sup.V["u2"] - lin.V["u2"]).max(),
-            np.abs(sup.V["S"] - hat_rot["m", "S"][None, :] - lin.V["S"]).max()))
+            np.abs(sup.V["u1"] - hat_rot["m", "u"][None, :] - lin["u1"]).max(),
+            np.abs(sup.V["u2"] - lin["u2"]).max(),
+            np.abs(sup.V["S"] - hat_rot["m", "S"][None, :] - lin["S"]).max()))
     slope = np.polyfit(np.log(sigmas), np.log(diffs), 1)[0]
     ok = stable and 1.8 <= slope <= 2.2
     report(7, "scaling laws", ok,

@@ -307,6 +307,24 @@ def test_verify_after_one_pass_solve(tmp_path, capsys):
     assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
 
 
+def test_one_pass_report_is_strict_json(tmp_path, capsys):
+    # the demo configuration at sigma = 0 stops after one pass, so there is no
+    # contraction estimate: kappa_final is JSON null, not a bare NaN
+    raw = parse_config(DEMO_CONFIG).raw
+    raw["nozzle"]["sigma"] = 0.0
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out), "--grid", "65", "33"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["iterations"] == 1
+    assert report["kappa_final"] is None
+
+
 def test_sweep_requires_key(tmp_path, capsys):
     p = tmp_path / "c.json"
     write_config(p)

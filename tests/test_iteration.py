@@ -25,7 +25,7 @@ from tests.lagrangian_oracle import x2_of_y
 
 def build_ctx(bg, pert, psi_bar=0.6):
     """Context around an arbitrary fixed shock position (no root search)."""
-    return build_context(bg, pert, rs.TransonicOptions(nx=129, ny=65), psi_bar=psi_bar)[0]
+    return build_context(bg, pert, rs.TransonicOptions(nx=129, ny=65), psi_bar=psi_bar)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rotshock as rs
 from rotshock import fd
+from rotshock.cli import parse_config
+from rotshock.iteration import setup_upstream
 from rotshock.lagrangian import HattedProfiles, inlet_maps
 from rotshock.profiles import Profile
 from rotshock.shockfit import (
@@ -17,7 +21,7 @@ from rotshock.shockfit import (
     solve_linear_subsonic,
 )
 from rotshock.supersonic import solve_linear
-from tests.conftest import L_DUCT, make_pert, make_pert_strong
+from tests.conftest import DEMO_CONFIG, L_DUCT, make_pert, make_pert_strong
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +142,7 @@ def test_J1_at_zero_matches_closed_form(hat_rot, grid65, lin_rot):
     co = coefficients(hat_rot)
     jf = J_functionals(co, lin_rot, pert, hat_rot, 65)
     # closed form: the wall term integrates g' exactly, g(L) - g(0)
-    V = lin_rot.V
+    V = lin_rot
     w_int = (co.fa3 - co.fa1) * co.b1p
     g = pert.geometry.g
     closed = (fd.trap(w_int * V.trace("u1", V.grid.y1a), co.y2[1] - co.y2[0]) / pert.sigma
@@ -226,13 +230,13 @@ def test_shock_slope_properties(hat_rot, grid65, lin_rot):
     co = coefficients(hat_rot)
     V, _ = solve_linear_subsonic(co, 0.6, lin_rot, pert, hat_rot, 65,
                                  defect_tol=1e9)
-    sl = shock_slope(V, lin_rot, 0.6, co)
+    sl = shock_slope(V, lin_rot, co)
     # u2 data vanish on the bottom wall on both sides: slope is exactly 0 there
     assert sl[0] == 0.0
     # linearity in the fields
     V2 = rs.Field(V.grid, {k: 2.0 * v for k, v in V.data.items()})
     lin2 = solve_linear(hat_rot, make_pert_strong(2e-3), grid65)
-    sl2 = shock_slope(V2, lin2, 0.6, co)
+    sl2 = shock_slope(V2, lin2, co)
     assert np.abs(sl2 - 2.0 * sl).max() <= 1e-14
 
 
@@ -252,7 +256,7 @@ def test_initial_approximation_consistency(bg_rot, hat_rot, tuned_pex):
     pert = make_pert(1e-3, tuned_pex)
     m, m_bar, _ = inlet_maps(bg_rot, pert)
     lin = solve_linear(hat_rot, pert, rs.LagrangianGrid(129, 65, 0.0, L_DUCT, m, m_bar))
-    init = initial_approximation(coefficients(hat_rot), lin, pert, hat_rot, 89,
+    init = initial_approximation(coefficients(hat_rot), lin, pert, hat_rot,
                                  bracket=(0.35, 0.9))
     d = init.diagnostics
     scale = max(1.0, abs(d["J2"]))
@@ -262,3 +266,46 @@ def test_initial_approximation_consistency(bg_rot, hat_rot, tuned_pex):
     assert np.isfinite(d["amplification"])
     assert init.front.grid.y1b == L_DUCT
     assert 0.0 < init.front.psi.min() and init.front.psi.max() < L_DUCT
+
+
+@pytest.fixture(scope="module")
+def demo_setup_65x33():
+    """The demo configuration and its upstream setup at 65x33."""
+    cfg = parse_config(DEMO_CONFIG)
+    opts = rs.TransonicOptions(nx=65, ny=33)
+    bg = rs.build_background(cfg.upstream, cfg.gas)
+    return cfg.pert, setup_upstream(bg, cfg.pert, opts)
+
+
+@pytest.mark.parametrize("bracket", [None, (0.35, 0.9)])
+def test_initial_approximation_sigma_zero_is_degenerate(demo_setup_65x33, bracket):
+    pert, (hat, _, co, lin) = demo_setup_65x33
+    pert0 = dataclasses.replace(pert, sigma=0.0)
+    with pytest.raises(rs.DegenerateSelectionError,
+                       match="sigma = 0: the shock position is arbitrary"):
+        initial_approximation(co, lin, pert0, hat, bracket)
+
+
+def test_initial_approximation_default_bracket_error_names_it(demo_setup_65x33):
+    # without a bracket the search runs on selection_bracket's interval, and a
+    # failed search says so
+    pert, (hat, _, co, lin) = demo_setup_65x33
+    br = selection_bracket(co, lin, pert, hat)
+    with pytest.raises(rs.NoAdmissibleShockError) as err:
+        initial_approximation(co, lin, pert, hat)
+    msg = str(err.value)
+    assert msg.startswith("exit functional J2=")
+    assert f"the search ran on ({br.lo:.6g}, {br.hi:.6g})" in msg
+    assert "sufficient monotonicity interval of selection_bracket" in msg
+
+
+def test_initial_approximation_given_bracket_error_unwrapped(demo_setup_65x33):
+    # J1 spans about [-9.96e-3, -9.62e-3] on (0.35, 0.4), J2 is -1.215e-2: the
+    # search fails, and the caller's bracket is not re-described
+    pert, (hat, _, co, lin) = demo_setup_65x33
+    with pytest.raises(rs.NoAdmissibleShockError) as err:
+        initial_approximation(co, lin, pert, hat, (0.35, 0.4))
+    msg = str(err.value)
+    assert "outside the attainable range" in msg
+    assert "the search ran on" not in msg
+    assert "selection_bracket" not in msg

@@ -58,7 +58,7 @@ def test_linear_zero_data(hat_rot, grid65):
     pert = make_pert(0.0, 0.0)
     sol = solve_linear(hat_rot, pert, grid65)
     flux = flux_identity(sol, hat_rot, pert)
-    assert max(np.abs(sol.V[k]).max() for k in ("u1", "u2", "S", "B")) == 0.0
+    assert max(np.abs(sol[k]).max() for k in ("u1", "u2", "S", "B")) == 0.0
     assert flux.max_violation == 0.0
 
 
@@ -66,7 +66,7 @@ def test_linear_exact_sigma_scaling(hat_rot, grid65):
     s1 = solve_linear(hat_rot, make_pert(1e-3, 0.0), grid65)
     s2 = solve_linear(hat_rot, make_pert(2e-3, 0.0), grid65)
     for k in ("u1", "u2", "S", "B"):
-        assert np.abs(s2.V[k] - 2.0 * s1.V[k]).max() <= 1e-16
+        assert np.abs(s2[k] - 2.0 * s1[k]).max() <= 1e-16
 
 
 def test_flux_identity_no_wall(bg_rot, hat_rot, grid65):
@@ -110,7 +110,7 @@ def test_linear_self_convergence(bg_rot):
         hat = rs.hatted_background(bg_rot, n2=ny)
         grid = rs.LagrangianGrid(nx, ny, 0.0, L_DUCT, hat.m_bar, hat.m_bar)
         sol = solve_linear(hat, pert, grid)
-        sols[(nx, ny)] = sol.V
+        sols[(nx, ny)] = sol
     e1 = np.abs(sols[(65, 33)]["u1"] - sols[(257, 129)]["u1"][::4, ::4]).max()
     e2 = np.abs(sols[(129, 65)]["u1"] - sols[(257, 129)]["u1"][::2, ::2]).max()
     assert 3.0 <= e1 / e2 <= 6.0  # ~4 for a second-order scheme
@@ -174,7 +174,7 @@ def test_newton_stops_at_roundoff_floor():
     opts = rs.TransonicOptions(nx=129, ny=65)
     bg = rs.build_background(cfg.upstream, cfg.gas)
     hat, _, _, lin = setup_upstream(bg, cfg.pert, opts)
-    grid = lin.V.grid
+    grid = lin.grid
 
     def newton(**kw):
         return solve_nonlinear(hat, cfg.pert, grid, bg, lin=lin, **kw)
@@ -265,9 +265,9 @@ def test_nonlinear_close_to_linear_quadratically(hat_rot, grid65, bg_rot):
         lin = solve_linear(hat_rot, pert, grid65)
         sup = solve_nonlinear(hat_rot, pert, grid65, bg_rot)
         diffs.append(max(
-            np.abs(sup.V["u1"] - hat_rot["m", "u"][None, :] - lin.V["u1"]).max(),
-            np.abs(sup.V["u2"] - lin.V["u2"]).max(),
-            np.abs(sup.V["S"] - hat_rot["m", "S"][None, :] - lin.V["S"]).max(),
+            np.abs(sup.V["u1"] - hat_rot["m", "u"][None, :] - lin["u1"]).max(),
+            np.abs(sup.V["u2"] - lin["u2"]).max(),
+            np.abs(sup.V["S"] - hat_rot["m", "S"][None, :] - lin["S"]).max(),
         ))
     slope = np.polyfit(np.log(sigmas), np.log(diffs), 1)[0]
     assert 1.8 <= slope <= 2.2
@@ -305,7 +305,7 @@ def test_march_matches_row_oracle(bg_rot, nx, ny):
     for sigma in (0.0, 1e-3, 1e-2):
         pert = make_pert_strong(sigma)
         lin = solve_linear(hat, pert, grid)
-        assert_close((lin.V["u1"], lin.V["u2"]), march_oracle.linear(hat, pert, grid))
+        assert_close((lin["u1"], lin["u2"]), march_oracle.linear(hat, pert, grid))
         # tol = inf stops after one Newton step from the background
         one = solve_nonlinear(hat, pert, grid, bg_rot, tol=np.inf)
         assert_close((one.V["u1"], one.V["u2"]), march_oracle.newton_step(hat, pert, grid, bg_rot))
