@@ -7,7 +7,6 @@ reconstructs the shock front in physical coordinates.
 
 import os
 
-import numpy as np
 from numpy.polynomial import Polynomial as P
 
 import rotshock as rs

@@ -9,12 +9,12 @@ verify       recompute the residual suite on stored `solve` output
 sweep        repeat `solve` while varying one configuration key over a list
 
 Exit codes: 0 success, 1 usage or configuration error or unwritable
-output, 2 degenerate background, 3 no admissible shock position (also
-`initial` at sigma = 0), 4 non-convergence (CFL and trust-region failures
-too) or, for `solve` and `verify`, residuals above `solver.tol_res`; a sweep
-point that misses `tol_res` keeps `status` 0.  All field files are CSV in
-the one format of `rotshock.csvio`, so identical configurations produce
-byte-identical output.
+output, 2 degenerate background, 3 no admissible shock position, or more
+than one (also `initial` at sigma = 0), 4 non-convergence (CFL and
+trust-region failures too) or, for `solve` and `verify`, residuals above
+`solver.tol_res`; a sweep point that misses `tol_res` keeps `status` 0.
+All field files are CSV in the one format of `rotshock.csvio`, so identical
+configurations produce byte-identical output.
 
 Independent work runs in processes forked by `rotshock.parallel.run_forked`:
 `solve` and `initial` write their two field files at once, and `sweep`

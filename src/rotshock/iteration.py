@@ -61,7 +61,8 @@ import numpy as np
 
 from . import fd
 from .elliptic import DEFECT_TOL, EllipticProblem, compatibility_defect, solve
-from .errors import ConfigError, InvalidStateError, NonConvergenceError, TrustRegionError
+from .errors import (ConfigError, DegenerateSelectionError, InvalidStateError,
+                     NoAdmissibleShockError, NonConvergenceError, TrustRegionError)
 from .lagrangian import Field, LagrangianGrid, hatted_background, inlet_maps
 from .shockfit import (
     ShockCoefficients,
@@ -112,8 +113,8 @@ class TransonicOptions:
     ``defect_tol`` is the solvability gate of every elliptic solve: the
     linear subsonic problem of the initial approximation and the downstream
     problem of each pass.  ``psi_bracket`` bounds the position search
-    (default: ``selection_bracket``); ``psi_bar`` places the front at
-    sigma = 0 (default: mid-bracket or L/2).  The Newton solve of the
+    (default: the whole duct (0, L)); ``psi_bar`` places the front at
+    sigma = 0 (default: the middle of that interval).  The Newton solve of the
     upstream flow runs with the defaults of ``supersonic.solve_nonlinear``
     (update tolerance 1e-12, at most 30 steps, sigma at most
     ``supersonic.SIGMA_THRESHOLD``), and the trust radius of ``run`` is
@@ -744,8 +745,8 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup
     if psi_bar is None and pert.sigma == 0.0:
         psi_bar = opts.psi_bar
         if psi_bar is None:
-            psi_bar = (0.5 * (opts.psi_bracket[0] + opts.psi_bracket[1])
-                       if opts.psi_bracket else 0.5 * L)
+            lo, hi = opts.psi_bracket or (0.0, L)
+            psi_bar = 0.5 * (lo + hi)
     if psi_bar is None:
         initial = initial_approximation(coeffs, lin, pert, hat, opts.psi_bracket,
                                         opts.defect_tol)

@@ -223,7 +223,9 @@ def selection_bracket(coeffs: ShockCoefficients, lin: Field, pert, hat) -> Selec
     L_plus = |I| / F with I the slope integral of J1 at psi_bar = 0 and F a
     computable bound on |J1''| built from the measured supersonic
     amplification (the sup norm of the linear solution and its first two
-    y1-derivatives, divided by sigma) and the wall curvature.
+    y1-derivatives, divided by sigma) and the wall curvature.  The paper's
+    sufficient condition for a unique position; the solver does not need it,
+    as ``find_shock_position`` counts the roots on any bracket.
     """
     sigma, L = pert.sigma, pert.geometry.L
     y2 = coeffs.y2
@@ -260,11 +262,14 @@ def selection_bracket(coeffs: ShockCoefficients, lin: Field, pert, hat) -> Selec
 
 
 def find_shock_position(J1, J2, bracket):
-    """Root of J1(psi) = J2 on a bracket where sampled J1 is strictly monotone.
+    """The one root of J1(psi) = J2 on the bracket.
 
-    Bracketed bisection of ``POSITION_SAMPLES`` samples refined by secant
-    steps; ties resolve toward the smaller psi.  |J1(root) - J2| <=
-    POSITION_TOL * scale on success, within ``POSITION_MAX_ITER`` steps.
+    ``POSITION_SAMPLES`` samples of J1 locate every sign change of J1 - J2
+    (a sample where J1 = J2 exactly is a root itself); secant steps guarded
+    by bisection refine each to |J1 - J2| <= POSITION_TOL * scale within
+    ``POSITION_MAX_ITER`` steps.  J1 need not be monotone.  No root, or more
+    than one, raises ``NoAdmissibleShockError``; the latter names each root
+    and the sign of J1' there.
     """
     lo, hi = bracket
     if not hi > lo:
@@ -272,47 +277,48 @@ def find_shock_position(J1, J2, bracket):
     ps = np.linspace(lo, hi, POSITION_SAMPLES)
     js = np.array([J1(p) for p in ps])
     scale = max(np.abs(js).max(), abs(J2), 1.0)
-    dj = np.diff(js)
     if np.abs(js - js[0]).max() <= 1e-10 * scale:
         raise DegenerateSelectionError(
             "J1 is flat on the bracket: the shock position is arbitrary"
         )
-    if not (np.all(dj > 0.0) or np.all(dj < 0.0)):
-        raise NoAdmissibleShockError("sampled J1 is not strictly monotone on the bracket")
-    if not (min(js[0], js[-1]) <= J2 <= max(js[0], js[-1])):
+    s = np.sign(js - J2)
+    # (root, sign of J1' there)
+    roots = [(float(ps[k]), js[min(k + 1, POSITION_SAMPLES - 1)] - js[max(k - 1, 0)])
+             for k in np.flatnonzero(s == 0.0)]
+    for k in np.flatnonzero(s[:-1] * s[1:] < 0.0):
+        # sgn * (J1 - J2) rises through zero on (a, b)
+        sgn = s[k + 1]
+        f = lambda p: sgn * (J1(p) - J2)
+        a, b = ps[k], ps[k + 1]
+        fa, fb = f(a), f(b)
+        for _ in range(POSITION_MAX_ITER):
+            # secant candidate, fall back to bisection when it leaves (a, b)
+            xs = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
+            if not a < xs < b:
+                xs = 0.5 * (a + b)
+            fx = f(xs)
+            if abs(fx) <= POSITION_TOL * scale:
+                break
+            if fx < 0.0:
+                a, fa = xs, fx
+            else:
+                b, fb = xs, fx
+        else:
+            raise NoAdmissibleShockError(
+                f"root refinement stalled: |J1-J2|={abs(fx):.3e} after "
+                f"{POSITION_MAX_ITER} iterations")
+        roots.append((float(xs), sgn))
+    if not roots:
         raise NoAdmissibleShockError(
             f"exit functional J2={J2:.6e} outside the attainable range "
-            f"[{min(js[0], js[-1]):.6e}, {max(js[0], js[-1]):.6e}]"
+            f"[{js.min():.6e}, {js.max():.6e}]"
         )
-    sgn = 1.0 if js[-1] > js[0] else -1.0
-    f = lambda p: sgn * (J1(p) - J2)
-    k = int(np.searchsorted(sgn * (js - J2), 0.0))
-    a, b = ps[max(k - 1, 0)], ps[min(k, POSITION_SAMPLES - 1)]
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return float(a)
-    if fb == 0.0:
-        return float(b)
-    x, fx = a, fa
-    for _ in range(POSITION_MAX_ITER):
-        # secant candidate, fall back to bisection when it leaves (a, b)
-        if fb != fa:
-            xs = b - fb * (b - a) / (fb - fa)
-        else:
-            xs = 0.5 * (a + b)
-        if not a < xs < b:
-            xs = 0.5 * (a + b)
-        fx = f(xs)
-        x = xs
-        if abs(fx) <= POSITION_TOL * scale:
-            return float(x)
-        if fx < 0.0:
-            a, fa = xs, fx
-        else:
-            b, fb = xs, fx
-    raise NoAdmissibleShockError(
-        f"root refinement stalled: |J1-J2|={abs(fx):.3e} after {POSITION_MAX_ITER} iterations"
-    )
+    if len(roots) > 1:
+        raise NoAdmissibleShockError(
+            f"J1 = J2 has {len(roots)} roots, psi_bar = " + ", ".join(
+                f"{r:.6g} (J1' {'>' if d > 0.0 else '<'} 0)" for r, d in sorted(roots))
+            + ": the shock position is not unique; a bracket around one selects it")
+    return roots[0][0]
 
 
 def subsonic_sb_source(hat, S_row, B_row, h2):
@@ -461,47 +467,34 @@ def initial_approximation(coeffs: ShockCoefficients, lin: Field, pert, hat, brac
 
     ``lin`` is the linear upstream march of ``supersonic.solve_linear``.  At
     sigma = 0 the position is arbitrary, bracket or not:
-    ``DegenerateSelectionError``.  Without ``bracket`` the search runs on the
-    interval of ``selection_bracket``, and a ``NoAdmissibleShockError`` of
-    the search, the linear subsonic solve or the front names it.  The
-    downstream grid has ``downstream_nodes`` at the bracket's midpoint.
+    ``DegenerateSelectionError``.  ``find_shock_position`` searches
+    ``bracket``, by default the whole duct (0, L), and raises
+    ``NoAdmissibleShockError`` unless J1 = J2 has exactly one root there.
+    The downstream grid has ``downstream_nodes`` at the bracket's midpoint.
     """
-    sigma = pert.sigma
+    sigma, L = pert.sigma, pert.geometry.L
     if sigma == 0.0:
         raise DegenerateSelectionError("sigma = 0: the shock position is arbitrary")
-    given = bool(bracket)
-    if given:
-        bracket = tuple(bracket)
-    else:
-        br = selection_bracket(coeffs, lin, pert, hat)
-        bracket = (br.lo, br.hi)
-    n1_sub = downstream_nodes(pert.geometry.L, 0.5 * (bracket[0] + bracket[1]), lin.grid.h1)
-    try:
-        jf = J_functionals(coeffs, lin, pert, hat, n1_sub)
-        psi_bar = find_shock_position(jf.J1, jf.J2, bracket)
-        V_plus, esol = solve_linear_subsonic(coeffs, psi_bar, lin, pert, hat,
-                                             n1_sub, defect_tol=defect_tol)
-        slope = shock_slope(V_plus, lin, coeffs)
-        front = ShockFront(V_plus.grid, 0.0, slope)
-        amp = max(
-            max(np.abs(V_plus[k]).max() for k in ("u1", "u2", "S", "B")),
-            np.abs(slope).max(),
-        ) / sigma
-        if amp > AMPLIFICATION_BOUND:
-            raise NoAdmissibleShockError(
-                f"linear response {amp:.3e} exceeds the bound "
-                f"{AMPLIFICATION_BOUND:.1e}: data too violent for the linear theory"
-            )
-        diag = {
-            "psi_bar": psi_bar, "J2": jf.J2, "J1_at_psi_bar": jf.J1(psi_bar),
-            "bracket": bracket, "defect": esol.defect,
-            "amplification": amp,
-        }
-        return InitialApproximation(V_plus=V_plus, front=front, diagnostics=diag)
-    except NoAdmissibleShockError as exc:
-        if given:
-            raise
+    bracket = tuple(bracket or (0.0, L))
+    n1_sub = downstream_nodes(L, 0.5 * (bracket[0] + bracket[1]), lin.grid.h1)
+    jf = J_functionals(coeffs, lin, pert, hat, n1_sub)
+    psi_bar = find_shock_position(jf.J1, jf.J2, bracket)
+    V_plus, esol = solve_linear_subsonic(coeffs, psi_bar, lin, pert, hat,
+                                         n1_sub, defect_tol=defect_tol)
+    slope = shock_slope(V_plus, lin, coeffs)
+    front = ShockFront(V_plus.grid, 0.0, slope)
+    amp = max(
+        max(np.abs(V_plus[k]).max() for k in ("u1", "u2", "S", "B")),
+        np.abs(slope).max(),
+    ) / sigma
+    if amp > AMPLIFICATION_BOUND:
         raise NoAdmissibleShockError(
-            f"{exc}; the search ran on ({bracket[0]:.6g}, {bracket[1]:.6g}), the "
-            "sufficient monotonicity interval of selection_bracket; "
-            "solver.psi_bracket sets the search bracket") from None
+            f"linear response {amp:.3e} exceeds the bound "
+            f"{AMPLIFICATION_BOUND:.1e}: data too violent for the linear theory"
+        )
+    diag = {
+        "psi_bar": psi_bar, "J2": jf.J2, "J1_at_psi_bar": jf.J1(psi_bar),
+        "bracket": bracket, "defect": esol.defect,
+        "amplification": amp,
+    }
+    return InitialApproximation(V_plus=V_plus, front=front, diagnostics=diag)

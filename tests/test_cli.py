@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -124,9 +125,9 @@ def test_non_finite_table_cell_exit_1(tmp_path, capsys):
     assert "error: perturbation.P_ex.table: non-finite value" in capsys.readouterr().err
 
 
-def test_default_bracket_failure_names_the_bracket(tmp_path, capsys):
-    # without solver.psi_bracket the search runs on selection_bracket's
-    # interval; when it finds no shock, the error says where it looked
+def test_default_search_names_both_roots(tmp_path, capsys):
+    # without solver.psi_bracket the search covers (0, L); on the demo
+    # configuration J1 = J2 has two roots there, and the error names both
     raw = parse_config(DEMO_CONFIG).raw
     raw["solver"]["psi_bracket"] = None
     p = tmp_path / "c.json"
@@ -136,10 +137,23 @@ def test_default_bracket_failure_names_the_bracket(tmp_path, capsys):
                    "--grid", "65", "33"])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "outside the attainable range" in err
-        assert "the search ran on (0, " in err
-        assert "sufficient monotonicity interval of selection_bracket" in err
-        assert "solver.psi_bracket sets the search bracket" in err
+        assert re.search(r"J1 = J2 has 2 roots, psi_bar = 0\.61\d+ \(J1' < 0\), "
+                         r"1\.35\d+ \(J1' > 0\)", err), err
+        assert "(0, " not in err and "selection_bracket" not in err
+
+
+def test_default_search_solves_a_unique_root(tmp_path, capsys):
+    # at P_ex = -0.042 J1 = J2 has one root on (0, L): no bracket is needed
+    raw = parse_config(DEMO_CONFIG).raw
+    raw["solver"]["psi_bracket"] = None
+    raw["perturbation"]["P_ex"] = [-0.042]
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    report = json.load(open(tmp_path / "o" / "report.json"))
+    assert report["psi_bar"] == pytest.approx(1.74398, abs=1e-5)
+    assert report["iterations"] == 3
+    assert report["pde_residual"] == pytest.approx(8.1e-7, rel=0.01)
 
 
 def test_cmd_background(tmp_path, capsys):

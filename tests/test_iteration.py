@@ -140,12 +140,12 @@ def test_one_perturbed_inlet_map_per_context(bg_rot, monkeypatch):
 def test_one_coefficients_call_per_setup(tmp_path, monkeypatch, capsys):
     # without psi_bracket the position search and the initial approximation
     # share the setup's coefficients; on the demo configuration the search
-    # then finds J2 outside the attainable range
+    # then finds two roots on (0, L)
     cfg = parse_config(DEMO_CONFIG)
     opts = dataclasses.replace(cfg.options, nx=65, ny=33, psi_bracket=None)
     bg = rs.build_background(cfg.upstream, cfg.gas)
     calls = count_calls(monkeypatch, shockfit, "coefficients")
-    with pytest.raises(rs.NoAdmissibleShockError, match="outside the attainable range"):
+    with pytest.raises(rs.NoAdmissibleShockError, match="J1 = J2 has 2 roots"):
         solve_transonic(bg, cfg.pert, opts)
     assert len(calls) == 1
     # `rotshock initial` makes the same single call
@@ -154,7 +154,7 @@ def test_one_coefficients_call_per_setup(tmp_path, monkeypatch, capsys):
     conf.write_text(json.dumps({**cfg.raw, "solver": {**cfg.raw["solver"], "psi_bracket": None}}))
     argv = ["initial", "--config", str(conf), "--out", str(tmp_path / "o"), "--grid", "65", "33"]
     assert main(argv) == 3
-    assert "outside the attainable range" in capsys.readouterr().err
+    assert "J1 = J2 has 2 roots" in capsys.readouterr().err
     assert len(calls) == 1
 
 
@@ -162,6 +162,17 @@ def test_psi_sharp_zero_data(ctx_zero):
     s, _, prob = solve_psi_sharp(ctx_zero.initial_state, ctx_zero)
     assert s == 0.0
     assert abs(compatibility_defect(prob)) <= 1e-13
+
+
+def test_psi_sharp_leaving_the_range_is_no_admissible_shock():
+    # a downstream state far from the approximation drives the secant for
+    # psi_sharp out of (-psi_bar, L - psi_bar)
+    cfg = parse_config(DEMO_CONFIG)
+    bg = rs.build_background(cfg.upstream, cfg.gas)
+    ctx = build_context(bg, cfg.pert, dataclasses.replace(cfg.options, nx=65, ny=33))
+    state = dataclasses.replace(ctx.initial_state, u1=ctx.initial_state.u1 + 0.01)
+    with pytest.raises(rs.NoAdmissibleShockError, match="leaves the admissible range"):
+        solve_psi_sharp(state, ctx)
 
 
 def test_apply_T_ZERO_is_fixed_point(ctx_zero):

@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock import fd
+from rotshock import fd, shockfit
 from rotshock.cli import parse_config
 from rotshock.iteration import setup_upstream
 from rotshock.lagrangian import HattedProfiles, inlet_maps
@@ -14,6 +15,7 @@ from rotshock.shockfit import (
     ShockFront,
     b_coefficients,
     coefficients,
+    downstream_nodes,
     find_shock_position,
     initial_approximation,
     selection_bracket,
@@ -286,17 +288,22 @@ def test_initial_approximation_sigma_zero_is_degenerate(demo_setup_65x33, bracke
         initial_approximation(co, lin, pert0, hat, bracket)
 
 
-def test_initial_approximation_default_bracket_error_names_it(demo_setup_65x33):
-    # without a bracket the search runs on selection_bracket's interval, and a
-    # failed search says so
+def _roots_named(exc):
+    """(psi_bar, sign of J1') of every root a ``NoAdmissibleShockError`` names."""
+    return [(float(r), 1 if d == ">" else -1)
+            for r, d in re.findall(r"([0-9.]+) \(J1' ([<>]) 0\)", str(exc))]
+
+
+def test_initial_approximation_default_search_names_both_roots(demo_setup_65x33):
+    # without a bracket the search covers (0, L), where the demo configuration
+    # has two roots; the error names each and the sign of J1' there
     pert, (hat, _, co, lin) = demo_setup_65x33
-    br = selection_bracket(co, lin, pert, hat)
-    with pytest.raises(rs.NoAdmissibleShockError) as err:
+    with pytest.raises(rs.NoAdmissibleShockError, match="J1 = J2 has 2 roots") as err:
         initial_approximation(co, lin, pert, hat)
-    msg = str(err.value)
-    assert msg.startswith("exit functional J2=")
-    assert f"the search ran on ({br.lo:.6g}, {br.hi:.6g})" in msg
-    assert "sufficient monotonicity interval of selection_bracket" in msg
+    roots = _roots_named(err.value)
+    assert [d for _, d in roots] == [-1, 1]
+    assert [r for r, _ in roots] == pytest.approx([0.6177, 1.3566], abs=1e-4)
+    assert "selection_bracket" not in str(err.value)
 
 
 def test_initial_approximation_given_bracket_error_unwrapped(demo_setup_65x33):
@@ -309,3 +316,66 @@ def test_initial_approximation_given_bracket_error_unwrapped(demo_setup_65x33):
     assert "outside the attainable range" in msg
     assert "the search ran on" not in msg
     assert "selection_bracket" not in msg
+
+
+@pytest.fixture(scope="module", params=[(65, 33), (129, 65)], ids=["65x33", "129x65"])
+def demo_setup(request):
+    """The demo configuration and its upstream setup, which P_ex does not enter."""
+    cfg = parse_config(DEMO_CONFIG)
+    nx, ny = request.param
+    bg = rs.build_background(cfg.upstream, cfg.gas)
+    return cfg.pert, setup_upstream(bg, cfg.pert, rs.TransonicOptions(nx=nx, ny=ny))
+
+
+@pytest.mark.parametrize("P_ex,expected", [
+    (-0.065, (0.827, 1.152)), (-0.0561, (0.618, 1.357)), (-0.047, (0.406, 1.552)),
+])
+def test_two_roots_across_the_band(demo_setup, P_ex, expected):
+    # across this band of exit pressures J1 = J2 has two roots on (0, L):
+    # J1 falls through J2 at the left one and rises through it at the right
+    pert, (hat, _, co, lin) = demo_setup
+    pert = dataclasses.replace(pert, P_ex=Profile.from_poly([P_ex]))
+    with pytest.raises(rs.NoAdmissibleShockError, match="has 2 roots") as err:
+        initial_approximation(co, lin, pert, hat)
+    roots = _roots_named(err.value)
+    assert [d for _, d in roots] == [-1, 1]
+    assert [r for r, _ in roots] == pytest.approx(expected, abs=1e-3)
+    # each named root is a sign change of J1 - J2 with the named orientation
+    L = pert.geometry.L
+    jf = J_functionals(co, lin, pert, hat, downstream_nodes(L, 0.5 * L, lin.grid.h1))
+    for r, d in roots:
+        assert d * (jf.J1(r - 1e-3) - jf.J2) < 0.0 < d * (jf.J1(r + 1e-3) - jf.J2)
+
+
+def test_two_roots_independent_of_sample_count(demo_setup, monkeypatch):
+    pert, (hat, _, co, lin) = demo_setup
+    found = []
+    for n in (shockfit.POSITION_SAMPLES, 2 * shockfit.POSITION_SAMPLES):
+        monkeypatch.setattr(shockfit, "POSITION_SAMPLES", n)
+        with pytest.raises(rs.NoAdmissibleShockError, match="has 2 roots") as err:
+            initial_approximation(co, lin, pert, hat)
+        found.append(_roots_named(err.value))
+    assert [d for _, d in found[1]] == [d for _, d in found[0]]
+    assert [r for r, _ in found[1]] == pytest.approx([r for r, _ in found[0]], abs=1e-5)
+
+
+def test_find_root_several_roots_named():
+    with pytest.raises(rs.NoAdmissibleShockError, match="has 3 roots") as err:
+        find_shock_position(lambda p: np.cos(3 * np.pi * p), 0.0, (0.0, 1.0))
+    roots = _roots_named(err.value)
+    assert [d for _, d in roots] == [-1, 1, -1]
+    assert [r for r, _ in roots] == pytest.approx([1 / 6, 1 / 2, 5 / 6], abs=1e-6)
+
+
+def test_non_monotone_bracket_solves():
+    # (0.35, 1.2) holds one root of J1 = J2, and J1 turns inside it
+    cfg = parse_config(DEMO_CONFIG)
+    bg = rs.build_background(cfg.upstream, cfg.gas)
+    opts = dataclasses.replace(cfg.options, psi_bracket=(0.35, 1.2))
+    hat, _, co, lin = setup_upstream(bg, cfg.pert, opts)
+    jf = J_functionals(co, lin, cfg.pert, hat, downstream_nodes(2.0, 0.775, lin.grid.h1))
+    dj = np.diff([jf.J1(p) for p in np.linspace(0.35, 1.2, 33)])
+    assert dj.min() < 0.0 < dj.max()
+    res = rs.solve_transonic(bg, cfg.pert, opts)
+    assert res.psi_bar == pytest.approx(0.61804006, abs=1e-8)
+    assert len(res.log) == 3

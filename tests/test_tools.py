@@ -1,8 +1,11 @@
+import ast
+import builtins
 import hashlib
 import json
 import os
 import re
 import subprocess
+import symtable
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -103,3 +106,65 @@ def test_ladder_smoke(tmp_path):
     assert fp["passes"] == row["counts"]["iteration.apply_T.calls"]
     assert fp["picard_sweeps"] == row["counts"]["supersonic.picard_sweeps"]
     assert 0.35 < fp["psi_bar"] < fp["psi_sharp"] < 0.9
+
+
+SCANNED_DIRS = ("src", "tests", "demos", "tools", "bench")
+MODULE_NAMES = set(dir(builtins)) | {"__file__"}
+
+
+def _sources():
+    for top in SCANNED_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for name in sorted(filenames):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield os.path.relpath(path, ROOT), fh.read()
+
+
+def _unbound_globals(rel, source):
+    """Names that some scope of the module reads as globals and nothing binds."""
+    top = symtable.symtable(source, rel, "exec")
+    tables, bound, read = [top], set(MODULE_NAMES), []
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            if table is top or sym.is_declared_global():
+                if sym.is_assigned() or sym.is_imported() or sym.is_namespace():
+                    bound.add(name)
+            if sym.is_referenced() and (table is top or sym.is_global()):
+                read.append((table.get_name(), name))
+    return [f"{rel}: {scope} reads undefined global {name!r}"
+            for scope, name in read if name not in bound]
+
+
+def _unused_imports(rel, source):
+    """Imports that no name or ``__all__`` entry of the module reads."""
+    if os.path.basename(rel) == "__init__.py":  # its imports are re-exports
+        return []
+    tree = ast.parse(source, rel)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "__all__"):
+            used |= set(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append(f"{rel}:{node.lineno}: unused import {name!r}")
+    return found
+
+
+def test_static_name_scan():
+    # every global a function reads is bound by its module or builtins, and
+    # every import is read
+    problems = []
+    for rel, source in _sources():
+        problems += _unbound_globals(rel, source) + _unused_imports(rel, source)
+    assert problems == []
