@@ -5,14 +5,17 @@ Subcommands
 background   build the flat-nozzle shock profiles and report the jump residuals
 initial      locate the approximate shock position and write the linear solution
 solve        run the full nonlinear iteration
-verify       recompute the residual suite on stored `solve` output
+verify       audit the fields stored by `solve` with its residual suite
 sweep        repeat `solve` while varying one configuration key over a list
 
-Exit codes: 0 success, 1 usage or configuration error or unwritable
-output, 2 degenerate background, 3 no admissible shock position, or more
-than one (also `initial` at sigma = 0), 4 non-convergence (CFL and
-trust-region failures too) or, for `solve` and `verify`, residuals above
-`solver.tol_res`; a sweep point that misses `tol_res` keeps `status` 0.
+Exit codes: 0 success, 1 usage or configuration error (also a position
+bracket or sigma = 0 front outside the duct, and stored files that
+`verify` cannot read or that belong to another configuration) or
+unwritable output, 2 degenerate background, 3 no admissible shock
+position, or more than one (also `initial` at sigma = 0), 4
+non-convergence (CFL and trust-region failures too) or, for `solve` and
+`verify`, residuals above `solver.tol_res`; a sweep point that misses
+`tol_res` keeps `status` 0.
 All field files are CSV in the one format of `rotshock.csvio`, so identical
 configurations produce byte-identical output.
 
@@ -54,19 +57,19 @@ from .background import build_background, rh_residual, write_background_csv, Ups
 from .csvio import read_csv, write_csv
 from .errors import ConfigError, DegenerateBackgroundError, NoAdmissibleShockError, RotshockError
 from .iteration import (
+    IterationContext,
     IterationState,
     TransonicOptions,
-    build_context,
     check_audit_grid,
     residuals,
     setup_upstream,
     solve_transonic,
 )
-from .lagrangian import Geometry
+from .lagrangian import Field, Geometry, LagrangianGrid, hatted_background, inlet_maps
 from .parallel import available_cpus, run_forked
 from .profiles import is_number, profile_from_json
-from .shockfit import initial_approximation
-from .supersonic import PerturbationConfig, flux_identity
+from .shockfit import coefficients, initial_approximation
+from .supersonic import PerturbationConfig, SupersonicSolution, flux_identity, inflow_state
 from .thermo import GasModel, GasState
 
 SCHEMA_VERSION = 1
@@ -229,7 +232,7 @@ def cmd_background(cfg: RunConfig, out):
         GasState(bg.rho_p, bg.u_p, 0.0, bg.P_p), cfg.gas,
     )
     report = {
-        "m_bar": float(np.trapezoid(bg.mass_flux, bg.x2)),
+        "m_bar": inlet_maps(bg)[1],
         "rh_residual_mass": float(np.abs(jumps[0]).max()),
         "rh_residual_momentum": float(np.abs(jumps[1]).max()),
         "rh_residual_bernoulli": float(np.abs(jumps[2]).max()),
@@ -315,39 +318,77 @@ def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
     return 0 if ok else 4
 
 
-def _columns(rows, n2, name):
-    if rows % n2:
-        raise ConfigError(f"{name}: {rows} rows do not fill columns of {n2} (front.csv) nodes")
-    return rows // n2
+_STORED = {"fields_plus.csv": ("y1", "y2", "u1", "u2", "S", "B"),
+           "front.csv": ("y2", "psi", "psi_prime"),
+           "iteration_log.csv": ("defect",),
+           "fields_minus.csv": ("y1", "y2", "u1", "u2", "S", "B")}
+
+
+def _stored_field(name, data, grid):
+    """``Field`` on ``grid`` of the columns ``data`` read from ``name``;
+    ``ConfigError`` unless the file's y1/y2 nodes are those of ``grid``."""
+    shape = (grid.n1, grid.n2)
+    if (data["y1"].size != grid.n1 * grid.n2
+            or np.any(data["y1"] != np.repeat(grid.y1, grid.n2))
+            or np.any(data["y2"] != np.tile(grid.y2, grid.n1))):
+        raise ConfigError(
+            f"{name}: its y1/y2 nodes are not those of the {grid.n1}x{grid.n2} grid on "
+            f"[{grid.y1a:g}, {grid.y1b:g}] x [0, {grid.m_bar:g}] of this configuration")
+    return Field(grid, {k: data[k].reshape(shape) for k in ("u1", "u2", "S", "B")})
 
 
 def cmd_verify(cfg: RunConfig, out):
-    """Recompute the residual suite on fields stored by `solve`, on their grid."""
-    stored = ("fields_plus.csv", "front.csv", "iteration_log.csv", "fields_minus.csv")
-    missing = [name for name in stored if not os.path.isfile(os.path.join(out, name))]
+    """Audit the fields stored by `solve` with the residual suite of `solve`.
+
+    The upstream flow is ``fields_minus.csv`` as stored; nothing is marched
+    again.  The grid sizes come from the stored files.  Their y1/y2 nodes
+    must be those of this configuration's grids, the stored inflow (u1, u2
+    on the first row, S and B on every row) the one the Newton march
+    imposes (``supersonic.inflow_state``), and the downstream B the upstream
+    one carried across the front; otherwise ``ConfigError``.
+    """
+    missing = [name for name in _STORED if not os.path.isfile(os.path.join(out, name))]
     if missing:
         raise ConfigError(f"verify needs the output of `solve` in {out}; "
                           f"missing {', '.join(missing)}")
-    plus = read_csv(os.path.join(out, "fields_plus.csv"))
-    front_csv = read_csv(os.path.join(out, "front.csv"))
-    log = read_csv(os.path.join(out, "iteration_log.csv"))
-    with open(os.path.join(out, "fields_minus.csv")) as fh:
-        rows_minus = sum(1 for _ in fh) - 1
+    stored = {}
+    for name, columns in _STORED.items():
+        stored[name] = read_csv(os.path.join(out, name))
+        lacking = [c for c in columns if c not in stored[name]]
+        if lacking:
+            raise ConfigError(f"{name}: no column {', '.join(lacking)}")
+    plus, front_csv, log, minus = stored.values()
 
     n2 = front_csv["y2"].size
-    opts = replace(cfg.options, nx=_columns(rows_minus, n2, "fields_minus.csv"), ny=n2)
-    n1s = _columns(plus["y1"].size, n2, "fields_plus.csv")
-    psi_bar = plus["y1"].reshape(n1s, n2)[0, 0]
+    opts = replace(cfg.options, nx=minus["y1"].size // n2, ny=n2)
+    check_audit_grid(opts)
     bg = build_background(cfg.upstream, cfg.gas)
-    ctx = build_context(bg, cfg.pert, opts, psi_bar=psi_bar, n1=n1s)
-    hat = ctx.hat
+    hat = hatted_background(bg, n2)
+    m, entry = inflow_state(hat, cfg.pert, inlet_maps(bg, cfg.pert))
+    L = cfg.pert.geometry.L
+    V_minus = _stored_field("fields_minus.csv", minus,
+                            LagrangianGrid(opts.nx, n2, 0.0, L, m, hat.m_bar))
+    marched = {"u1": V_minus["u1"][0], "u2": V_minus["u2"][0],
+               "S": V_minus["S"], "B": V_minus["B"]}
+    if any(np.any(marched[k] != v) for k, v in entry.items()):
+        raise ConfigError("fields_minus.csv: the stored inflow is not the inflow of this "
+                          "configuration (u1, u2 on the first row, S and B on every row)")
+    psi_bar = plus["y1"][0]
+    V_plus = _stored_field("fields_plus.csv", plus,
+                           LagrangianGrid(plus["y1"].size // n2, n2, psi_bar, L, m, hat.m_bar))
     state = IterationState(
-        u1=plus["u1"].reshape(n1s, n2) - hat["p", "u"][None, :],
-        u2=plus["u2"].reshape(n1s, n2),
-        S=plus["S"].reshape(n1s, n2) - hat["p", "S"][None, :],
+        u1=V_plus["u1"] - hat["p", "u"][None, :],
+        u2=V_plus["u2"],
+        S=V_plus["S"] - hat["p", "S"][None, :],
         psi_prime=front_csv["psi_prime"],
         psi_sharp_dev=float(front_csv["psi"][-1] - psi_bar),
     )
+    ctx = IterationContext(hat=hat, coeffs=coefficients(hat), pert=cfg.pert,
+                           grid_plus=V_plus.grid, initial_state=state, opts=opts,
+                           sup=SupersonicSolution(V=V_minus, update_history=[]))
+    if np.any(V_plus["B"] != ctx.B_row + hat["p", "B"]):
+        raise ConfigError("fields_plus.csv: the stored B is not the upstream B that "
+                          "crosses the front")
     rep = residuals(ctx, state, last_defect=log["defect"][-1])
     _write_json(os.path.join(out, "verify_report.json"),
                 {k: v for k, v in asdict(rep).items() if k != "details"})

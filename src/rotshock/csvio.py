@@ -7,6 +7,8 @@ A 2-D column is written in row-major order.
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Rows formatted per write: a whole 257x129 field file at once takes 13% more peak memory.
 _BLOCK = 256
 
@@ -50,8 +52,20 @@ def write_csv(path, columns):
 
 
 def read_csv(path):
-    """Read a numeric CSV artifact into a dict from column name to float array."""
+    """Read a numeric CSV artifact into a dict from column name to float array.
+
+    A file without data rows, with a row whose cell count differs from the
+    header's or with a non-numeric cell raises ``ConfigError`` naming it.
+    """
     with open(path) as fh:
         names = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(names):
+        raise ConfigError(f"{path}: {data.shape[1]} cells per row under {len(names)} names")
     return {n: data[:, i] for i, n in enumerate(names)}

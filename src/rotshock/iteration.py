@@ -29,16 +29,17 @@ per (psi_sharp_dev, psi'); the step assembly, the residual audit, the
 reconstructed heights and the CLI's physical abscissa all take their
 derivative factors and wall abscissa from it.
 
-Every entry point (``solve_transonic`` and the ``initial``/``verify``
-subcommands) shares one setup: ``setup_upstream`` builds the hatted
-profiles, the perturbed inlet maps, the shock coefficients and the linear
-upstream march, whose grid is the upstream grid.
+``solve_transonic`` and the ``initial`` subcommand share one setup:
+``setup_upstream`` builds the hatted profiles, the perturbed inlet maps,
+the shock coefficients and the linear upstream march, whose grid is the
+upstream grid.  The ``verify`` subcommand builds its context from the
+fields that ``solve`` stored instead.
 ``shockfit.initial_approximation`` places the shock from J1(psi_bar) = J2
 on that march and builds the linear two-phase approximation in one call.
 ``build_context`` runs the setup (or takes one built before, as a sweep
 over the exit pressure shares it), the nonlinear march (Newton's method
 from the background plus the same linear march) and the front placement
-(``initial_approximation``, or a fixed ``psi_bar``), and freezes an
+(``initial_approximation``, or at sigma = 0 ``opts.psi_bar``), and freezes an
 ``IterationContext``, the one thing it returns.  m and m_bar are read
 from a ``LagrangianGrid`` (the front's psi_bar and L from the downstream
 one), L elsewhere from ``pert.geometry`` and the gas from ``hat``; nothing
@@ -98,8 +99,7 @@ __all__ = [
 # one-step constant at desk-scale sigma (strictly 1 only for asymptotically
 # small sigma)
 TRUST_FACTOR = 10.0
-# psi_sharp secant: relative tolerance and most steps
-PSI_SHARP_TOL_REL = 1e-12
+# most psi_sharp secant steps
 PSI_SHARP_MAX_ITER = 60
 # reach of the one-sided boundary closures: the residual audit leaves out a
 # frame of this many nodes on every side of each region
@@ -113,8 +113,9 @@ class TransonicOptions:
     ``defect_tol`` is the solvability gate of every elliptic solve: the
     linear subsonic problem of the initial approximation and the downstream
     problem of each pass.  ``psi_bracket`` bounds the position search
-    (default: the whole duct (0, L)); ``psi_bar`` places the front at
-    sigma = 0 (default: the middle of that interval).  The Newton solve of the
+    (default: the whole duct (0, L)) and lies inside [0, L]; ``psi_bar``
+    places the front at sigma = 0 (default: the middle of that interval)
+    and lies inside (0, L).  The Newton solve of the
     upstream flow runs with the defaults of ``supersonic.solve_nonlinear``
     (update tolerance 1e-12, at most 30 steps, sigma at most
     ``supersonic.SIGMA_THRESHOLD``), and the trust radius of ``run`` is
@@ -463,9 +464,9 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     Secant iteration on psi_sharp_dev; the functional is the discrete
     compatibility defect of the assembled downstream problem, so the
     subsequent elliptic solve is solvable by construction.  The root is
-    accepted at |J| <= ``PSI_SHARP_TOL_REL`` * max(|J(start)|, sigma), or
-    at the rounding floor, within ``PSI_SHARP_MAX_ITER`` steps.  Returns
-    (psi_sharp_dev, StepData, EllipticProblem) at the root.
+    accepted at the rounding floor of the assembled quadratures, |J| <=
+    1e-13 * max(1, max|b1p| * m_bar), within ``PSI_SHARP_MAX_ITER`` steps.
+    Returns (psi_sharp_dev, StepData, EllipticProblem) at the root.
     """
     psi_bar = ctx.grid_plus.y1a
     L = ctx.pert.geometry.L
@@ -481,10 +482,8 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     s0 = state.psi_sharp_dev
     J0, root = J(s0)
     sigma = ctx.pert.sigma
-    scale = max(abs(J0), sigma, 1e-14)
     # rounding floor of the assembled quadratures; below it J counts as zero
-    atol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.grid_plus.m_bar)
-    tol = max(PSI_SHARP_TOL_REL * scale, atol)
+    tol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.grid_plus.m_bar)
     if abs(J0) <= tol:
         return root
     ds = max(1e-3 * max(sigma, 1e-6) * (L - psi_bar), 1e-9)
@@ -720,7 +719,7 @@ def check_audit_grid(opts: TransonicOptions):
             f"least {least} nodes each way")
 
 
-def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup=None):
+def build_context(bg, pert, opts: TransonicOptions, setup=None):
     """Setup, nonlinear march and front placement; returns the ``IterationContext``.
 
     ``check_audit_grid`` runs first.  ``setup`` is the ``(hat, inlet,
@@ -729,25 +728,19 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup
     once for all its points); by default it is built here.  After the
     setup, the Newton solve of the nonlinear march starts
     from the hatted background plus the linear march, on every path; on the
-    demo configuration it takes 2 steps.  Without ``psi_bar`` the front is
-    placed by ``initial_approximation`` (in ``opts.psi_bracket``) and the loop
-    starts from the linear approximation, which is not kept; at sigma = 0 it
-    sits at ``opts.psi_bar`` (default: mid-bracket or L/2).  Given
-    ``psi_bar``, the front is fixed there on ``n1`` downstream nodes
-    (default: ``downstream_nodes`` at the upstream spacing) and the loop
-    starts from zero perturbation.
+    demo configuration it takes 2 steps.  At sigma > 0 the front is placed by
+    ``initial_approximation`` (in ``opts.psi_bracket``) and the loop starts
+    from the linear approximation, which is not kept.  At sigma = 0 the front
+    is fixed at ``opts.psi_bar`` (default: the middle of the bracket or of
+    (0, L)), which must lie inside (0, L), on ``downstream_nodes`` at the
+    upstream spacing, and the loop starts from zero perturbation.
     """
     check_audit_grid(opts)
     L = pert.geometry.L
     hat, inlet, coeffs, lin = setup or setup_upstream(bg, pert, opts)
     grid_minus = lin.grid
     sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
-    if psi_bar is None and pert.sigma == 0.0:
-        psi_bar = opts.psi_bar
-        if psi_bar is None:
-            lo, hi = opts.psi_bracket or (0.0, L)
-            psi_bar = 0.5 * (lo + hi)
-    if psi_bar is None:
+    if pert.sigma > 0.0:
         initial = initial_approximation(coeffs, lin, pert, hat, opts.psi_bracket,
                                         opts.defect_tol)
         V_plus = initial.V_plus
@@ -755,7 +748,14 @@ def build_context(bg, pert, opts: TransonicOptions, psi_bar=None, n1=None, setup
         init_state = IterationState(u1=V_plus["u1"], u2=V_plus["u2"], S=V_plus["S"],
                                     psi_prime=initial.front.psi_prime, psi_sharp_dev=0.0)
     else:
-        n1 = n1 or downstream_nodes(L, psi_bar, grid_minus.h1)
+        psi_bar = opts.psi_bar
+        if psi_bar is None:
+            lo, hi = opts.psi_bracket or (0.0, L)
+            psi_bar = 0.5 * (lo + hi)
+        if not 0.0 < psi_bar < L:
+            raise ConfigError(f"solver.psi_bar = {psi_bar:g}, the front at sigma = 0 (default: "
+                              f"mid solver.psi_bracket), is not inside the duct (0, L = {L:g})")
+        n1 = downstream_nodes(L, psi_bar, grid_minus.h1)
         grid_plus = LagrangianGrid(n1, opts.ny, psi_bar, L, grid_minus.m, grid_minus.m_bar)
         shape = (n1, opts.ny)
         init_state = IterationState(u1=np.zeros(shape), u2=np.zeros(shape),

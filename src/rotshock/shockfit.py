@@ -33,6 +33,7 @@ from scipy.interpolate import CubicSpline
 from . import fd
 from .elliptic import DEFECT_TOL, EllipticProblem, solve
 from .errors import (
+    ConfigError,
     DegenerateBackgroundError,
     DegenerateSelectionError,
     IncompatibleDataError,
@@ -469,13 +470,17 @@ def initial_approximation(coeffs: ShockCoefficients, lin: Field, pert, hat, brac
     sigma = 0 the position is arbitrary, bracket or not:
     ``DegenerateSelectionError``.  ``find_shock_position`` searches
     ``bracket``, by default the whole duct (0, L), and raises
-    ``NoAdmissibleShockError`` unless J1 = J2 has exactly one root there.
-    The downstream grid has ``downstream_nodes`` at the bracket's midpoint.
+    ``NoAdmissibleShockError`` unless J1 = J2 has exactly one root there; a
+    bracket that is not inside [0, L] raises ``ConfigError``.  The downstream
+    grid has ``downstream_nodes`` at the bracket's midpoint.
     """
     sigma, L = pert.sigma, pert.geometry.L
     if sigma == 0.0:
         raise DegenerateSelectionError("sigma = 0: the shock position is arbitrary")
     bracket = tuple(bracket or (0.0, L))
+    if not (0.0 <= bracket[0] and bracket[1] <= L):
+        raise ConfigError(f"solver.psi_bracket = [{bracket[0]:g}, {bracket[1]:g}] is not "
+                          f"inside the duct [0, L = {L:g}]")
     n1_sub = downstream_nodes(L, 0.5 * (bracket[0] + bracket[1]), lin.grid.h1)
     jf = J_functionals(coeffs, lin, pert, hat, n1_sub)
     psi_bar = find_shock_position(jf.J1, jf.J2, bracket)

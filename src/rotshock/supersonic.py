@@ -42,6 +42,7 @@ __all__ = [
     "SupersonicSolution",
     "FluxIdentityReport",
     "entrance_profiles",
+    "inflow_state",
     "solve_linear",
     "flux_identity",
     "solve_nonlinear",
@@ -132,6 +133,20 @@ def entrance_profiles(hat, pert: PerturbationConfig, inlet=None):
         "S_en": pert.S_en(x2q),
         "B_en": pert.B_en(x2q),
     }
+
+
+def inflow_state(hat, pert: PerturbationConfig, inlet):
+    """(m, entrance state) that ``solve_nonlinear`` imposes on the upstream grid.
+
+    The entrance state maps u1 and u2, the first row of the march, and S and
+    B, which ride along y1 and so fill every row, to their y2-profiles.
+    ``inlet`` is ``inlet_maps(bg, pert)``; at sigma = 0 the background map
+    is used instead, so m is m_bar.
+    """
+    sigma = pert.sigma
+    m, en = entrance_profiles(hat, pert, inlet if sigma > 0.0 else None)
+    return m, {"u1": hat["m", "u"] + sigma * en["u1_en"], "u2": sigma * en["u2_en"],
+               "S": hat["m", "S"] + sigma * en["S_en"], "B": hat["m", "B"] + sigma * en["B_en"]}
 
 
 def _d2dir(q, h2, forward):
@@ -443,18 +458,15 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     gas = hat.gas
     g = gas.gamma
     beta = gas.beta
-    if sigma == 0.0:
-        inlet = None
-    elif inlet is None:
+    if sigma > 0.0 and inlet is None:
         inlet = inlet_maps(bg, pert)
-    m, en = entrance_profiles(hat, pert, inlet)
+    m, entry = inflow_state(hat, pert, inlet)
     mfac = hat.m_bar / m
     u_hat = hat["m", "u"]
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
 
     # transported characteristic fields (rows constant in y1)
-    S_row = hat["m", "S"] + sigma * en["S_en"]
-    B_row = hat["m", "B"] + sigma * en["B_en"]
+    S_row, B_row = entry["S"], entry["B"]
     rho_hat = hat["m", "rho"]
     P_hat = hat["m", "P"]
     # per difference direction (forward, backward): d2 S, d2 B and the discrete
@@ -505,7 +517,7 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
         U = np.stack([np.broadcast_to(u_hat, (n1, n2)), np.zeros((n1, n2))])
     else:
         U = np.stack([u_hat + lin["u1"], lin["u2"]])
-    U[:, 0] = (u_hat + sigma * en["u1_en"], sigma * en["u2_en"])
+    U[:, 0] = (entry["u1"], entry["u2"])
     U[1, 1:, 0] = 0.0
     U[1, 1:, -1] = wall[1:] * U[0, 1:, -1]
     no_wb = np.zeros(n1)

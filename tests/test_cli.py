@@ -12,6 +12,7 @@ import rotshock as rs
 import rotshock.cli as cli
 from rotshock import background, errors, iteration, supersonic
 from rotshock.cli import _exit_code, main, parse_config
+from rotshock.lagrangian import inlet_maps
 from tests.conftest import (
     BUMP, DEMO_CONFIG, GP_MILD, L_DUCT, assert_no_child_left, count_calls, set_cpus,
 )
@@ -423,6 +424,134 @@ def test_verify_without_solve_output_exit_1(tmp_path, capsys):
     write_config(p)
     assert main(["verify", "--config", str(p), "--out", str(tmp_path / "empty")]) == 1
     assert "fields_plus.csv" in capsys.readouterr().err
+
+
+def copy_solved(solved, tmp_path):
+    """A copy of the `solve` output of ``solved`` that a test may change."""
+    out = tmp_path / "out"
+    shutil.copytree(solved[1], out)
+    return out
+
+
+def set_cell(path, row, column, edit):
+    """Replace cell (``row``, ``column``) of the data rows of a CSV by ``edit(cell)``."""
+    lines = path.read_text().splitlines(True)
+    k = lines[0].rstrip("\n").split(",").index(column)
+    cells = lines[row + 1].rstrip("\n").split(",")
+    cells[k] = edit(cells[k])
+    lines[row + 1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+def test_verify_audits_the_stored_upstream_field(solved, tmp_path, capsys):
+    # u1 + 1e-3 at upstream node (40, 15) of the 65x33 run: the stored field
+    # is audited, not a new march
+    p, _ = solved
+    out = copy_solved(solved, tmp_path)
+    set_cell(out / "fields_minus.csv", 40 * 33 + 15, "u1", lambda c: "%.17g" % (float(c) + 1e-3))
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 4
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")
+    assert json.load(open(out / "verify_report.json"))["pde_residual"] > 1e-3
+
+
+def test_verify_rejects_another_downstream_B(solved, tmp_path, capsys):
+    # B rides along y1 and across the front; the audit takes the downstream B
+    # from the upstream entrance row, so only this check reads the stored one
+    p, _ = solved
+    out = copy_solved(solved, tmp_path)
+    set_cell(out / "fields_plus.csv", 20 * 33 + 15, "B", lambda c: "%.17g" % (float(c) + 1e-3))
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: fields_plus.csv: the stored B")
+
+
+def test_verify_rejects_another_inflow(solved, tmp_path, capsys):
+    # the stored run belongs to u1_en[0] = 0.01
+    _, out = solved
+    conf = tmp_path / "c.json"
+    u1_en = list((0.01 + 0.002 * BUMP).coef)
+    u1_en[0] = 0.012
+    write_config(conf, **{"perturbation.u1_en": u1_en})
+    assert main(["verify", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fields_minus.csv: the stored inflow")
+
+
+def test_verify_rejects_another_duct(solved, tmp_path, capsys):
+    _, out = solved
+    conf = tmp_path / "c.json"
+    write_config(conf, **{"nozzle.L": 2.05})
+    assert main(["verify", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fields_minus.csv: its y1/y2 nodes are not those")
+
+
+def test_verify_marches_nothing(solved, capsys, monkeypatch):
+    p, out = solved
+    marches = [count_calls(monkeypatch, supersonic, "solve_nonlinear"),
+               count_calls(monkeypatch, supersonic, "solve_linear"),
+               count_calls(monkeypatch, iteration, "setup_upstream")]
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+    assert [len(c) for c in marches] == [0, 0, 0]
+
+
+def header_only(path):
+    path.write_text(path.read_text().splitlines(True)[0])
+
+
+def first_columns(path, n):
+    path.write_text("".join(",".join(line.split(",")[:n]).rstrip("\n") + "\n"
+                            for line in path.read_text().splitlines()))
+
+
+@pytest.mark.parametrize("name,spoil,says", [
+    ("iteration_log.csv", header_only, "no data rows"),
+    ("front.csv", lambda path: path.write_text("y1,y2\n"), "no data rows"),
+    ("fields_plus.csv", lambda path: set_cell(path, 7, "u2", lambda c: "abc"),
+     "could not convert"),
+    ("fields_minus.csv", lambda path: set_cell(path, 3, "x2", lambda c: c + ",1"),
+     "number of columns changed"),
+    ("front.csv", lambda path: first_columns(path, 2), "no column psi_prime"),
+    ("iteration_log.csv", lambda path: path.write_text("extra," + path.read_text()),
+     "cells per row under"),
+], ids=["header-only-log", "front-of-names", "text-cell", "ragged-row", "missing-column",
+        "header-too-wide"])
+def test_verify_malformed_stored_file_exit_1(solved, tmp_path, capsys, name, spoil, says):
+    p, _ = solved
+    out = copy_solved(solved, tmp_path)
+    spoil(out / name)
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and says in err
+
+
+@pytest.mark.parametrize("bracket", [[-0.5, 0.9], [0.35, 2.5], [2.1, 3.0]])
+@pytest.mark.parametrize("command", ["initial", "solve", "sweep"])
+def test_bracket_outside_the_duct_exit_1(tmp_path, capsys, bracket, command):
+    # outside [0, L] the spline of the upstream march extrapolates into roots
+    p = tmp_path / "c.json"
+    write_config(p, **{"solver.psi_bracket": bracket})
+    sweep = ["--key", "perturbation.P_ex", "--values", "[[-0.0561]]"] * (command == "sweep")
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *sweep]) == 1
+    assert (f"solver.psi_bracket = [{bracket[0]:g}, {bracket[1]:g}] is not inside the "
+            f"duct [0, L = 2]") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("psi_bar", [2.5, 0.0, 2.0])
+def test_sigma_zero_front_outside_the_duct_exit_1(tmp_path, capsys, psi_bar):
+    p = tmp_path / "c.json"
+    write_config(p, **{"nozzle.sigma": 0.0, "solver.psi_bar": psi_bar})
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert (f"error: solver.psi_bar = {psi_bar:g}, the front at sigma = 0"
+            in capsys.readouterr().err)
+
+
+def test_background_reports_the_m_bar_of_every_solve(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_config(p)
+    assert main(["background", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    cfg = parse_config(p)
+    m_bar = inlet_maps(rs.build_background(cfg.upstream, cfg.gas))[1]
+    assert json.load(open(tmp_path / "o" / "background_report.json"))["m_bar"] == m_bar
 
 
 EXIT_CODES = {"ConfigError": 1, "DegenerateBackgroundError": 2,

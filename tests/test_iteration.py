@@ -24,8 +24,8 @@ from tests.conftest import DEMO_CONFIG, L_DUCT, count_calls, make_pert
 from tests.lagrangian_oracle import x2_of_y
 
 def build_ctx(bg, pert, psi_bar=0.6):
-    """Context around an arbitrary fixed shock position (no root search)."""
-    return build_context(bg, pert, rs.TransonicOptions(nx=129, ny=65), psi_bar=psi_bar)
+    """sigma = 0 context around an arbitrary fixed shock position (no root search)."""
+    return build_context(bg, pert, rs.TransonicOptions(nx=129, ny=65, psi_bar=psi_bar))
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ def test_step_data_pass_terms_match_fresh_assembly(accept_run):
     _assert_step_data_equal(data, assemble_step_data(state, ctx, s))
 
 
-def test_one_perturbed_inlet_map_per_context(bg_rot, monkeypatch):
+def test_one_perturbed_inlet_map_per_context(bg_rot, tuned_pex, monkeypatch):
     # hatted_background builds the background map, setup_upstream the
     # perturbed one, which the nonlinear march reuses
     import rotshock.iteration
@@ -133,7 +133,8 @@ def test_one_perturbed_inlet_map_per_context(bg_rot, monkeypatch):
 
     for mod in (rotshock.lagrangian, rotshock.iteration, rotshock.supersonic):
         monkeypatch.setattr(mod, "inlet_maps", counted)
-    build_ctx(bg_rot, make_pert(1e-3, 0.0))
+    build_context(bg_rot, make_pert(1e-3, tuned_pex),
+                  rs.TransonicOptions(nx=129, ny=65, psi_bracket=(0.35, 0.9)))
     assert calls == [0.0, 1e-3]
 
 
@@ -288,8 +289,8 @@ def test_psi_sharp_exit_pressure_sensitivity(bg_rot, tuned_pex):
     dJds = (J(ctx, s0 + ds) - J(ctx, s0 - ds)) / (2 * ds)
     assert abs(dJds) > 0
     pert2 = make_pert(1e-3, tuned_pex + 2e-4)
-    ctx2 = build_ctx(bg_rot, pert2, psi_bar=res.psi_bar)
-    ctx2.initial_state = st
+    # the march does not read P_ex: the same context with the new exit pressure
+    ctx2 = dataclasses.replace(ctx, pert=pert2, initial_state=st)
     s2, _, _ = solve_psi_sharp(st, ctx2)
     deltaJ = J(ctx2, s0)
     assert np.sign(s2 - s0) == np.sign(-deltaJ / dJds)
