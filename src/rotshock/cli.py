@@ -13,9 +13,9 @@ bracket or sigma = 0 front outside the duct, and stored files that
 `verify` cannot read or that belong to another configuration) or
 unwritable output, 2 degenerate background, 3 no admissible shock
 position, or more than one (also `initial` at sigma = 0), 4
-non-convergence (CFL and trust-region failures too) or, for `solve` and
-`verify`, residuals above `solver.tol_res`; a sweep point that misses
-`tol_res` keeps `status` 0.
+non-convergence (CFL, trust-region and invalid gas states too) or, for
+`solve` and `verify`, residuals above `solver.tol_res`; a sweep point that
+misses `tol_res` keeps `status` 0.
 All field files are CSV in the one format of `rotshock.csvio`, so identical
 configurations produce byte-identical output.
 
@@ -68,7 +68,7 @@ from .iteration import (
 from .lagrangian import Field, Geometry, LagrangianGrid, hatted_background, inlet_maps
 from .parallel import available_cpus, run_forked
 from .profiles import is_number, profile_from_json
-from .shockfit import coefficients, initial_approximation
+from .shockfit import ShockFront, coefficients, initial_approximation
 from .supersonic import PerturbationConfig, SupersonicSolution, flux_identity, inflow_state
 from .thermo import GasModel, GasState
 
@@ -281,7 +281,7 @@ def _shared_setup(cfg: RunConfig):
         return None
 
 
-def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
+def cmd_solve(cfg: RunConfig, out):
     res = _solve(cfg)
     x2m, x2p = res.eulerian_heights()
     ctx = res.ctx
@@ -301,7 +301,7 @@ def cmd_solve(cfg: RunConfig, out, dump_elliptic=False):
             "iterations": len(res.log), "C1_measured": res.C1_measured,
             "kappa_final": res.kappa_final, **asdict(rep),
         })
-        if dump_elliptic or cfg.raw["output"]["dump_fields"]:
+        if cfg.raw["output"]["dump_fields"]:
             write_csv(os.path.join(out, "hatted_profiles.csv"), {
                 "y2": ctx.hat.y2, "x2": ctx.hat.x2,
                 "u_m": ctx.hat["m", "u"], "u_p": ctx.hat["p", "u"],
@@ -344,8 +344,10 @@ def cmd_verify(cfg: RunConfig, out):
     again.  The grid sizes come from the stored files.  Their y1/y2 nodes
     must be those of this configuration's grids, the stored inflow (u1, u2
     on the first row, S and B on every row) the one the Newton march
-    imposes (``supersonic.inflow_state``), and the downstream B the upstream
-    one carried across the front; otherwise ``ConfigError``.
+    imposes (``supersonic.inflow_state``), the downstream B the upstream
+    one carried across the front, and the stored front psi the
+    ``ShockFront`` of its psi_prime and its last psi; otherwise
+    ``ConfigError``.
     """
     missing = [name for name in _STORED if not os.path.isfile(os.path.join(out, name))]
     if missing:
@@ -376,12 +378,19 @@ def cmd_verify(cfg: RunConfig, out):
     psi_bar = plus["y1"][0]
     V_plus = _stored_field("fields_plus.csv", plus,
                            LagrangianGrid(plus["y1"].size // n2, n2, psi_bar, L, m, hat.m_bar))
+    if np.any(front_csv["y2"] != V_plus.grid.y2):
+        raise ConfigError("front.csv: its y2 nodes are not those of the downstream grid")
+    front = ShockFront(V_plus.grid, float(front_csv["psi"][-1] - psi_bar),
+                       front_csv["psi_prime"])
+    if np.any(front_csv["psi"] != front.psi):
+        raise ConfigError("front.csv: its psi is not the front of its psi_prime and its "
+                          "last psi")
     state = IterationState(
         u1=V_plus["u1"] - hat["p", "u"][None, :],
         u2=V_plus["u2"],
         S=V_plus["S"] - hat["p", "S"][None, :],
-        psi_prime=front_csv["psi_prime"],
-        psi_sharp_dev=float(front_csv["psi"][-1] - psi_bar),
+        psi_prime=front.psi_prime,
+        psi_sharp_dev=front.psi_sharp_dev,
     )
     ctx = IterationContext(hat=hat, coeffs=coefficients(hat), pert=cfg.pert,
                            grid_plus=V_plus.grid, initial_state=state, opts=opts,
@@ -493,8 +502,6 @@ def main(argv=None):
                     choices=["background", "initial", "solve", "verify", "sweep"])
     ap.add_argument("--config", required=True, help="JSON configuration file")
     ap.add_argument("--out", default=None, help="output directory (overrides config)")
-    ap.add_argument("--dump-elliptic", action="store_true",
-                    help="also write hatted_profiles.csv, as output.dump_fields does")
     ap.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"),
                     help="override solver.nx solver.ny")
     ap.add_argument("--key", help="config key path for sweep (e.g. nozzle.sigma)")
@@ -522,7 +529,7 @@ def _run(args, cfg, out):
     if args.command == "initial":
         return cmd_initial(cfg, out)
     if args.command == "solve":
-        return cmd_solve(cfg, out, args.dump_elliptic)
+        return cmd_solve(cfg, out)
     if args.command == "verify":
         return cmd_verify(cfg, out)
     if not args.key or not args.values:

@@ -115,10 +115,9 @@ class TransonicOptions:
     problem of each pass.  ``psi_bracket`` bounds the position search
     (default: the whole duct (0, L)) and lies inside [0, L]; ``psi_bar``
     places the front at sigma = 0 (default: the middle of that interval)
-    and lies inside (0, L).  The Newton solve of the
-    upstream flow runs with the defaults of ``supersonic.solve_nonlinear``
-    (update tolerance 1e-12, at most 30 steps, sigma at most
-    ``supersonic.SIGMA_THRESHOLD``), and the trust radius of ``run`` is
+    and lies inside (0, L).  The Newton solve of the upstream flow runs
+    with the defaults of ``supersonic.solve_nonlinear`` (update tolerance
+    1e-12, at most 30 steps), and the trust radius of ``run`` is
     ``TRUST_FACTOR * sigma^(3/2)``.  The CLI's defaults of the ``solver``
     section are these fields.
     """
@@ -163,11 +162,6 @@ class IterationState:
             )
             + np.abs(self.psi_prime - other.psi_prime).max()
         )
-
-    def copy(self):
-        return IterationState(self.u1.copy(), self.u2.copy(), self.S.copy(),
-                              self.psi_prime.copy(), self.psi_sharp_dev,
-                              self.iter, self.update_norm)
 
 
 @dataclass
@@ -537,7 +531,7 @@ def run(ctx: IterationContext):
     opts = ctx.opts
     sigma = ctx.pert.sigma
     trust = TRUST_FACTOR * max(sigma, 1e-300) ** 1.5
-    state = ctx.initial_state.copy()
+    state = ctx.initial_state
     log = []
     prev_update = None
     for _ in range(opts.max_iter):

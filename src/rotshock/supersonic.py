@@ -37,7 +37,6 @@ from .shockfit import b_coefficients, eq2_sb_source, eq2_zero_order
 from .thermo import rho_P
 
 __all__ = [
-    "SIGMA_THRESHOLD",
     "PerturbationConfig",
     "SupersonicSolution",
     "FluxIdentityReport",
@@ -48,8 +47,6 @@ __all__ = [
     "solve_nonlinear",
 ]
 
-# largest sigma the nonlinear march accepts
-SIGMA_THRESHOLD = 0.05
 # largest marching CFL number
 CFL_LIMIT = 0.95
 
@@ -444,8 +441,9 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
 
     ``tol`` is the max-norm of a step's update that ends the solve and
     ``max_iter`` the number of steps it may take; every pipeline path runs
-    with these defaults.  A sigma above ``SIGMA_THRESHOLD`` raises
-    ``ConfigError``.  An update cannot fall below the round-off of the
+    with these defaults.  No sigma is refused up front: a flow the march
+    cannot carry stops in the gas-state, supersonic or CFL check of each
+    step.  An update cannot fall below the round-off of the
     scheme residual, a few eps*max|u| (on the demo configuration about
     1.5e-15 at 129x65 and 6e-15 at 1025x65).  A ``tol`` under that floor
     cannot be met: once an update below 1e3*eps*max|u| fails to halve the
@@ -453,8 +451,6 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     floor.
     """
     sigma = pert.sigma
-    if sigma > SIGMA_THRESHOLD:
-        raise ConfigError(f"sigma={sigma} above the supersonic threshold {SIGMA_THRESHOLD}")
     gas = hat.gas
     g = gas.gamma
     beta = gas.beta

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotshock as rs
 from rotshock.background import solve_mach_profile, upstream_state, downstream_state
@@ -194,3 +196,20 @@ def test_beta_to_zero_classical_limit(upstream_spec, gas_classic):
     for name in ("rho_m", "u_m", "P_m", "rho_p", "u_p", "P_p"):
         prof = bg.profile(name)
         assert np.abs(prof - prof[0]).max() <= 1e-12, name
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(gamma=st.floats(1.05, 3.0, exclude_min=True), beta=st.floats(0.0, 1.0),
+       M_top=st.floats(1.05, 10.0, exclude_min=True))
+def test_background_is_a_shock_or_a_typed_error(gamma, beta, M_top):
+    # either a degenerate background, named, or pointwise jump conditions at
+    # round-off with a subsonic downstream
+    gas = rs.GasModel(gamma, beta)
+    try:
+        bg = rs.build_background(rs.UpstreamSpec(Profile.constant(2.0), M_top, 1.0), gas)
+    except rs.DegenerateBackgroundError:
+        return
+    jumps = rs.rh_residual(rs.GasState(bg.rho_m, bg.u_m, 0.0, bg.P_m),
+                           rs.GasState(bg.rho_p, bg.u_p, 0.0, bg.P_p), gas)
+    assert max(np.abs(j).max() for j in jumps) <= 1e-10
+    assert np.all(bg.u_p**2 * bg.rho_p < gamma * bg.P_p)

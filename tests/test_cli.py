@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rotshock as rs
 import rotshock.cli as cli
@@ -799,3 +805,95 @@ def test_grid_without_an_audit_core_exit_1(tmp_path, capsys, grid):
     assert main(["background", *argv, "--out", str(tmp_path / "b")]) == 0
     if grid == ["65", "5"]:
         assert main(["initial", *argv, "--out", str(tmp_path / "i")]) == 0
+
+
+def demo_config(path, sigma):
+    """Write the demo configuration with ``nozzle.sigma`` = ``sigma`` to ``path``."""
+    raw = parse_config(DEMO_CONFIG).raw
+    raw["nozzle"]["sigma"] = sigma
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+
+
+def strict_json(path):
+    """``path`` parsed as RFC 8259 JSON: a NaN or Infinity constant raises."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_sigma_above_the_old_ceiling_is_audited(tmp_path, capsys):
+    # sigma = 0.1 converges; its residual misses tol_res, which the audit reports
+    p = tmp_path / "c.json"
+    demo_config(p, 0.1)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out), "--grid", "65", "33"]) == 4
+    assert capsys.readouterr().out.rstrip().endswith("RESIDUALS ABOVE tol_res")
+    report = strict_json(out / "report.json")
+    assert 1e-6 < report["pde_residual"] < 1e-3
+
+
+def test_sigma_past_the_first_failure_is_a_typed_error(tmp_path, capsys):
+    # at sigma = 20 the Newton march meets a state with no gas (exit 4)
+    p = tmp_path / "c.json"
+    demo_config(p, 20.0)
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too small for a gas state" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("column,row,says", [
+    (None, None, None),
+    ("psi", 10, "front.csv: its psi is not the front"),
+    ("y2", 20, "front.csv: its y2 nodes are not those"),
+], ids=["untouched", "psi", "y2"])
+def test_verify_reads_every_cell_of_the_front(solved, tmp_path, capsys, column, row, says):
+    p, _ = solved
+    out = copy_solved(solved, tmp_path)
+    if column is None:
+        assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("OK")
+        return
+    set_cell(out / "front.csv", row, column, lambda c: "%.17g" % (float(c) + 1e-3))
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: " + says)
+
+
+def test_dump_fields_writes_the_hatted_profiles(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_config(p, **{"output.dump_fields": True})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out), "--grid", "33", "17"]) == 0
+    with open(out / "hatted_profiles.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["y2", "x2", "u_m", "u_p", "P_m", "P_p"] and len(rows) == 18
+    # the configuration owns the outputs: there is no flag for this file
+    assert main(["solve", "--config", str(p), "--out", str(out), "--dump-elliptic"]) == 1
+    assert capsys.readouterr().err.startswith("usage: rotshock")
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(sigma=st.floats(-4.0, 2.0).map(lambda e: 10.0 ** e))
+@example(sigma=0.0)
+@example(sigma=-1.0)
+def test_any_sigma_ends_in_a_documented_exit(sigma):
+    # no ceiling: the flow's own guards and the residual audit decide
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "c.json")
+        demo_config(p, sigma)
+        out = os.path.join(tmp, "o")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["solve", "--config", p, "--out", out, "--grid", "65", "33"])
+        assert (rc == 1) if sigma < 0.0 else (rc in (0, 4))
+        if os.path.exists(os.path.join(out, "report.json")):
+            report = strict_json(os.path.join(out, "report.json"))
+            assert all(math.isfinite(report[k]) for k in
+                       ("pde_residual", "rh_residual", "exit_residual", "wall_residual"))
+            assert rc == 0 or stdout.getvalue().rstrip().endswith("RESIDUALS ABOVE tol_res")
+        else:
+            assert rc != 0 and stderr.getvalue().startswith("error: ")
+        assert "Traceback" not in stderr.getvalue()

@@ -229,7 +229,7 @@ def test_step_data_quadratic_in_state(bg_rot):
 
         ctx_t = replace(ctx)
         ctx_t.B_row = t * ctx.B_row
-        s2 = st.copy()
+        s2 = replace(st)
         s2.u1 = t * st.u1
         s2.u2 = t * st.u2
         s2.S = t * st.S
@@ -348,7 +348,7 @@ def test_residuals_detect_pressure_violation(accept_run):
     eps = 1e-6
     Pp = ctx.hat["p", "P"]
     for k, fac in ((1, eps), (2, 2 * eps)):
-        st = res.state.copy()
+        st = dataclasses.replace(res.state)
         st.S = st.S - (1.4 - 1.0) * fac / Pp[None, :]
         rep = residuals(ctx, st)
         if k == 1:

@@ -1,7 +1,7 @@
 """SHA-256 digests of every CLI artifact for one grid.
 
-Runs ``background``, ``initial``, ``solve --dump-elliptic``, ``verify`` (on a
-copy of the solve directory) and a three-point exit-pressure ``sweep`` on
+Runs ``background``, ``initial``, ``solve``, ``verify`` (on a copy of the
+solve directory) and a three-point exit-pressure ``sweep`` on
 ``demos/config/almost_flat.json`` in a temporary directory, then prints
 ``sha256  relpath`` for every file written, sorted by path.  The package is
 imported from the ``src/`` next to this script, so two checkouts compare
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import shutil
 import sys
@@ -46,15 +47,24 @@ def run_all(work, grid):
     d = {c: os.path.join(work, c) for c in ("background", "initial", "solve", "verify", "sweep")}
     codes = {}
 
-    def run(cmd, *extra):
+    def run(cmd, *extra, config=CONFIG):
         t0 = time.perf_counter()
-        codes[cmd] = cli_main([cmd, "--config", CONFIG, "--out", d[cmd], *g, *extra])
+        codes[cmd] = cli_main([cmd, "--config", config, "--out", d[cmd], *g, *extra])
         print(f"{cmd}: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
 
-    with contextlib.redirect_stdout(sys.stderr):
+    with contextlib.redirect_stdout(sys.stderr), tempfile.TemporaryDirectory() as tmp:
+        # solve reads a copy with output.dump_fields on, so that
+        # hatted_profiles.csv is digested too; the sweep reads the demo
+        # config itself, so its run_*/config.json files keep their bytes
+        with open(CONFIG) as fh:
+            raw = json.load(fh)
+        raw["output"]["dump_fields"] = True
+        dump_config = os.path.join(tmp, "config.json")
+        with open(dump_config, "w") as fh:
+            json.dump(raw, fh)
         run("background")
         run("initial")
-        run("solve", "--dump-elliptic")
+        run("solve", config=dump_config)
         shutil.copytree(d["solve"], d["verify"])
         run("verify")
         run("sweep", "--key", "perturbation.P_ex", "--values", SWEEP_VALUES)
