@@ -9,7 +9,7 @@ verify       audit the fields stored by `solve` with its residual suite
 sweep        repeat `solve` while varying one configuration key over a list
 
 Exit codes: 0 success, 1 usage or configuration error (also a position
-bracket or sigma = 0 front outside the duct, and stored files that
+bracket outside the duct, at sigma = 0 too, and stored files that
 `verify` cannot read or that belong to another configuration) or
 unwritable output, 2 degenerate background, 3 no admissible shock
 position, or more than one (also `initial` at sigma = 0), 4
@@ -31,7 +31,7 @@ table paths made absolute, so `solve --config run_XXX/config.json`
 reproduces the point.
 
 A sweep over a key that the upstream setup does not read (`_SHARED_SETUP_KEYS`:
-`perturbation.P_ex` and the solver keys other than `nx` and `ny`) builds the
+`perturbation.P_ex`, `solver.tol_res` and `solver.psi_bracket`) builds the
 background and the `setup_upstream` result (hatted profiles, inlet maps,
 shock coefficients, linear march) once, before the fork; every point reuses
 it.  If building it raises, every point builds its own setup and so raises
@@ -144,19 +144,16 @@ def _merge_validate(data):
     if not gas["beta"] >= 0:
         raise ConfigError(f"gas.beta: expected a number >= 0, got {gas['beta']!r}")
     s = merged["solver"]
-    for key in ("nx", "ny", "max_iter"):
+    for key in ("nx", "ny"):
         if not isinstance(s[key], int) or s[key] < 3:
             raise ConfigError(f"solver.{key}: expected an integer >= 3, got {s[key]!r}")
-    for key in ("tol_fp", "tol_res", "defect_tol"):
-        if not is_number(s[key]) or s[key] <= 0:
-            raise ConfigError(f"solver.{key}: expected a positive number")
+    if not is_number(s["tol_res"]) or s["tol_res"] <= 0:
+        raise ConfigError("solver.tol_res: expected a positive number")
     if s["psi_bracket"] is not None:
         pb = s["psi_bracket"]
         if (not isinstance(pb, list) or len(pb) != 2
                 or not all(is_number(v) for v in pb) or pb[0] >= pb[1]):
             raise ConfigError("solver.psi_bracket: expected [lo, hi] with lo < hi")
-    if s["psi_bar"] is not None and not is_number(s["psi_bar"]):
-        raise ConfigError("solver.psi_bar: expected a number")
     out = merged["output"]
     if not isinstance(out["dir"], str):
         raise ConfigError("output.dir: expected a string")
@@ -249,11 +246,10 @@ def cmd_initial(cfg: RunConfig, out):
     opts = cfg.options
     bg = build_background(cfg.upstream, cfg.gas)
     hat, _, coeffs, lin = setup_upstream(bg, cfg.pert, opts)
-    init = initial_approximation(coeffs, lin, cfg.pert, hat, opts.psi_bracket, opts.defect_tol)
-    rec = {k: init.diagnostics[k] for k in
-           ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect")}
-    rec["flux_identity_violation"] = flux_identity(lin, hat, cfg.pert).max_violation
-    _write_json(os.path.join(out, "initial.json"), rec)
+    init = initial_approximation(coeffs, lin, cfg.pert, hat, opts.psi_bracket)
+    _write_json(os.path.join(out, "initial.json"), {
+        **init.diagnostics,
+        "flux_identity_violation": flux_identity(lin, hat, cfg.pert).max_violation})
     write_csv(os.path.join(out, "shock_slope.csv"),
               {"y2": coeffs.y2, "psi_prime": init.front.psi_prime})
     run_forked(partial(lin.write_csv, os.path.join(out, "linear_minus.csv")),
@@ -393,7 +389,7 @@ def cmd_verify(cfg: RunConfig, out):
         psi_sharp_dev=front.psi_sharp_dev,
     )
     ctx = IterationContext(hat=hat, coeffs=coefficients(hat), pert=cfg.pert,
-                           grid_plus=V_plus.grid, initial_state=state, opts=opts,
+                           grid_plus=V_plus.grid, initial_state=state,
                            sup=SupersonicSolution(V=V_minus, update_history=[]))
     if np.any(V_plus["B"] != ctx.B_row + hat["p", "B"]):
         raise ConfigError("fields_plus.csv: the stored B is not the upstream B that "

@@ -12,8 +12,8 @@ Starting from the linear two-phase approximation, the scheme repeats:
    satisfies the nonlinear equations and jump conditions exactly up to
    discretization,
 3. solve the secant's root problem by the two-potential elliptic solver,
-   the pass's one solvability gate: a defect above ``defect_tol`` raises
-   ``IncompatibleDataError`` before either potential is solved,
+   the pass's one solvability gate: a defect above ``elliptic.DEFECT_TOL``
+   raises ``IncompatibleDataError`` before either potential is solved,
 4. update the front slope from the transverse-momentum jump relation.
 
 The map contracts with rate O(sigma); iterates are required to stay in a
@@ -39,11 +39,11 @@ on that march and builds the linear two-phase approximation in one call.
 ``build_context`` runs the setup (or takes one built before, as a sweep
 over the exit pressure shares it), the nonlinear march (Newton's method
 from the background plus the same linear march) and the front placement
-(``initial_approximation``, or at sigma = 0 ``opts.psi_bar``), and freezes an
-``IterationContext``, the one thing it returns.  m and m_bar are read
-from a ``LagrangianGrid`` (the front's psi_bar and L from the downstream
-one), L elsewhere from ``pert.geometry`` and the gas from ``hat``; nothing
-keeps copies.
+(``initial_approximation``, or at sigma = 0 the midpoint of the bracket),
+and freezes an ``IterationContext``, the one thing it returns.  m and m_bar
+are read from a ``LagrangianGrid`` (the front's psi_bar and L from the
+downstream one), L elsewhere from ``pert.geometry`` and the gas from
+``hat``; nothing keeps copies.
 
 Within one pass the downstream state is fixed and only the front moves:
 ``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fd
-from .elliptic import DEFECT_TOL, EllipticProblem, compatibility_defect, solve
+from .elliptic import EllipticProblem, compatibility_defect, solve
 from .errors import (ConfigError, DegenerateSelectionError, InvalidStateError,
                      NoAdmissibleShockError, NonConvergenceError, TrustRegionError)
 from .lagrangian import Field, LagrangianGrid, hatted_background, inlet_maps
@@ -72,6 +72,7 @@ from .shockfit import (
     downstream_nodes,
     eq2_zero_order,
     initial_approximation,
+    position_bracket,
     subsonic_sb_source,
 )
 from .supersonic import solve_linear, solve_nonlinear
@@ -99,6 +100,10 @@ __all__ = [
 # one-step constant at desk-scale sigma (strictly 1 only for asymptotically
 # small sigma)
 TRUST_FACTOR = 10.0
+# the fixed point is reached once an update is at most FIXED_POINT_TOL, within
+# FIXED_POINT_MAX_ITER passes
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 50
 # most psi_sharp secant steps
 PSI_SHARP_MAX_ITER = 60
 # reach of the one-sided boundary closures: the residual audit leaves out a
@@ -108,28 +113,24 @@ AUDIT_FRAME = 3
 
 @dataclass
 class TransonicOptions:
-    """Grid, tolerances and limits of ``solve_transonic``.
+    """Grid, residual gate and position bracket of ``solve_transonic``.
 
-    ``defect_tol`` is the solvability gate of every elliptic solve: the
-    linear subsonic problem of the initial approximation and the downstream
-    problem of each pass.  ``psi_bracket`` bounds the position search
-    (default: the whole duct (0, L)) and lies inside [0, L]; ``psi_bar``
-    places the front at sigma = 0 (default: the middle of that interval)
-    and lies inside (0, L).  The Newton solve of the upstream flow runs
-    with the defaults of ``supersonic.solve_nonlinear`` (update tolerance
-    1e-12, at most 30 steps), and the trust radius of ``run`` is
-    ``TRUST_FACTOR * sigma^(3/2)``.  The CLI's defaults of the ``solver``
-    section are these fields.
+    ``tol_res`` is the gate of the CLI's ``solve`` and ``verify`` on the
+    audited residuals.  ``psi_bracket`` bounds the position search
+    (default: the whole duct (0, L)) and lies inside [0, L]; at sigma = 0
+    its midpoint places the front.  The rest is fixed: every elliptic solve
+    gates at ``elliptic.DEFECT_TOL``, ``run`` stops at an update of
+    ``FIXED_POINT_TOL`` within ``FIXED_POINT_MAX_ITER`` passes inside a
+    trust radius of ``TRUST_FACTOR * sigma^(3/2)``, and the Newton solve of
+    the upstream flow runs with the defaults of
+    ``supersonic.solve_nonlinear`` (update tolerance 1e-12, at most 30
+    steps).  The CLI's defaults of the ``solver`` section are these fields.
     """
 
     nx: int = 129
     ny: int = 65
-    tol_fp: float = 1e-10
     tol_res: float = 1e-6
-    max_iter: int = 50
-    defect_tol: float = DEFECT_TOL
     psi_bracket: tuple = None
-    psi_bar: float = None
 
 
 @dataclass
@@ -202,7 +203,6 @@ class IterationContext:
     grid_plus: LagrangianGrid
     sup: object                      # nonlinear supersonic solution
     initial_state: IterationState
-    opts: TransonicOptions
     B_row: np.ndarray = field(init=False)  # transported downstream Bernoulli perturbation
     E2: np.ndarray = field(init=False, repr=False)       # background defect of eq2
     cc_plus: np.ndarray = field(init=False, repr=False)  # zero-order coefficient of the linear eq2
@@ -281,7 +281,7 @@ class _PassTerms:
         ctx, state = self.ctx, self.state
         hat = ctx.hat
         h1, h2 = ctx.grid_plus.h1, ctx.grid_plus.h2
-        rup = hat["p", "rho"] * hat["p", "u"]
+        rup = ctx.coeffs.mass_flux
         rup_du = hat["p", "rho"] * hat["p", "du"]
         lam1 = ((1.0 - hat["p", "Msq"])[None, :] * fd.d1(state.u1, h1)
                 - rup_du[None, :] * state.u2 + rup[None, :] * fd.d2(state.u2, h2))
@@ -415,7 +415,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     # ---- exit datum
     PL = full["P"][-1, :]
     arg = _heights(grid, full["rho"][-1, :], full["u1"][-1, :])
-    rup = hat["p", "rho"] * up
+    rup = co.mass_flux
     Pp_hat = hat["p", "P"]
     g4 = (
         -sigma * ctx.pert.P_ex(arg) / rup
@@ -509,10 +509,10 @@ def apply_T(state: IterationState, ctx: IterationContext):
     ``esol`` is the downstream elliptic solution at the root of
     ``solve_psi_sharp``; its ``defect`` is the compatibility defect of that
     problem, and ``solve`` raises ``IncompatibleDataError`` when it is above
-    ``defect_tol``.
+    ``elliptic.DEFECT_TOL``.
     """
     s_sharp, data, prob = solve_psi_sharp(state, ctx)
-    esol = solve(prob, ctx.opts.defect_tol)
+    esol = solve(prob)
     grid = ctx.grid_plus
     psi_prime_new = (grid.m / (grid.m_bar * ctx.coeffs.P_jump)) * (esol.v2[0, :] + data.g0)
     new = IterationState(
@@ -528,13 +528,12 @@ def apply_T(state: IterationState, ctx: IterationContext):
 
 def run(ctx: IterationContext):
     """Iterate the map to its fixed point; returns (state, log)."""
-    opts = ctx.opts
     sigma = ctx.pert.sigma
     trust = TRUST_FACTOR * max(sigma, 1e-300) ** 1.5
     state = ctx.initial_state
     log = []
     prev_update = None
-    for _ in range(opts.max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         state_new, esol = apply_T(state, ctx)
         upd = state_new.update_norm
         kappa = upd / prev_update if (prev_update and prev_update > 0.0) else np.nan
@@ -553,10 +552,10 @@ def run(ctx: IterationContext):
                 )
         state = state_new
         prev_update = upd
-        if upd <= opts.tol_fp:
+        if upd <= FIXED_POINT_TOL:
             return state, log
     raise NonConvergenceError(
-        f"fixed point not reached in {opts.max_iter} iterations "
+        f"fixed point not reached in {FIXED_POINT_MAX_ITER} iterations "
         f"(last update {state.update_norm:.3e})",
         [row["update_norm"] for row in log],
     )
@@ -596,8 +595,7 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     front, minus = _front(ctx, state.psi_sharp_dev, state.psi_prime)
     terms = _PassTerms(ctx, state)
     full, plus = terms.full, terms.plus
-    wb_p, raw_p, frame_p = region_maxima(
-        *_ResidualTerms(gp_grid, gas, full).N(front.fac1, front.cross), ctx.E2)
+    wb_p, raw_p, frame_p = region_maxima(*terms.residual.N(front.fac1, front.cross), ctx.E2)
 
     # --- jump conditions on the front
     k = (gp_grid.m_bar / gp_grid.m) * state.psi_prime
@@ -725,9 +723,10 @@ def build_context(bg, pert, opts: TransonicOptions, setup=None):
     demo configuration it takes 2 steps.  At sigma > 0 the front is placed by
     ``initial_approximation`` (in ``opts.psi_bracket``) and the loop starts
     from the linear approximation, which is not kept.  At sigma = 0 the front
-    is fixed at ``opts.psi_bar`` (default: the middle of the bracket or of
-    (0, L)), which must lie inside (0, L), on ``downstream_nodes`` at the
-    upstream spacing, and the loop starts from zero perturbation.
+    is fixed at the midpoint of ``position_bracket(opts.psi_bracket, L)``,
+    the bracket and the check of ``initial_approximation``, on
+    ``downstream_nodes`` at the upstream spacing, and the loop starts from
+    zero perturbation.
     """
     check_audit_grid(opts)
     L = pert.geometry.L
@@ -735,20 +734,14 @@ def build_context(bg, pert, opts: TransonicOptions, setup=None):
     grid_minus = lin.grid
     sup = solve_nonlinear(hat, pert, grid_minus, bg, lin=lin, inlet=inlet)
     if pert.sigma > 0.0:
-        initial = initial_approximation(coeffs, lin, pert, hat, opts.psi_bracket,
-                                        opts.defect_tol)
+        initial = initial_approximation(coeffs, lin, pert, hat, opts.psi_bracket)
         V_plus = initial.V_plus
         grid_plus = V_plus.grid
         init_state = IterationState(u1=V_plus["u1"], u2=V_plus["u2"], S=V_plus["S"],
                                     psi_prime=initial.front.psi_prime, psi_sharp_dev=0.0)
     else:
-        psi_bar = opts.psi_bar
-        if psi_bar is None:
-            lo, hi = opts.psi_bracket or (0.0, L)
-            psi_bar = 0.5 * (lo + hi)
-        if not 0.0 < psi_bar < L:
-            raise ConfigError(f"solver.psi_bar = {psi_bar:g}, the front at sigma = 0 (default: "
-                              f"mid solver.psi_bracket), is not inside the duct (0, L = {L:g})")
+        lo, hi = position_bracket(opts.psi_bracket, L)
+        psi_bar = 0.5 * (lo + hi)
         n1 = downstream_nodes(L, psi_bar, grid_minus.h1)
         grid_plus = LagrangianGrid(n1, opts.ny, psi_bar, L, grid_minus.m, grid_minus.m_bar)
         shape = (n1, opts.ny)
@@ -756,7 +749,7 @@ def build_context(bg, pert, opts: TransonicOptions, setup=None):
                                     S=np.zeros(shape), psi_prime=np.zeros(opts.ny),
                                     psi_sharp_dev=0.0)
     return IterationContext(hat=hat, coeffs=coeffs, pert=pert, grid_plus=grid_plus, sup=sup,
-                            initial_state=init_state, opts=opts)
+                            initial_state=init_state)
 
 
 def solve_transonic(bg, pert, opts: TransonicOptions = None, setup=None) -> RunResult:
@@ -765,8 +758,8 @@ def solve_transonic(bg, pert, opts: TransonicOptions = None, setup=None) -> RunR
     ``setup``, the ``(hat, inlet, coeffs, lin)`` of ``setup_upstream(bg,
     pert, opts)``, is passed on to ``build_context``; without it the setup
     is built here.  It may be shared by solves that differ only in what the
-    setup does not read: the exit pressure ``pert.P_ex`` and the options
-    other than ``nx`` and ``ny``.  The Newton march always runs per solve.
+    setup does not read: the exit pressure ``pert.P_ex``, ``tol_res`` and
+    ``psi_bracket``.  The Newton march always runs per solve.
     """
     opts = opts or TransonicOptions()
     ctx = build_context(bg, pert, opts, setup=setup)

@@ -28,10 +28,9 @@ def is_number(v):
 class Profile:
     """Scalar function on an interval with derivatives up to order 3."""
 
-    def __init__(self, fun, derivs, label="profile"):
+    def __init__(self, fun, derivs):
         self._fun = fun
         self._derivs = derivs  # tuple of callables f', f'', f'''
-        self.label = label
 
     def __call__(self, x):
         return self._fun(np.asarray(x, dtype=float))
@@ -42,11 +41,11 @@ class Profile:
         return self._derivs[k - 1]
 
     @classmethod
-    def from_poly(cls, coeffs, label="poly"):
+    def from_poly(cls, coeffs):
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         p = np.polynomial.Polynomial(coeffs)
         ds = tuple(p.deriv(k) for k in (1, 2, 3))
-        return cls(lambda x: p(np.asarray(x, dtype=float)), ds, label)
+        return cls(lambda x: p(np.asarray(x, dtype=float)), ds)
 
     @classmethod
     def from_table(cls, x, f, label="table"):
@@ -56,7 +55,7 @@ class Profile:
             raise ConfigError(f"{label}: table needs >=4 strictly increasing abscissae")
         s = CubicSpline(x, f)
         ds = tuple(s.derivative(k) for k in (1, 2, 3))
-        return cls(s, ds, label)
+        return cls(s, ds)
 
     @classmethod
     def from_callable(cls, fun, lo, hi, n=513, label="callable"):
@@ -64,8 +63,8 @@ class Profile:
         return cls.from_table(x, fun(x), label=label)
 
     @classmethod
-    def constant(cls, value, label="const"):
-        return cls.from_poly([value], label=label)
+    def constant(cls, value):
+        return cls.from_poly([value])
 
 
 def profile_from_json(value, key, base_dir="."):
@@ -81,12 +80,12 @@ def profile_from_json(value, key, base_dir="."):
     if isinstance(value, (int, float)):
         if not is_number(value):
             raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-        return Profile.constant(float(value), label=key)
+        return Profile.constant(float(value))
     if isinstance(value, list):
         if not value or not all(is_number(v) for v in value):
             raise ConfigError(
                 f"{key}: polynomial coefficients must be a non-empty list of finite numbers")
-        return Profile.from_poly(value, label=key)
+        return Profile.from_poly(value)
     if isinstance(value, dict):
         extra = set(value) - {"table"}
         if extra:

@@ -199,6 +199,24 @@ def test_beta_to_zero_classical_limit(upstream_spec, gas_classic):
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
+@given(gamma=st.floats(1.05, 3.0, exclude_min=True),
+       M_top=st.floats(1.05, 10.0, exclude_min=True), log_beta=st.floats(-8.0, -3.0))
+def test_background_beta_to_zero_limit(gamma, M_top, log_beta):
+    # the distance of the profiles from the beta = 0 background is linear in
+    # beta, so it halves with beta (on the demo it is 5.25 beta from beta =
+    # 1e-2 down to 1e-8); u_m is the data and does not move
+    names = ("d", "rho_m", "u_m", "P_m", "rho_p", "u_p", "P_p", "S_m", "B_m", "S_p", "B_p")
+    spec = rs.UpstreamSpec(Profile.constant(2.0), M_top, 1.0)
+    bg0, bg1, bg2 = (rs.build_background(spec, rs.GasModel(gamma, b))
+                     for b in (0.0, 10.0**log_beta, 0.5 * 10.0**log_beta))
+
+    def distance(bg):
+        return max(np.abs(bg.profile(n) - bg0.profile(n)).max() for n in names)
+
+    assert distance(bg1) / distance(bg2) == pytest.approx(2.0, rel=0.05)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(gamma=st.floats(1.05, 3.0, exclude_min=True), beta=st.floats(0.0, 1.0),
        M_top=st.floats(1.05, 10.0, exclude_min=True))
 def test_background_is_a_shock_or_a_typed_error(gamma, beta, M_top):

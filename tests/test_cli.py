@@ -56,7 +56,7 @@ def test_parse_minimal_defaults(tmp_path):
     cfg = parse_config(p)
     assert cfg.gas.gamma == 1.4
     assert cfg.options.nx == 129
-    assert cfg.raw["solver"]["tol_fp"] == 1e-10
+    assert cfg.raw["solver"]["tol_res"] == 1e-6
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -85,6 +85,42 @@ def test_parse_table_profile(tmp_path):
         json.dump({"upstream": {"u_minus": {"table": "u.csv"}}}, fh)
     cfg = parse_config(p)
     assert cfg.upstream.u_minus(0.5) == pytest.approx(2.05, rel=1e-10)
+
+
+def test_table_without_a_header_line(tmp_path):
+    # a first line of two numbers is data, not a header
+    x = np.linspace(0, 1, 33)
+    rows = np.column_stack([x, 2.0 + 0.1 * x])
+    np.savetxt(tmp_path / "bare.csv", rows, delimiter=",")
+    np.savetxt(tmp_path / "named.csv", rows, delimiter=",", header="x2,u", comments="")
+    u = {}
+    for name in ("bare", "named"):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"upstream": {"u_minus": {"table": f"{name}.csv"}}}))
+        u[name] = parse_config(p).upstream.u_minus(np.linspace(0, 1, 101))
+    assert np.array_equal(u["bare"], u["named"])
+
+
+def test_bare_number_profile_is_the_constant_polynomial(tmp_path):
+    # "P_ex": -0.0561 and "P_ex": [-0.0561] solve to the same report.json
+    runs = []
+    for i, pex in enumerate((-0.0561, [-0.0561])):
+        p = tmp_path / f"c{i}.json"
+        write_config(p, **{"perturbation.P_ex": pex})
+        rc = main(["solve", "--config", str(p), "--out", str(tmp_path / f"o{i}")])
+        runs.append((rc, (tmp_path / f"o{i}" / "report.json").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("key", ["tol_fp", "max_iter", "defect_tol", "psi_bar"])
+def test_removed_solver_key_is_unknown(tmp_path, capsys, key):
+    # the fixed-point tolerance and pass cap are iteration constants, every
+    # elliptic solve gates at elliptic.DEFECT_TOL and the sigma = 0 front is
+    # the midpoint of the bracket: none of them is a setting
+    p = tmp_path / "c.json"
+    write_config(p, **{f"solver.{key}": 1})
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: solver: unknown key(s) ['{key}']" in capsys.readouterr().err
 
 
 def test_config_round_trip(tmp_path):
@@ -542,13 +578,17 @@ def test_bracket_outside_the_duct_exit_1(tmp_path, capsys, bracket, command):
             f"duct [0, L = 2]") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("psi_bar", [2.5, 0.0, 2.0])
-def test_sigma_zero_front_outside_the_duct_exit_1(tmp_path, capsys, psi_bar):
+@pytest.mark.parametrize("bracket", [[2.2, 2.8], [-0.5, 0.5], [0.5, 2.5]],
+                         ids=["2.2,2.8", "-0.5,0.5", "0.5,2.5"])
+def test_sigma_zero_front_outside_the_duct_exit_1(tmp_path, capsys, bracket):
+    # at sigma = 0 the front sits at the midpoint of the bracket, after the
+    # check that the position search makes: a bracket outside [0, L] exits 1
+    # even when its midpoint (1.5 for the last) lies inside the duct
     p = tmp_path / "c.json"
-    write_config(p, **{"nozzle.sigma": 0.0, "solver.psi_bar": psi_bar})
+    write_config(p, **{"nozzle.sigma": 0.0, "solver.psi_bracket": bracket})
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
-    assert (f"error: solver.psi_bar = {psi_bar:g}, the front at sigma = 0"
-            in capsys.readouterr().err)
+    assert (f"error: solver.psi_bracket = [{bracket[0]:g}, {bracket[1]:g}] is not inside "
+            f"the duct [0, L = 2]" in capsys.readouterr().err)
 
 
 def test_background_reports_the_m_bar_of_every_solve(tmp_path, capsys):
@@ -733,9 +773,8 @@ def test_sweep_builds_a_shared_setup_once(tmp_path, capsys, monkeypatch):
 
 # a valid new value for each key of the shared set
 SHARED_KEY_VALUES = {
-    "perturbation.P_ex": [-0.058, 0.002], "solver.tol_fp": 1e-8, "solver.tol_res": 1e-5,
-    "solver.max_iter": 7, "solver.defect_tol": 1e-7, "solver.psi_bracket": [0.4, 0.8],
-    "solver.psi_bar": 0.5,
+    "perturbation.P_ex": [-0.058, 0.002], "solver.tol_res": 1e-5,
+    "solver.psi_bracket": [0.4, 0.8],
 }
 
 

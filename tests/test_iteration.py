@@ -23,9 +23,10 @@ from rotshock.thermo import rho_P
 from tests.conftest import DEMO_CONFIG, L_DUCT, count_calls, make_pert
 from tests.lagrangian_oracle import x2_of_y
 
-def build_ctx(bg, pert, psi_bar=0.6):
-    """sigma = 0 context around an arbitrary fixed shock position (no root search)."""
-    return build_context(bg, pert, rs.TransonicOptions(nx=129, ny=65, psi_bar=psi_bar))
+def build_ctx(bg, pert):
+    """sigma = 0 context around an arbitrary fixed shock position (no root search):
+    the midpoint 0.6 of the bracket."""
+    return build_context(bg, pert, rs.TransonicOptions(nx=129, ny=65, psi_bracket=(0.2, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +193,9 @@ def test_pass_defect_is_the_root_problem_defect(accept_run):
 
 def test_incompatible_pass_raises_before_any_potential(accept_run, monkeypatch):
     # the elliptic solve is the pass's one solvability gate: a defect above
-    # defect_tol stops the pass before either potential is solved
-    ctx = dataclasses.replace(accept_run.ctx,
-                              opts=dataclasses.replace(accept_run.ctx.opts, defect_tol=1e-30))
+    # its tolerance stops the pass before either potential is solved
+    ctx = accept_run.ctx
+    monkeypatch.setattr(iteration, "solve", lambda p: elliptic.solve(p, defect_tol=1e-30))
     kinds = []
     orig = elliptic.solve_scalar
 
@@ -207,6 +208,35 @@ def test_incompatible_pass_raises_before_any_potential(accept_run, monkeypatch):
         apply_T(ctx.initial_state, ctx)
     assert abs(exc.value.defect) > 1e-30
     assert kinds == []
+
+
+def test_flat_solvability_functional_is_degenerate(accept_run, monkeypatch):
+    # a defect that does not move with psi_sharp has no root to find
+    monkeypatch.setattr(iteration, "compatibility_defect", lambda prob: 1.0)
+    ctx = accept_run.ctx
+    with pytest.raises(rs.DegenerateSelectionError, match="flat in psi_sharp"):
+        solve_psi_sharp(ctx.initial_state, ctx)
+
+
+def test_psi_sharp_search_cap_is_non_convergence(accept_run, monkeypatch):
+    # with no secant step allowed the search stops after its two start values
+    monkeypatch.setattr(iteration, "PSI_SHARP_MAX_ITER", 0)
+    ctx = accept_run.ctx
+    with pytest.raises(rs.NonConvergenceError, match="psi_sharp root search stalled"):
+        solve_psi_sharp(ctx.initial_state, ctx)
+
+
+def test_pass_cap_is_non_convergence(accept_run, monkeypatch, tmp_path, capsys):
+    # the acceptance solve takes 3 passes: a cap of 2 raises with the updates
+    # of those 2 passes, and `solve` on the demo configuration exits 4
+    assert len(accept_run.log) == 3
+    monkeypatch.setattr(iteration, "FIXED_POINT_MAX_ITER", 2)
+    with pytest.raises(rs.NonConvergenceError, match="not reached in 2 iterations") as exc:
+        iteration.run(accept_run.ctx)
+    assert type(exc.value) is rs.NonConvergenceError
+    assert exc.value.history == [row["update_norm"] for row in accept_run.log[:2]]
+    assert main(["solve", "--config", DEMO_CONFIG, "--out", str(tmp_path)]) == 4
+    assert "error: fixed point not reached in 2 iterations" in capsys.readouterr().err
 
 
 def test_step_data_quadratic_in_state(bg_rot):
@@ -312,7 +342,7 @@ def test_pairwise_contraction(accept_run):
 
 def test_run_sigma_zero(bg_rot):
     res = solve_transonic(bg_rot, make_pert(0.0, 0.0),
-                          rs.TransonicOptions(nx=65, ny=33, psi_bar=0.8))
+                          rs.TransonicOptions(nx=65, ny=33, psi_bracket=(0.6, 1.0)))
     assert len(res.log) == 1
     assert res.psi_bar == 0.8
     assert res.report.rh_residual <= 1e-10
@@ -328,7 +358,6 @@ def test_run_convergence_and_log(accept_run):
     # geometric decay of updates
     ups = [row["update_norm"] for row in res.log]
     assert all(ups[i + 1] < ups[i] for i in range(len(ups) - 1))
-    assert abs(res.psi_sharp - res.psi_bar) <= 10 * 1e-3 * max(res.C1_measured, 1e-9)
 
 
 def test_residuals_trivial_background(ctx_zero):

@@ -265,7 +265,6 @@ def test_initial_approximation_consistency(bg_rot, hat_rot, tuned_pex):
     assert abs(d["J1_at_psi_bar"] - d["J2"]) <= 1e-10 * scale
     assert abs(d["defect"]) <= 1e-9
     assert 0.35 < d["psi_bar"] < 0.9
-    assert np.isfinite(d["amplification"])
     assert init.front.grid.y1b == L_DUCT
     assert 0.0 < init.front.psi.min() and init.front.psi.max() < L_DUCT
 
