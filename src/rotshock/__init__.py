@@ -27,7 +27,6 @@ from .errors import (
     NoAdmissibleShockError,
     NonConvergenceError,
     RotshockError,
-    TrustRegionError,
     VacuumError,
 )
 from .iteration import (

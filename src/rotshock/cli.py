@@ -13,7 +13,7 @@ bracket outside the duct, at sigma = 0 too, and stored files that
 `verify` cannot read or that belong to another configuration) or
 unwritable output, 2 degenerate background, 3 no admissible shock
 position, or more than one (also `initial` at sigma = 0), 4
-non-convergence (CFL, trust-region and invalid gas states too) or, for
+non-convergence (CFL and invalid gas states too) or, for
 `solve` and `verify`, residuals above `solver.tol_res`; a sweep point that
 misses `tol_res` keeps `status` 0.
 All field files are CSV in the one format of `rotshock.csvio`, so identical

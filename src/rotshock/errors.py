@@ -51,7 +51,3 @@ class NonConvergenceError(RotshockError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = list(history) if history is not None else []
-
-
-class TrustRegionError(NonConvergenceError):
-    """An iterate left the neighbourhood where the scheme is contractive."""

@@ -16,8 +16,10 @@ Starting from the linear two-phase approximation, the scheme repeats:
    raises ``IncompatibleDataError`` before either potential is solved,
 4. update the front slope from the transverse-momentum jump relation.
 
-The map contracts with rate O(sigma); iterates are required to stay in a
-sigma^(3/2)-neighbourhood of the initial approximation.  Sources are
+On the demo configuration the map contracts the fields and the front slope
+by about 1e-3 + 0.12 sigma per pass (measured, 65x33 to 257x129), which is
+O(sigma) only above sigma of about 1e-2; psi_sharp is re-solved in every pass
+and settles within the root tolerance of ``solve_psi_sharp``.  Sources are
 well balanced: the discrete residual of the exact background is subtracted,
 so sigma = 0 reproduces the background to machine precision.
 
@@ -63,7 +65,7 @@ import numpy as np
 from . import fd
 from .elliptic import EllipticProblem, compatibility_defect, solve
 from .errors import (ConfigError, DegenerateSelectionError, InvalidStateError,
-                     NoAdmissibleShockError, NonConvergenceError, TrustRegionError)
+                     NonConvergenceError)
 from .lagrangian import Field, LagrangianGrid, hatted_background, inlet_maps
 from .shockfit import (
     ShockCoefficients,
@@ -96,10 +98,6 @@ __all__ = [
 ]
 
 
-# trust radius = TRUST_FACTOR * sigma^(3/2); the factor absorbs the measured
-# one-step constant at desk-scale sigma (strictly 1 only for asymptotically
-# small sigma)
-TRUST_FACTOR = 10.0
 # the fixed point is reached once an update is at most FIXED_POINT_TOL, within
 # FIXED_POINT_MAX_ITER passes
 FIXED_POINT_TOL = 1e-10
@@ -120,9 +118,8 @@ class TransonicOptions:
     (default: the whole duct (0, L)) and lies inside [0, L]; at sigma = 0
     its midpoint places the front.  The rest is fixed: every elliptic solve
     gates at ``elliptic.DEFECT_TOL``, ``run`` stops at an update of
-    ``FIXED_POINT_TOL`` within ``FIXED_POINT_MAX_ITER`` passes inside a
-    trust radius of ``TRUST_FACTOR * sigma^(3/2)``, and the Newton solve of
-    the upstream flow runs with the defaults of
+    ``FIXED_POINT_TOL`` within ``FIXED_POINT_MAX_ITER`` passes, and the
+    Newton solve of the upstream flow runs with the defaults of
     ``supersonic.solve_nonlinear`` (update tolerance 1e-12, at most 30
     steps).  The CLI's defaults of the ``solver`` section are these fields.
     """
@@ -146,15 +143,7 @@ class IterationState:
     update_norm: float = np.inf
 
     def norm_from(self, other):
-        return self.trust_drift(other) + abs(self.psi_sharp_dev - other.psi_sharp_dev)
-
-    def trust_drift(self, other):
-        """Distance in the (fields, slope) variables only.
-
-        The front intercept is excluded: it is re-solved inside every map
-        application and carries its own O(sigma) bound, while the
-        contraction neighbourhood is a ball in (V, psi') alone.
-        """
+        """Max field difference plus max slope difference plus |intercept difference|."""
         return (
             max(
                 np.abs(self.u1 - other.u1).max(),
@@ -162,7 +151,7 @@ class IterationState:
                 np.abs(self.S - other.S).max(),
             )
             + np.abs(self.psi_prime - other.psi_prime).max()
-        )
+        ) + abs(self.psi_sharp_dev - other.psi_sharp_dev)
 
 
 @dataclass
@@ -459,13 +448,13 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     compatibility defect of the assembled downstream problem, so the
     subsequent elliptic solve is solvable by construction.  The root is
     accepted at the rounding floor of the assembled quadratures, |J| <=
-    1e-13 * max(1, max|b1p| * m_bar), within ``PSI_SHARP_MAX_ITER`` steps.
-    Returns (psi_sharp_dev, StepData, EllipticProblem) at the root.
+    1e-13 * max(1, max|b1p| * m_bar), tested at every evaluation, the last
+    of ``PSI_SHARP_MAX_ITER`` steps too.  A step whose front leaves the duct
+    raises ``NoAdmissibleShockError`` from ``ShockFront``.  Returns
+    (psi_sharp_dev, StepData, EllipticProblem) at the root.
     """
     psi_bar = ctx.grid_plus.y1a
     L = ctx.pert.geometry.L
-    lo, hi = -psi_bar, L - psi_bar
-
     terms = _PassTerms(ctx, state)
 
     def J(s):
@@ -485,22 +474,19 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     J1, root = J(s1)
     for _ in range(PSI_SHARP_MAX_ITER):
         if abs(J1) <= tol:
-            return root
+            break
         dJ = (J1 - J0) / (s1 - s0)
         if abs(dJ) * (L - psi_bar) <= 1e-3 * tol:
             raise DegenerateSelectionError(
                 f"solvability functional is flat in psi_sharp (slope {dJ:.3e})"
             )
-        s2 = s1 - J1 / dJ
-        if not lo < s2 < hi:
-            raise NoAdmissibleShockError(
-                f"psi_sharp update {s2:.6f} leaves the admissible range ({lo:.4f}, {hi:.4f})"
-            )
-        s0, J0, s1 = s1, J1, s2
+        s0, J0, s1 = s1, J1, s1 - J1 / dJ
         J1, root = J(s1)
-    raise NonConvergenceError(
-        f"psi_sharp root search stalled at |J|={abs(J1):.3e} (tol {tol:.3e})"
-    )
+    if abs(J1) > tol:
+        raise NonConvergenceError(
+            f"psi_sharp root search stalled at |J|={abs(J1):.3e} (tol {tol:.3e})"
+        )
+    return root
 
 
 def apply_T(state: IterationState, ctx: IterationContext):
@@ -527,9 +513,13 @@ def apply_T(state: IterationState, ctx: IterationContext):
 
 
 def run(ctx: IterationContext):
-    """Iterate the map to its fixed point; returns (state, log)."""
-    sigma = ctx.pert.sigma
-    trust = TRUST_FACTOR * max(sigma, 1e-300) ** 1.5
+    """Iterate the map to its fixed point; returns (state, log).
+
+    The loop stops at an update of at most ``FIXED_POINT_TOL`` or raises
+    ``NonConvergenceError`` after ``FIXED_POINT_MAX_ITER`` passes; inside a
+    pass the front's duct check, the gas-state checks and the elliptic
+    solvability gate raise their own typed errors.
+    """
     state = ctx.initial_state
     log = []
     prev_update = None
@@ -542,14 +532,6 @@ def run(ctx: IterationContext):
             "psi_sharp": ctx.grid_plus.y1a + state_new.psi_sharp_dev,
             "defect": esol.defect, "kappa_estimate": kappa,
         })
-        if sigma > 0.0:
-            drift = state_new.trust_drift(ctx.initial_state)
-            if drift > trust:
-                raise TrustRegionError(
-                    f"iterate left the sigma^(3/2) neighbourhood "
-                    f"(drift {drift:.3e} > {trust:.3e}); reduce sigma",
-                    [row["update_norm"] for row in log],
-                )
         state = state_new
         prev_update = upd
         if upd <= FIXED_POINT_TOL:

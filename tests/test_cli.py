@@ -168,6 +168,71 @@ def test_non_finite_table_cell_exit_1(tmp_path, capsys):
     assert "error: perturbation.P_ex.table: non-finite value" in capsys.readouterr().err
 
 
+# (config text, overrides of write_config or None for no file, text of t.csv,
+# sweep key and values, message); a sweep case runs `sweep`, every other `solve`
+BAD_INPUT = {
+    "top-level-list": ("[1, 2]", None, None, "top level must be a JSON object"),
+    "unknown-top-level-key": ('{"schema": 1, "extra": {}}', None, None,
+                              "unknown top-level key(s): ['extra']"),
+    "schema": ('{"schema": 2}', None, None, "schema: expected 1, got 2"),
+    "section-not-object": ('{"schema": 1, "gas": 1.4}', None, None,
+                           "gas: expected an object"),
+    "psi_bracket-reversed": ({"solver.psi_bracket": [0.9, 0.35]}, None, None,
+                             "solver.psi_bracket: expected [lo, hi] with lo < hi"),
+    "psi_bracket-three-values": ({"solver.psi_bracket": [0.35, 0.6, 0.9]}, None, None,
+                                 "solver.psi_bracket: expected [lo, hi] with lo < hi"),
+    "output-dir-number": ({"output.dir": 3}, None, None, "output.dir: expected a string"),
+    "dump_fields-number": ({"output.dump_fields": 1}, None, None,
+                           "output.dump_fields: expected a boolean"),
+    "unreadable-config": (None, None, None, "cannot read config"),
+    "invalid-json": ('{"schema": 1,', None, None, "is not valid JSON"),
+    "sweep-section-missing": ({}, None, ("solverx.nx", "[65]"),
+                              "sweep key solverx.nx: section 'solverx' not found"),
+    "sweep-leaf-missing": ({}, None, ("solver.nz", "[65]"),
+                           "sweep key solver.nz: key 'nz' not found"),
+    "values-invalid-json": ({}, None, ("solver.nx", "[65,"), "--values is not valid JSON"),
+    "values-empty-list": ({}, None, ("solver.nx", "[]"),
+                          "--values must be a non-empty JSON list"),
+    "values-not-a-list": ({}, None, ("solver.nx", "65"),
+                          "--values must be a non-empty JSON list"),
+    "table-three-rows": ({"perturbation.P_ex": {"table": "t.csv"}},
+                         "0,-0.0561\n1,-0.0561\n2,-0.0561\n", None,
+                         "perturbation.P_ex: table needs >=4 strictly increasing abscissae"),
+    "table-unknown-key": ({"perturbation.P_ex": {"table": "t.csv", "column": 1}}, None, None,
+                          "perturbation.P_ex: unknown keys ['column']"),
+    "table-path-number": ({"perturbation.P_ex": {"table": 3}}, None, None,
+                          "perturbation.P_ex.table: expected a file path string"),
+    "table-unparsable": ({"perturbation.P_ex": {"table": "t.csv"}},
+                         "x2,P_ex\n0,-0.0561\n0.5,low\n1,-0.0561\n1.5,-0.0561\n", None,
+                         "perturbation.P_ex.table: cannot parse"),
+    "table-one-column": ({"perturbation.P_ex": {"table": "t.csv"}}, "0\n0.5\n1\n1.5\n", None,
+                         "perturbation.P_ex.table: expected two columns"),
+    "nozzle-L-zero": ({"nozzle.L": 0.0}, None, None, "nozzle length must be positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_is_a_config_error(tmp_path, capsys, case):
+    config, table, sweep, message = BAD_INPUT[case]
+    p = tmp_path / "c.json"
+    if isinstance(config, str):
+        p.write_text(config)
+    elif isinstance(config, dict):
+        write_config(p, **config)
+    if table is not None:
+        (tmp_path / "t.csv").write_text(table)
+    argv = ["--config", str(p), "--out", str(tmp_path / "o")]
+    if sweep is None:
+        argv = ["solve", *argv]
+    else:
+        argv = ["sweep", *argv, "--key", sweep[0], "--values", sweep[1]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_default_search_names_both_roots(tmp_path, capsys):
     # without solver.psi_bracket the search covers (0, L); on the demo
     # configuration J1 = J2 has two roots there, and the error names both
@@ -193,7 +258,7 @@ def test_default_search_solves_a_unique_root(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(raw))
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
-    report = json.load(open(tmp_path / "o" / "report.json"))
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["psi_bar"] == pytest.approx(1.74398, abs=1e-5)
     assert report["iterations"] == 3
     assert report["pde_residual"] == pytest.approx(8.1e-7, rel=0.01)
@@ -204,7 +269,7 @@ def test_cmd_background(tmp_path, capsys):
     write_config(p)
     rc = main(["background", "--config", str(p), "--out", str(tmp_path / "bgout")])
     assert rc == 0
-    report = json.load(open(tmp_path / "bgout" / "background_report.json"))
+    report = json.loads((tmp_path / "bgout" / "background_report.json").read_text())
     assert report["rh_residual_mass"] <= 1e-10
     assert report["rh_residual_momentum"] <= 1e-10
     assert report["rh_residual_bernoulli"] <= 1e-10
@@ -239,15 +304,15 @@ def test_cmd_solve_verify_and_determinism(tmp_path, capsys):
     assert main(["solve", "--config", str(p), "--out", str(out2)]) == 0
     for name in ("fields_minus.csv", "fields_plus.csv", "front.csv",
                  "iteration_log.csv"):
-        b1 = open(out1 / name, "rb").read()
-        b2 = open(out2 / name, "rb").read()
+        b1 = (out1 / name).read_bytes()
+        b2 = (out2 / name).read_bytes()
         assert b1 == b2, f"{name} not byte-identical"
-    report = json.load(open(out1 / "report.json"))
+    report = json.loads((out1 / "report.json").read_text())
     assert report["pde_residual"] <= 5e-6
     assert report["rh_residual"] <= 5e-6
     # verify recomputes the residual suite from the stored fields
     assert main(["verify", "--config", str(p), "--out", str(out1)]) == 0
-    vr = json.load(open(out1 / "verify_report.json"))
+    vr = json.loads((out1 / "verify_report.json").read_text())
     assert vr["rh_residual"] <= 5e-6
     assert vr["pde_residual"] <= 5e-6
 
@@ -257,7 +322,7 @@ def test_cmd_initial_artifacts(tmp_path, capsys):
     write_config(p)
     out = tmp_path / "init"
     assert main(["initial", "--config", str(p), "--out", str(out)]) == 0
-    rec = json.load(open(out / "initial.json"))
+    rec = json.loads((out / "initial.json").read_text())
     for key in ("psi_bar", "J2", "J1_at_psi_bar", "bracket", "defect"):
         assert key in rec
     assert abs(rec["J1_at_psi_bar"] - rec["J2"]) <= 1e-9
@@ -312,7 +377,7 @@ def test_sweep_points_take_the_grid(tmp_path, capsys):
     out = tmp_path / "sw"
     assert main(["sweep", "--config", str(p), "--out", str(out), "--grid", "65", "33",
                  "--key", "nozzle.sigma", "--values", "[1e-3]"]) == 0
-    solver = json.load(open(out / "run_000" / "config.json"))["solver"]
+    solver = json.loads((out / "run_000" / "config.json").read_text())["solver"]
     assert (solver["nx"], solver["ny"]) == (65, 33)
 
 
@@ -323,7 +388,7 @@ def test_cmd_sweep(tmp_path, capsys):
     rc = main(["sweep", "--config", str(p), "--out", str(out),
                "--key", "nozzle.sigma", "--values", "[1e-3, 5e-4]"])
     assert rc == 0
-    rows = open(out / "sweep.csv").read().strip().splitlines()
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 3  # header + 2 runs
     assert os.path.exists(out / "run_000" / "config.json")
 
@@ -335,7 +400,7 @@ def test_sweep_continues_past_bad_point(tmp_path, capsys):
     rc = main(["sweep", "--config", str(p), "--out", str(out),
                "--key", "nozzle.sigma", "--values", "[0.001, -1]"])
     assert rc == 1
-    rows = [r.split(",") for r in open(out / "sweep.csv").read().strip().splitlines()[1:]]
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().strip().splitlines()[1:]]
     assert [r[2] for r in rows] == ["0", "1"]
     assert np.isfinite(float(rows[0][3])) and np.isnan(float(rows[1][3]))
 
@@ -360,7 +425,7 @@ def test_verify_after_one_pass_solve(tmp_path, capsys):
     write_config(p, **{"nozzle.sigma": 0.0})
     out = tmp_path / "o"
     assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
-    assert len(open(out / "iteration_log.csv").read().strip().splitlines()) == 2
+    assert len((out / "iteration_log.csv").read_text().strip().splitlines()) == 2
     assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
 
 
@@ -429,8 +494,8 @@ def solved(tmp_path_factory):
 
 
 def assert_verify_matches_solve(out):
-    rep = json.load(open(out / "report.json"))
-    vr = json.load(open(out / "verify_report.json"))
+    rep = json.loads((out / "report.json").read_text())
+    vr = json.loads((out / "verify_report.json").read_text())
     for key in ("pde_residual", "pde_residual_raw", "rh_residual",
                 "exit_residual", "defect"):
         assert vr[key] == pytest.approx(rep[key], rel=1e-12, abs=0.0), key
@@ -493,7 +558,7 @@ def test_verify_audits_the_stored_upstream_field(solved, tmp_path, capsys):
     set_cell(out / "fields_minus.csv", 40 * 33 + 15, "u1", lambda c: "%.17g" % (float(c) + 1e-3))
     assert main(["verify", "--config", str(p), "--out", str(out)]) == 4
     assert capsys.readouterr().out.rstrip().endswith("FAIL")
-    assert json.load(open(out / "verify_report.json"))["pde_residual"] > 1e-3
+    assert json.loads((out / "verify_report.json").read_text())["pde_residual"] > 1e-3
 
 
 def test_verify_rejects_another_downstream_B(solved, tmp_path, capsys):
@@ -597,7 +662,7 @@ def test_background_reports_the_m_bar_of_every_solve(tmp_path, capsys):
     assert main(["background", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
     cfg = parse_config(p)
     m_bar = inlet_maps(rs.build_background(cfg.upstream, cfg.gas))[1]
-    assert json.load(open(tmp_path / "o" / "background_report.json"))["m_bar"] == m_bar
+    assert json.loads((tmp_path / "o" / "background_report.json").read_text())["m_bar"] == m_bar
 
 
 EXIT_CODES = {"ConfigError": 1, "DegenerateBackgroundError": 2,
@@ -695,7 +760,7 @@ def test_sweep_reads_tables_from_the_config_directory(tmp_path, capsys, monkeypa
     write_config(p, **{"upstream.u_minus": {"table": "umin.csv"}})
     monkeypatch.chdir(tmp_path)
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "solve")]) == 0
-    psi_bar = json.load(open(tmp_path / "solve" / "report.json"))["psi_bar"]
+    psi_bar = json.loads((tmp_path / "solve" / "report.json").read_text())["psi_bar"]
     out = tmp_path / "sw"
     assert main(["sweep", "--config", str(p), "--out", str(out),
                  "--key", "nozzle.sigma", "--values", "[1e-3]"]) == 0
@@ -704,10 +769,10 @@ def test_sweep_reads_tables_from_the_config_directory(tmp_path, capsys, monkeypa
     assert row["status"] == "0" and float(row["psi_bar"]) == psi_bar
     # the point's config names the table by its absolute path and re-solves
     written = out / "run_000" / "config.json"
-    assert json.load(open(written))["upstream"]["u_minus"] == {
+    assert json.loads(written.read_text())["upstream"]["u_minus"] == {
         "table": str(cfg_dir / "umin.csv")}
     assert main(["solve", "--config", str(written), "--out", str(tmp_path / "again")]) == 0
-    assert json.load(open(tmp_path / "again" / "report.json"))["psi_bar"] == psi_bar
+    assert json.loads((tmp_path / "again" / "report.json").read_text())["psi_bar"] == psi_bar
 
 
 # the three kinds of point a P_ex sweep over a shared setup meets: solved and
@@ -872,6 +937,28 @@ def test_sigma_above_the_old_ceiling_is_audited(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith("RESIDUALS ABOVE tol_res")
     report = strict_json(out / "report.json")
     assert 1e-6 < report["pde_residual"] < 1e-3
+
+
+def test_demo_in_other_units_solves(tmp_path, capsys):
+    # every profile times k and sigma over k is the same flow: no guard may
+    # measure the data's units, and the front agrees to the root tolerance of
+    # solve_psi_sharp (its psi_sharp floor is 8.7e-9; 8.4e-10 is seen here)
+    reports = []
+    for k in (1.0, 1e3):
+        raw = parse_config(DEMO_CONFIG).raw
+        raw["nozzle"]["g"] = [k * c for c in raw["nozzle"]["g"]]
+        raw["nozzle"]["sigma"] /= k
+        for key, coef in raw["perturbation"].items():
+            raw["perturbation"][key] = [k * c for c in coef]
+        p = tmp_path / f"c{k:g}.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / f"o{k:g}"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+        reports.append(strict_json(out / "report.json"))
+    one, k3 = reports
+    assert abs(k3["psi_bar"] - one["psi_bar"]) <= 1e-12
+    assert abs(k3["psi_sharp"] - one["psi_sharp"]) <= 1.8e-8
+    assert k3["pde_residual"] == pytest.approx(one["pde_residual"], rel=1e-3)
 
 
 def test_sigma_past_the_first_failure_is_a_typed_error(tmp_path, capsys):
