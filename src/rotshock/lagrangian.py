@@ -18,8 +18,8 @@ conservation checks; the smooth background maps use composite Simpson
 quadrature on the background grid.
 
 A field is read off the grid at given y1 positions (the shock front) by
-``Field.trace``: a cubic spline in y1 per component, evaluated column by
-column.
+``Field.trace``: the degree-5 Lagrange polynomial in y1 through the six rows
+around each position.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ __all__ = [
     "HattedProfiles",
     "inlet_maps",
 ]
+
+# rows of the local interpolant that ``Field.trace`` reads: degree 5
+TRACE_ROWS = 6
+_STENCIL = np.arange(TRACE_ROWS)[:, None]
+_OFF_DIAGONAL = ~np.eye(TRACE_ROWS, dtype=bool)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,10 @@ class LagrangianGrid:
 
 @dataclass
 class Field:
-    """Named nodal components on a LagrangianGrid (axis 0 = y1, axis 1 = y2).
-
-    The y1-splines that ``trace`` reads are built on first use.
-    """
+    """Named nodal components on a LagrangianGrid (axis 0 = y1, axis 1 = y2)."""
 
     grid: LagrangianGrid
     data: dict = field(default_factory=dict)
-    _splines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (self.grid.n1, self.grid.n2)
@@ -124,23 +125,26 @@ class Field:
         return self.data[name]
 
     def trace(self, name, psi):
-        """Cubic spline in y1 of component ``name`` at y1 = psi.
+        """Component ``name`` at y1 = psi, by Lagrange interpolation in y1.
 
         ``psi`` is a scalar (one y2-profile at a fixed y1) or one abscissa
-        per y2 column.  Each column is evaluated with the spline's own
-        piecewise coefficients in scipy's order, so the values equal
-        ``CubicSpline(y1, comp, axis=0)(psi)`` (its diagonal for per-column
-        psi) bit for bit.
+        per y2 column.  The polynomial runs through the TRACE_ROWS rows
+        around psi: the first or last ones near the ends of the grid, all
+        rows of a smaller grid.  Its weights are formed from the stencil's
+        own node differences, so at a node they are exactly 1 and 0 and the
+        trace is the stored row.
         """
-        spl = self._splines.get(name)
-        if spl is None:
-            spl = self._splines[name] = CubicSpline(self.grid.y1, self.data[name], axis=0)
-        x = spl.x
-        psi = np.asarray(psi, dtype=float)
-        i = np.clip(np.searchsorted(x, psi, side="right") - 1, 0, x.size - 2)
-        c = spl.c[:, i] if psi.ndim == 0 else spl.c[:, i, np.arange(psi.size)]
-        s = psi - x[i]
-        return c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+        g = self.grid
+        m = min(TRACE_ROWS, g.n1)
+        psi = np.asarray(psi, dtype=float).reshape(-1)
+        first = np.floor((psi - g.y1a) / g.h1).astype(int) - (m - 1) // 2
+        rows = np.clip(first, 0, g.n1 - m) + _STENCIL[:m]
+        x = g.y1[rows]
+        # l_j = prod_{k != j} (psi - x_k) / prod_{k != j} (x_j - x_k)
+        off = _OFF_DIAGONAL[:m, :m]
+        num = np.where(off, psi - x, 1.0).prod(axis=1)
+        w = num / np.where(off, x[:, None] - x, 1.0).prod(axis=1)
+        return (w * np.take_along_axis(self.data[name], rows, axis=0)).sum(axis=0)
 
     def write_csv(self, path, extra_columns=None):
         """Dump as CSV with columns y1, y2, <components...>[, extras]."""

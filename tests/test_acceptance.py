@@ -15,10 +15,10 @@ from rotshock.shockfit import (
     J_functionals,
     coefficients,
     find_shock_position,
-    selection_bracket,
 )
 from rotshock.supersonic import flux_identity, solve_linear, solve_nonlinear
 from tests.conftest import L_DUCT, make_pert, make_pert_strong
+from tests.selection_oracle import selection_bracket
 from tests.sparse_oracle import solvability_sum
 from tests.test_elliptic import manufactured, unit_problem
 

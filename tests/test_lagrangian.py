@@ -180,18 +180,88 @@ def random_field(rng, n1, n2):
                            "u2": rng.standard_normal((n1, n2))})
 
 
-@pytest.mark.parametrize("n1,n2", [(5, 7), (33, 17), (129, 65)])
-def test_field_trace_matches_cubic_spline(n1, n2):
+def poly_field(rng, n1, n2, degree):
+    """A field whose columns are random polynomials of ``degree`` in y1, and
+    the polynomial itself."""
+    grid = rs.LagrangianGrid(n1, n2, 0.3, 1.7, 1.0, 1.0)
+    coef = rng.standard_normal((degree + 1, n2))
+
+    def exact(y1):
+        return sum(c * np.asarray(y1) ** k for k, c in enumerate(coef))
+
+    return rs.Field(grid, {"u1": exact(grid.y1[:, None])}), exact
+
+
+@pytest.mark.parametrize("n1,n2", [(6, 7), (33, 17), (129, 65)])
+def test_field_trace_reproduces_quintics(n1, n2):
+    # inside the grid and in the first and last intervals, for a scalar psi
+    # (one profile) and for one psi per column
     rng = np.random.default_rng(n1)
-    for _ in range(20):
-        f = random_field(rng, n1, n2)
+    for degree in range(6):
+        f, exact = poly_field(rng, n1, n2, degree)
         y1 = f.grid.y1
-        ref = {k: CubicSpline(y1, f[k], axis=0) for k in ("u1", "u2")}
         psi = rng.uniform(y1[0], y1[-1], n2)
-        # exact breakpoints, both ends, and the last interval just below the exit
-        psi[:3] = y1[rng.integers(0, n1, 3)]
-        psi[3], psi[4], psi[5] = y1[0], y1[-1], np.nextafter(y1[-1], 0.0)
-        for k, spl in ref.items():
-            assert same_bits(f.trace(k, psi), np.diagonal(spl(psi)))
-            for p in (psi[0], y1[0], y1[n1 // 2], y1[-1], float(psi[-1])):
-                assert same_bits(f.trace(k, p), spl(p))
+        psi[:2] = rng.uniform(y1[0], y1[1], 2)
+        psi[2:4] = rng.uniform(y1[-2], y1[-1], 2)
+        scale = np.abs(f["u1"]).max()
+        assert np.abs(f.trace("u1", psi) - np.diagonal(exact(psi[:, None]))).max() <= 1e-14 * scale
+        for p in (psi[0], psi[2], psi[-1], y1[0], y1[-1]):
+            assert np.abs(f.trace("u1", p) - exact(p)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n1,n2", [(3, 4), (4, 5), (5, 7), (6, 3), (33, 17), (129, 65)])
+def test_field_trace_returns_the_rows_at_nodes(n1, n2):
+    rng = np.random.default_rng(n1)
+    f = random_field(rng, n1, n2)
+    y1 = f.grid.y1
+    for k in ("u1", "u2"):
+        for i in range(n1):
+            assert same_bits(f.trace(k, y1[i]), f[k][i])
+            assert same_bits(f.trace(k, np.full(n2, y1[i])), f[k][i])
+        rows = rng.integers(0, n1, n2)
+        assert same_bits(f.trace(k, y1[rows]), f[k][rows, np.arange(n2)])
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 5), (33, 17), (129, 65)])
+def test_field_trace_per_column_is_the_scalar_trace(n1, n2):
+    rng = np.random.default_rng(n1)
+    f = random_field(rng, n1, n2)
+    y1 = f.grid.y1
+    psi = rng.uniform(y1[0], y1[-1], n2)
+    psi[:2] = y1[0], y1[-1]
+    for k in ("u1", "u2"):
+        column_by_column = [f.trace(k, p)[j] for j, p in enumerate(psi)]
+        assert same_bits(f.trace(k, psi), np.array(column_by_column))
+
+
+@pytest.mark.parametrize("n1", [3, 4, 5])
+def test_field_trace_small_grids_use_every_row(n1):
+    # the polynomial of degree n1 - 1 through all rows is reproduced;
+    # one degree more is not
+    rng = np.random.default_rng(n1)
+    f, exact = poly_field(rng, n1, 9, n1 - 1)
+    psi = rng.uniform(0.3, 1.7, 9)
+    assert np.abs(f.trace("u1", psi) - np.diagonal(exact(psi[:, None]))).max() <= 1e-13
+    assert np.abs(f.trace("u1", 0.9) - exact(0.9)).max() <= 1e-13
+    f, exact = poly_field(rng, n1, 9, n1)
+    assert np.abs(f.trace("u1", psi) - np.diagonal(exact(psi[:, None]))).max() > 1e-6
+
+
+def test_field_trace_is_sixth_order():
+    errs = []
+    for n1 in (17, 33, 65, 129):
+        grid = rs.LagrangianGrid(n1, 3, 0.0, 1.0, 1.0, 1.0)
+        f = rs.Field(grid, {"s": np.repeat(np.sin(3.0 * grid.y1)[:, None], 3, axis=1)})
+        psi = np.linspace(0.0, 1.0, 1001)
+        errs.append(max(np.abs(f.trace("s", p) - np.sin(3.0 * p)).max() for p in psi))
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert ratios.min() >= 40.0, ratios
+
+
+def test_field_trace_near_the_global_spline_on_a_converged_front(accept_run):
+    # the discretisation bound of the change from the not-a-knot spline
+    # over all rows; measured 2.5e-12
+    V, psi = accept_run.sup.V, accept_run.front.psi
+    for k in ("u1", "u2"):
+        spline = CubicSpline(V.grid.y1, V[k], axis=0)
+        assert np.abs(V.trace(k, psi) - np.diagonal(spline(psi))).max() <= 1e-11

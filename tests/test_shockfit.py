@@ -18,12 +18,12 @@ from rotshock.shockfit import (
     downstream_nodes,
     find_shock_position,
     initial_approximation,
-    selection_bracket,
     shock_slope,
     solve_linear_subsonic,
 )
 from rotshock.supersonic import solve_linear
 from tests.conftest import DEMO_CONFIG, L_DUCT, make_pert, make_pert_strong
+from tests.selection_oracle import selection_bracket
 
 
 @pytest.fixture(scope="module")
