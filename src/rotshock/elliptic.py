@@ -56,7 +56,7 @@ __all__ = [
     "solve_scalar",
 ]
 
-# default solvability gate: the largest compatibility defect ``solve`` accepts
+# solvability gate: the largest compatibility defect ``solve`` accepts
 DEFECT_TOL = 1e-9
 
 
@@ -239,15 +239,15 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def solve(p: EllipticProblem, defect_tol=DEFECT_TOL) -> EllipticSolution:
+def solve(p: EllipticProblem) -> EllipticSolution:
     """Solve the first-order system by the two-potential decomposition.
 
     This is the solvability gate: data whose compatibility defect exceeds
-    ``defect_tol`` in magnitude raise ``IncompatibleDataError``, carrying the
+    ``DEFECT_TOL`` in magnitude raise ``IncompatibleDataError``, carrying the
     defect, before either potential is solved.
     """
     defect = compatibility_defect(p)
-    if abs(defect) > defect_tol:
+    if abs(defect) > DEFECT_TOL:
         raise IncompatibleDataError("elliptic data violate the solvability condition", defect)
     h1s, h2s = p.spacing
 

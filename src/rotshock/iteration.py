@@ -119,9 +119,9 @@ class TransonicOptions:
     its midpoint places the front.  The rest is fixed: every elliptic solve
     gates at ``elliptic.DEFECT_TOL``, ``run`` stops at an update of
     ``FIXED_POINT_TOL`` within ``FIXED_POINT_MAX_ITER`` passes, and the
-    Newton solve of the upstream flow runs with the defaults of
-    ``supersonic.solve_nonlinear`` (update tolerance 1e-12, at most 30
-    steps).  The CLI's defaults of the ``solver`` section are these fields.
+    Newton solve of the upstream flow stops at an update of
+    ``supersonic.NEWTON_TOL`` * max|u_hat| within ``NEWTON_MAX_ITER`` steps.
+    The CLI's defaults of the ``solver`` section are these fields.
     """
 
     nx: int = 129
@@ -448,8 +448,9 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     compatibility defect of the assembled downstream problem, so the
     subsequent elliptic solve is solvable by construction.  The root is
     accepted at the rounding floor of the assembled quadratures, |J| <=
-    1e-13 * max(1, max|b1p| * m_bar), tested at every evaluation, the last
-    of ``PSI_SHARP_MAX_ITER`` steps too.  A step whose front leaves the duct
+    1e-13 * max|b1p| * m_bar * max|u_hat| (J scales like a velocity, b1p
+    does not), tested at every evaluation, the last of
+    ``PSI_SHARP_MAX_ITER`` steps too.  A step whose front leaves the duct
     raises ``NoAdmissibleShockError`` from ``ShockFront``.  Returns
     (psi_sharp_dev, StepData, EllipticProblem) at the root.
     """
@@ -466,7 +467,8 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     J0, root = J(s0)
     sigma = ctx.pert.sigma
     # rounding floor of the assembled quadratures; below it J counts as zero
-    tol = 1e-13 * max(1.0, float(np.abs(ctx.coeffs.b1p).max()) * ctx.grid_plus.m_bar)
+    tol = 1e-13 * float(np.abs(ctx.coeffs.b1p).max() * ctx.grid_plus.m_bar
+                        * np.abs(ctx.hat["m", "u"]).max())
     if abs(J0) <= tol:
         return root
     ds = max(1e-3 * max(sigma, 1e-6) * (L - psi_bar), 1e-9)

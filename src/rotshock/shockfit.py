@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import fd
-from .elliptic import DEFECT_TOL, EllipticProblem, solve
+from .elliptic import EllipticProblem, solve
 from .errors import (
     ConfigError,
     DegenerateBackgroundError,
@@ -108,10 +108,10 @@ def eq2_sb_source(hat, side, S, B, dS, dB):
 class ShockCoefficients:
     """Nodal profiles of the shock-linearization coefficients.
 
-    b1p..b4p and b1m..b4m are the integrating factors of either side;
-    fa1, fa2, fa3 couple the downstream traces to u1dot_minus.  P_jump, the
-    squared Mach numbers of either side and the common mass flux rho*u feed
-    the trace corrections and the slope update of the iteration.
+    b1p..b4p are the downstream integrating factors; fa1, fa2, fa3 couple
+    the downstream traces to u1dot_minus.  P_jump, the downstream squared
+    Mach number and the common mass flux rho*u feed the trace corrections
+    and the slope update of the iteration.
     """
 
     y2: np.ndarray
@@ -119,16 +119,11 @@ class ShockCoefficients:
     b2p: np.ndarray
     b3p: np.ndarray
     b4p: np.ndarray
-    b1m: np.ndarray
-    b2m: np.ndarray
-    b3m: np.ndarray
-    b4m: np.ndarray
     fa1: np.ndarray
     fa2: np.ndarray
     fa3: np.ndarray
     P_jump: np.ndarray
     Mp_sq: np.ndarray
-    Mm_sq: np.ndarray
     mass_flux: np.ndarray
 
 
@@ -141,7 +136,6 @@ def coefficients(hat) -> ShockCoefficients:
     Mp, Mm = hat["p", "Msq"], hat["m", "Msq"]
     if np.any(np.abs(Mp - 1.0) < 1e-12) or np.any(np.abs(Mm - 1.0) < 1e-12):
         raise DegenerateBackgroundError("sonic background state on the shock trace")
-    b1m, b2m, b3m, b4m = b_coefficients(hat, "m")
     b1p, b2p, b3p, b4p = b_coefficients(hat, "p")
     if np.any(b1p <= 0.0):
         raise DegenerateBackgroundError("downstream b1 must be positive (subsonic side)")
@@ -154,9 +148,8 @@ def coefficients(hat) -> ShockCoefficients:
     fa3 = -(Mm - 1.0) * Pj / (rp * up * um)
     return ShockCoefficients(
         y2=hat.y2, b1p=b1p, b2p=b2p, b3p=b3p, b4p=b4p,
-        b1m=b1m, b2m=b2m, b3m=b3m, b4m=b4m,
         fa1=fa1, fa2=fa2, fa3=fa3,
-        P_jump=Pj, Mp_sq=Mp, Mm_sq=Mm, mass_flux=rp * up,
+        P_jump=Pj, Mp_sq=Mp, mass_flux=rp * up,
     )
 
 
@@ -222,8 +215,9 @@ def find_shock_position(J1, J2, bracket):
     ``POSITION_SAMPLES`` samples of J1 locate every sign change of J1 - J2
     (a sample where J1 = J2 exactly is a root itself); secant steps guarded
     by bisection refine each to |J1 - J2| <= POSITION_TOL * scale within
-    ``POSITION_MAX_ITER`` steps.  J1 need not be monotone.  No root, or more
-    than one, raises ``NoAdmissibleShockError``; the latter names each root
+    ``POSITION_MAX_ITER`` steps; scale, the largest of |J2| and the sampled
+    |J1|, carries the data's velocity units.  J1 need not be monotone.  No
+    root, or more than one, raises ``NoAdmissibleShockError``; the latter names each root
     and the sign of J1' there.
     """
     lo, hi = bracket
@@ -231,7 +225,7 @@ def find_shock_position(J1, J2, bracket):
         raise NoAdmissibleShockError(f"empty bracket ({lo}, {hi})")
     ps = np.linspace(lo, hi, POSITION_SAMPLES)
     js = np.array([J1(p) for p in ps])
-    scale = max(np.abs(js).max(), abs(J2), 1.0)
+    scale = max(np.abs(js).max(), abs(J2))
     if np.abs(js - js[0]).max() <= 1e-10 * scale:
         raise DegenerateSelectionError(
             "J1 is flat on the bracket: the shock position is arbitrary"
@@ -286,14 +280,13 @@ def subsonic_sb_source(hat, S_row, B_row, h2):
     return eq2_sb_source(hat, "p", S_row, B_row, fd.d2(S_row, h2), fd.d2(B_row, h2))
 
 
-def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin: Field, pert, hat,
-                          n1_sub, defect_tol=DEFECT_TOL):
+def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin: Field, pert, hat, n1_sub):
     """Linearized downstream flow on [psi_bar, L] x [0, m_bar].
 
     Shock trace data come from the linearized jump conditions, the exit data
     from the linearized pressure condition, the wall data from the slip
     condition; S and B ride along y1.  Delegates to the elliptic solver with
-    the b-coefficients; the data defect must stay below defect_tol.
+    the b-coefficients, which gates the data defect at ``DEFECT_TOL``.
     """
     sigma, L = pert.sigma, pert.geometry.L
     g = hat.gas.gamma
@@ -325,7 +318,7 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin: Field, pert, 
         np.zeros((n1_sub, n2)), H2, h1_data, h2_data, h3_data,
     )
     try:
-        sol = solve(prob, defect_tol)
+        sol = solve(prob)
     except IncompatibleDataError as exc:
         raise IncompatibleDataError(
             f"shock position psi_bar={psi_bar:.8f} inconsistent with the data",
@@ -396,8 +389,8 @@ class ShockFront:
 def shock_slope(V_plus, lin: Field, coeffs: ShockCoefficients):
     """Linear front slope (m / (m_bar [P_hat])) (u2dot_plus - u2dot_minus) on V_plus's grid,
     whose y1a is the front's position psi_bar."""
-    scale = np.abs(coeffs.P_jump).max()
-    if np.abs(coeffs.P_jump).min() <= 1e-12 * max(scale, 1.0):
+    jump = np.abs(coeffs.P_jump)
+    if jump.min() <= 1e-12 * jump.max():
         raise DegenerateBackgroundError("pressure jump vanishes: degenerate shock")
     u2m = lin.trace("u2", V_plus.grid.y1a)
     u2p = V_plus["u2"][0]

@@ -49,6 +49,9 @@ __all__ = [
 
 # largest marching CFL number
 CFL_LIMIT = 0.95
+# Newton stops at an update of NEWTON_TOL * max|u_hat| within NEWTON_MAX_ITER steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class PerturbationConfig:
         if self.sigma < 0.0:
             raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
         ends = (abs(float(self.u2_en(0.0))), abs(float(self.u2_en(1.0))))
-        scale = max(1.0, float(np.max(np.abs(self.u2_en(np.linspace(0, 1, 65))))))
+        scale = float(np.max(np.abs(self.u2_en(np.linspace(0, 1, 65)))))
         if max(ends) > 1e-10 * scale:
             raise ConfigError(f"u2_en must vanish at x2=0 and x2=1 (got {ends})")
 
@@ -414,7 +417,7 @@ def _rate_rows(f, U, D, src, gas, mfac, rate, J):
 
 
 def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
-                    tol=1e-12, max_iter=30, lin=None, inlet=None):
+                    lin=None, inlet=None):
     """Newton's method for the nonlinear upstream flow.
 
     The discrete problem is the MacCormack scheme with the coefficients of
@@ -439,16 +442,11 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     Newton step.  ``inlet`` is ``inlet_maps(bg, pert)`` when the caller
     already has it; otherwise it is built from ``bg``.
 
-    ``tol`` is the max-norm of a step's update that ends the solve and
-    ``max_iter`` the number of steps it may take; every pipeline path runs
-    with these defaults.  No sigma is refused up front: a flow the march
-    cannot carry stops in the gas-state, supersonic or CFL check of each
-    step.  An update cannot fall below the round-off of the
-    scheme residual, a few eps*max|u| (on the demo configuration about
-    1.5e-15 at 129x65 and 6e-15 at 1025x65).  A ``tol`` under that floor
-    cannot be met: once an update below 1e3*eps*max|u| fails to halve the
-    one before it, ``NonConvergenceError`` is raised at once, naming the
-    floor.
+    The solve ends at an update of at most ``NEWTON_TOL`` * max|u_hat|, so
+    the same flow in other velocity units takes the same steps, and raises
+    ``NonConvergenceError`` after ``NEWTON_MAX_ITER``.  No sigma is refused
+    up front: a flow the march cannot carry stops in the gas-state,
+    supersonic or CFL check of each step.
     """
     sigma = pert.sigma
     gas = hat.gas
@@ -517,10 +515,10 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
     U[1, 1:, 0] = 0.0
     U[1, 1:, -1] = wall[1:] * U[0, 1:, -1]
     no_wb = np.zeros(n1)
-    roundoff = 1e3 * np.finfo(float).eps * np.abs(U).max()
+    tol = NEWTON_TOL * np.abs(u_hat).max()
     history = []
     prev_update = np.inf
-    for it in range(1, max_iter + 1):
+    for _ in range(NEWTON_MAX_ITER):
         K, J_pred, J_corr, res = linearize(U)
         d1, d2 = _march(grid, K, J_pred, 0.0, 0.0, res, 0.0, wall, no_wb, J_corr)
         del K, J_pred, J_corr, res
@@ -534,15 +532,10 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
         history.append(float(upd))
         if upd <= tol:
             break
-        if roundoff >= upd > 0.5 * prev_update:
-            raise NonConvergenceError(
-                f"Newton stalled at the round-off floor of its updates, {upd:.1e} "
-                f"after {it} steps, above tol {tol:.1e}", history
-            )
         prev_update = upd
     else:
         raise NonConvergenceError(
-            f"Newton failed to reach {tol:.1e} in {max_iter} steps", history
+            f"Newton failed to reach {tol:.1e} in {NEWTON_MAX_ITER} steps", history
         )
 
     freeze(U)  # final supersonicity + CFL audit

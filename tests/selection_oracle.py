@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline
 from rotshock import fd
 from rotshock.errors import DegenerateSelectionError
 from rotshock.lagrangian import Field
-from rotshock.shockfit import ShockCoefficients
+from rotshock.shockfit import ShockCoefficients, b_coefficients
 
 
 @dataclass
@@ -39,10 +39,11 @@ def selection_bracket(coeffs: ShockCoefficients, lin: Field, pert, hat) -> Selec
     h2 = y2[1] - y2[0]
     if sigma <= 0.0:
         raise DegenerateSelectionError("sigma = 0: the shock position is arbitrary")
-    comp = coeffs.b1p * (coeffs.fa3 - coeffs.fa1) / coeffs.b1m
+    b1m, b2m, _, _ = b_coefficients(hat, "m")
+    comp = coeffs.b1p * (coeffs.fa3 - coeffs.fa1) / b1m
     dcomp = CubicSpline(y2, comp).derivative()(y2)
     u2_en_y2 = pert.u2_en(hat.x2)
-    I = fd.trap(dcomp * coeffs.b2m * u2_en_y2, h2)
+    I = fd.trap(dcomp * b2m * u2_en_y2, h2)
 
     h1 = lin.grid.h1
     d1 = np.gradient(lin["u1"], h1, axis=0, edge_order=2)
@@ -56,7 +57,7 @@ def selection_bracket(coeffs: ShockCoefficients, lin: Field, pert, hat) -> Selec
     g2max = float(np.abs(gpp(np.linspace(0.0, L, 513))).max())
     F = C_minus * fd.trap(np.abs((coeffs.fa3 - coeffs.fa1) * coeffs.b1p), h2) \
         + coeffs.b2p[-1] * hat["p", "u"][-1] * g2max
-    scale = max(np.abs(comp).max() * np.abs(coeffs.b2m).max() * max(1.0, np.abs(u2_en_y2).max()), 1e-300)
+    scale = max(np.abs(comp).max() * np.abs(b2m).max() * max(1.0, np.abs(u2_en_y2).max()), 1e-300)
     if abs(I) <= 1e-11 * scale:
         raise DegenerateSelectionError(
             f"J1 slope integral {I:.3e} vanishes: no admissible position selection "

@@ -74,7 +74,7 @@ def test_criterion_3_elliptic():
 
     p_bad = unit_problem(33, h3=np.ones(33))
     try:
-        solve(p_bad, defect_tol=1e-9)
+        solve(p_bad)
         rejected, defect_val = False, np.nan
     except rs.IncompatibleDataError as exc:
         rejected, defect_val = True, exc.defect

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotshock as rs
@@ -231,3 +231,31 @@ def test_background_is_a_shock_or_a_typed_error(gamma, beta, M_top):
                            rs.GasState(bg.rho_p, bg.u_p, 0.0, bg.P_p), gas)
     assert max(np.abs(j).max() for j in jumps) <= 1e-10
     assert np.all(bg.u_p**2 * bg.rho_p < gamma * bg.P_p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(log_k=st.floats(-3.0, 3.0))
+@example(log_k=-3.0)
+@example(log_k=3.0)
+def test_background_in_other_velocity_units(log_k):
+    # u_minus times k, P_top times k^2 and beta times k leave d = 1/M^2, M^2
+    # and rho as they are and scale u by k and P by k^2: the same flow
+    k = 10.0**log_k
+    bg1 = rs.build_background(rs.UpstreamSpec(Profile.constant(2.0), 2.0, 1.0),
+                              rs.GasModel(1.4, 0.1))
+    bgk = rs.build_background(rs.UpstreamSpec(Profile.constant(2.0 * k), 2.0, k * k),
+                              rs.GasModel(1.4, 0.1 * k))
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def Msq(bg, side):
+        u, rho, P = (bg.profile(f"{q}_{side}") for q in ("u", "rho", "P"))
+        return u**2 * rho / (1.4 * P)
+
+    assert close(bgk.d, bg1.d)
+    for side in ("m", "p"):
+        assert close(Msq(bgk, side), Msq(bg1, side))
+        assert close(bgk.profile(f"rho_{side}"), bg1.profile(f"rho_{side}"))
+        assert close(bgk.profile(f"u_{side}"), k * bg1.profile(f"u_{side}"))
+        assert close(bgk.profile(f"P_{side}"), k * k * bg1.profile(f"P_{side}"))

@@ -942,7 +942,7 @@ def test_sigma_above_the_old_ceiling_is_audited(tmp_path, capsys):
 def test_demo_in_other_units_solves(tmp_path, capsys):
     # every profile times k and sigma over k is the same flow: no guard may
     # measure the data's units, and the front agrees to the root tolerance of
-    # solve_psi_sharp (its psi_sharp floor is 8.7e-9; 8.4e-10 is seen here)
+    # solve_psi_sharp (its psi_sharp floor is 1.35e-8; 1.7e-9 is seen here)
     reports = []
     for k in (1.0, 1e3):
         raw = parse_config(DEMO_CONFIG).raw
@@ -959,6 +959,37 @@ def test_demo_in_other_units_solves(tmp_path, capsys):
     assert abs(k3["psi_bar"] - one["psi_bar"]) <= 1e-12
     assert abs(k3["psi_sharp"] - one["psi_sharp"]) <= 1.8e-8
     assert k3["pde_residual"] == pytest.approx(one["pde_residual"], rel=1e-3)
+
+
+def test_demo_in_other_velocity_units_solves(tmp_path, capsys):
+    # every speed times k, pressure and Bernoulli times k^2 and beta times k
+    # leave the Mach numbers and d = 1/M^2 as they are: the same flow, so the
+    # same front, the same passes and the same 2 Newton steps; tol_res gates
+    # a residual in velocity units and scales by k
+    out = {}
+    for k in (1.0, 1e-3, 1e3):
+        raw = parse_config(DEMO_CONFIG).raw
+        raw["gas"]["beta"] *= k
+        raw["upstream"]["u_minus"] = [k * c for c in raw["upstream"]["u_minus"]]
+        raw["upstream"]["P_top"] *= k * k
+        for key, f in {"u1_en": k, "u2_en": k, "B_en": k * k, "P_ex": k * k}.items():
+            raw["perturbation"][key] = [f * c for c in raw["perturbation"][key]]
+        raw["solver"]["tol_res"] *= k
+        p = tmp_path / f"c{k:g}.json"
+        p.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / f"o{k:g}")]) == 0
+        cfg = parse_config(str(p))
+        bg = rs.build_background(cfg.upstream, cfg.gas)
+        hat, inlet, _, lin = iteration.setup_upstream(bg, cfg.pert, cfg.options)
+        sup = supersonic.solve_nonlinear(hat, cfg.pert, lin.grid, bg, lin=lin, inlet=inlet)
+        out[k] = (strict_json(tmp_path / f"o{k:g}" / "report.json"), sup.picard_iters)
+    one, newton = out.pop(1.0)
+    assert newton == 2
+    for k, (rep, steps) in out.items():
+        assert abs(rep["psi_bar"] - one["psi_bar"]) <= 1e-12, k
+        assert abs(rep["psi_sharp"] - one["psi_sharp"]) <= 1e-10, k
+        assert rep["iterations"] == one["iterations"], k
+        assert steps == newton, k
 
 
 def test_sigma_past_the_first_failure_is_a_typed_error(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_incompatible_rejected_with_defect():
     n = 33
     p = unit_problem(n, h3=np.ones(n))
     with pytest.raises(rs.IncompatibleDataError) as exc:
-        solve(p, defect_tol=1e-9)
+        solve(p)
     assert exc.value.defect == pytest.approx(1.0, rel=1e-12)
 
 

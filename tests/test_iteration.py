@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -196,7 +197,7 @@ def test_incompatible_pass_raises_before_any_potential(accept_run, monkeypatch):
     # the elliptic solve is the pass's one solvability gate: a defect above
     # its tolerance stops the pass before either potential is solved
     ctx = accept_run.ctx
-    monkeypatch.setattr(iteration, "solve", lambda p: elliptic.solve(p, defect_tol=1e-30))
+    monkeypatch.setattr(elliptic, "DEFECT_TOL", 1e-30)
     kinds = []
     orig = elliptic.solve_scalar
 
@@ -228,16 +229,18 @@ def test_psi_sharp_search_cap_is_non_convergence(accept_run, monkeypatch):
 
 
 def test_psi_sharp_search_tests_its_last_evaluation(accept_run, monkeypatch):
-    # the search from the initial state takes two secant steps (|J| 9.6e-12,
-    # then 5.4e-15 against tol 1e-13): with a cap of 2 the last evaluation is
-    # the root, returned bit for bit as without a cap; a cap of 1 stops above tol
+    # the search from the initial state takes two secant steps: with a cap of
+    # 2 the last evaluation is the root, returned bit for bit as without a
+    # cap; a cap of 1 stops at a |J| above the tolerance it names
     ctx = accept_run.ctx
     s_default = solve_psi_sharp(ctx.initial_state, ctx)[0]
     monkeypatch.setattr(iteration, "PSI_SHARP_MAX_ITER", 2)
     assert solve_psi_sharp(ctx.initial_state, ctx)[0] == s_default
     monkeypatch.setattr(iteration, "PSI_SHARP_MAX_ITER", 1)
-    with pytest.raises(rs.NonConvergenceError, match=r"stalled at \|J\|=9\.6"):
+    with pytest.raises(rs.NonConvergenceError, match="psi_sharp root search stalled") as err:
         solve_psi_sharp(ctx.initial_state, ctx)
+    J, tol = map(float, re.search(r"\|J\|=(\S+) \(tol (\S+)\)", str(err.value)).groups())
+    assert J > tol
 
 
 def test_pass_cap_is_non_convergence(accept_run, monkeypatch, tmp_path, capsys):
