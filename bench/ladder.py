@@ -8,7 +8,9 @@ of every pipeline stage, named as the perfbench spans are, the call counts
 of the traced layers, and the fingerprint of the result: ``psi_bar``,
 ``psi_sharp``, the four residuals, the passes and the Newton steps
 (``picard_sweeps``).  A speedup that changes the answer shows in the
-fingerprint.
+fingerprint.  Per side it also records ``import_s``, the median wall time
+of ``IMPORT_PROBES`` fresh interpreters that import ``rotshock.cli``: the
+set-up cost every process pays before its first solve.
 
 The package is imported from ``--src`` (default: the ``src/`` next to this
 script), so one script times two checkouts into one file:
@@ -27,6 +29,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -53,6 +56,7 @@ COUNTS = (
     "supersonic.picard_sweeps", "supersonic.rows_marched", "shockfit.J1_evals",
     "shockfit.coefficients.calls", "lagrangian.inlet_maps.calls",
 )
+IMPORT_PROBES = 5
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -65,11 +69,27 @@ def parse_grid(text):
 
 
 def environment():
+    """Versions and host; scipy is None where it is not installed."""
     import numpy
-    import scipy
+    try:
+        import scipy
+    except ImportError:
+        scipy = None
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "nproc": len(os.sched_getaffinity(0)),
+            "scipy": scipy.__version__ if scipy else None, "nproc": len(os.sched_getaffinity(0)),
             "machine": platform.machine()}
+
+
+def import_seconds(src):
+    """Median wall time of IMPORT_PROBES fresh interpreters importing
+    ``rotshock.cli`` from ``src``, interpreter start-up included."""
+    code = f"import sys; sys.path.insert(0, {src!r}); import rotshock.cli"
+    runs = []
+    for _ in range(IMPORT_PROBES):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], check=True)
+        runs.append(time.perf_counter() - t0)
+    return statistics.median(runs)
 
 
 def run_grid(grid, repeats):
@@ -122,6 +142,8 @@ def main(argv=None):
         ap.error(f"--src {args.src}: no rotshock package there")
     sys.path[:0] = [args.src, ROOT]
 
+    import_s = import_seconds(args.src)
+    print(f"{args.side}: import rotshock.cli {import_s:.3f} s")
     rows = []
     for grid in args.grids:
         row = {"side": args.side, **run_grid(grid, args.repeats)}
@@ -138,6 +160,7 @@ def main(argv=None):
     done = {(r["side"], r["grid"]) for r in rows}
     bench["rows"] = [r for r in bench["rows"] if (r["side"], r["grid"]) not in done] + rows
     bench["environment"][args.side] = environment()
+    bench.setdefault("import_s", {})[args.side] = import_s
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2)
         fh.write("\n")

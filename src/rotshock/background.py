@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .csvio import write_csv
 from .errors import ConfigError, DegenerateBackgroundError
+from .fd import cumsimpson
 from .profiles import Profile
 from .thermo import GasModel, GasState, entropy_bernoulli
 
@@ -75,7 +75,7 @@ def solve_mach_profile(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES):
     if m.beta == 0.0:
         return x2, np.full(n, d1)
     integrand = m.beta * m.gamma / u
-    cum = cumulative_simpson(integrand, x=x2, initial=0.0)
+    cum = cumsimpson(integrand, x2)
     tail = cum[-1] - cum  # int_x2^1
     d = 1.0 + (d1 - 1.0) * np.exp(-tail)
     return x2, d
@@ -92,7 +92,7 @@ def upstream_state(spec: UpstreamSpec, x2, d, m: GasModel):
         P = np.full_like(u, spec.P_top)
     else:
         integrand = m.beta * m.gamma / (d * u)
-        cum = cumulative_simpson(integrand, x=x2, initial=0.0)
+        cum = cumsimpson(integrand, x2)
         P = spec.P_top * np.exp(cum[-1] - cum)
     rho = m.gamma * P / (d * u**2)
     return rho, u, P

@@ -179,10 +179,13 @@ def build_config(data, base_dir) -> RunConfig:
     are read from ``base_dir``."""
     merged = _merge_validate(data)
 
+    # the interval each profile is read on, which a table must cover; P_ex is
+    # read at the exit heights, up to 1 + sigma*g(L), and goes unchecked
+    read_on = {"g": (0.0, float(merged["nozzle"]["L"])), "P_ex": None}
     profiles = {}
     for section, key in _PROFILE_KEYS:
         profiles[key] = profile_from_json(merged[section][key], f"{section}.{key}",
-                                          base_dir)
+                                          base_dir, read_on.get(key, (0.0, 1.0)))
     gas = GasModel(gamma=float(merged["gas"]["gamma"]), beta=float(merged["gas"]["beta"]))
     upstream = UpstreamSpec(u_minus=profiles["u_minus"],
                             M_top=float(merged["upstream"]["M_top"]),

@@ -35,6 +35,9 @@ tridiagonal solve in y2 per mode: O(n1 n2 log n1) work and no matrix.
 The Neumann solve reproduces the bordered system K phi + mu e = F,
 e.phi = 0: the multiplier is mu = F.mean(), the singular constant mode is
 pinned at one node, and the zero-grid-mean gauge is imposed at the end.
+The transforms are ``np.fft.rfft`` of the even (DCT-I) or odd (DST-I)
+extension, which is how pocketfft computes ``scipy.fft.dct``/``dst`` of
+type 1 and their inverses: the results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idst
 
 from .errors import IncompatibleDataError, InvalidStateError
 from .fd import d1 as _d1, d2 as _d2, trap_w
@@ -172,6 +174,65 @@ def _tridiag_solve(diag, off, rhs):
     return x
 
 
+# doubles per rfft call: the transforms run on blocks of rows whose
+# extension and spectrum stay small enough for the allocator to reuse,
+# where whole-array temporaries would each be freshly mapped memory
+RFFT_BLOCK = 1 << 15
+
+
+def _rfft_rows(x, length, extend, pick, scale):
+    """``pick(rfft(ext)) * scale`` for each row of ``x``, ext its length-
+    ``length`` extension that ``extend(rows, ext)`` writes; a block of rows
+    per rfft call."""
+    out = np.empty(x.shape)
+    step = max(1, RFFT_BLOCK // length)
+    ext = np.empty((min(step, x.shape[0]), length))
+    for lo in range(0, x.shape[0], step):
+        rows = x[lo:lo + step]
+        block = ext[:rows.shape[0]]
+        extend(rows, block)
+        np.multiply(pick(np.fft.rfft(block, axis=-1)), scale, out=out[lo:lo + step])
+    return out
+
+
+def _dct1(x, inverse=False):
+    """DCT-I of each row of ``x``: ``scipy.fft.dct(x, type=1, axis=1)``, or
+    ``idct``, bit for bit.
+
+    The real part of the rfft of the even extension x0..x(n-1), x(n-2)..x1
+    (length 2(n-1)), times 1.0/(2(n-1)) for the inverse, as pocketfft
+    scales it (dividing instead differs by an ulp at some n; times 1.0
+    changes nothing).
+    """
+    n = x.shape[1]
+
+    def extend(rows, ext):
+        ext[:, :n] = rows
+        ext[:, n:] = rows[:, -2:0:-1]
+
+    return _rfft_rows(x, 2 * (n - 1), extend, lambda spec: spec.real,
+                      1.0 / (2 * (n - 1)) if inverse else 1.0)
+
+
+def _dst1(x, inverse=False):
+    """DST-I of each row of ``x``: ``scipy.fft.dst(x, type=1, axis=1)``, or
+    ``idst``, bit for bit.
+
+    Minus the imaginary part of entries 1..n of the rfft of the odd
+    extension 0, x0..x(n-1), 0, -x(n-1)..-x0 (length 2(n+1)), times
+    1.0/(2(n+1)) for the inverse; the two zeros are x0*0, as in pocketfft.
+    """
+    n = x.shape[1]
+
+    def extend(rows, ext):
+        ext[:, 0] = ext[:, n + 1] = rows[:, 0] * 0
+        ext[:, 1:n + 1] = rows
+        ext[:, n + 2:] = -rows[:, ::-1]
+
+    return _rfft_rows(x, 2 * (n + 1), extend, lambda spec: spec.imag[:, 1:n + 1],
+                      -1.0 / (2 * (n + 1)) if inverse else -1.0)
+
+
 def _y1_eigenvalues(n1, modes):
     """Eigenvalues 2 - 2cos(pi k/(n1-1)) of the unit second difference along y1."""
     return 2.0 - 2.0 * np.cos(np.pi * modes / (n1 - 1))
@@ -214,7 +275,7 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
         gL, gR, gB, gT = bdata
         wi = trap_w(n1)
         F = _fv_rhs(rhs, gL, gR, gB, gT, n1, n2, h1, h2)
-        G = idct(((F - F.mean()) / wi[:, None]).T, type=1, axis=1)
+        G = _dct1(((F - F.mean()) / wi[:, None]).T, inverse=True)
         # mode 0: fluxes q_j = (h1/h2) bh_j (phi_{j+1} - phi_j) = -sum_{i<=j} G_i
         flux = -np.cumsum(G[:-1, 0])
         G[0, 0] = 0.0
@@ -224,16 +285,16 @@ def solve_scalar(kind, a, b, rhs, bdata=None, n1=None, n2=None, h1=None, h2=None
         diag = (np.outer(a * trap_w(n2) * h2 / h1, _y1_eigenvalues(n1, np.arange(1, n1)))
                 + (h1 / h2) * bsum[:, None])
         G[:, 1:] = _tridiag_solve(diag, -(h1 / h2) * bh, G[:, 1:])
-        phi = dct(G, type=1, axis=1).T
+        phi = _dct1(G).T
         return phi - phi.mean()
 
     if kind == "dirichlet":
         phi = np.zeros((n1, n2))
-        G = dst(-rhs[1:-1, 1:-1].T, type=1, axis=1)
+        G = _dst1(-rhs[1:-1, 1:-1].T)
         diag = (np.outer(a[1:-1] / h1**2, _y1_eigenvalues(n1, np.arange(1, n1 - 1)))
                 + ((bh[1:] + bh[:-1]) / h2**2)[:, None])
-        phi[1:-1, 1:-1] = idst(_tridiag_solve(diag, -bh[1:-1] / h2**2, G),
-                               type=1, axis=1).T
+        phi[1:-1, 1:-1] = _dst1(_tridiag_solve(diag, -bh[1:-1] / h2**2, G),
+                                inverse=True).T
         return phi
 
     raise ValueError(f"unknown kind {kind!r}")

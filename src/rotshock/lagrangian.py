@@ -15,7 +15,9 @@ posteriori from x2 = (m/m_bar) int_0^y2 1/(rho*u1) ds.
 Cumulative integrals of solution fields use the trapezoid rule on grid
 nodes (``fd.cumtrap``), which preserves the discrete telescoping used in
 conservation checks; the smooth background maps use composite Simpson
-quadrature on the background grid.
+quadrature on the background grid (``fd.cumsimpson``, which is
+``scipy.integrate.cumulative_simpson`` bit for bit) and the not-a-knot
+spline ``profiles.Spline`` (``scipy.interpolate.CubicSpline`` bit for bit).
 
 A field is read off the grid at given y1 positions (the shock front) by
 ``Field.trace``: the degree-5 Lagrange polynomial in y1 through the six rows
@@ -27,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .csvio import write_csv
 from .errors import ConfigError, InvalidStateError
-from .profiles import Profile
+from .fd import cumsimpson
+from .profiles import Profile, Spline
 from .thermo import GasModel, rho_P
 
 __all__ = [
@@ -180,13 +181,14 @@ class HattedProfiles:
 def inlet_maps(bg, pert=None):
     """Mass fluxes and the entrance height over the mass coordinate.
 
-    Returns (m, m_bar, x2_of_y2), x2_of_y2 a cubic spline of x2 over y2,
-    from the inflow flux perturbed by ``pert`` when its sigma is > 0 and
-    from the background flux otherwise.
+    Returns (m, m_bar, x2_of_y2), x2_of_y2 the not-a-knot spline of x2 over
+    y2 (as ``CubicSpline`` builds it), from the inflow flux perturbed by
+    ``pert`` when its sigma is > 0 and from the background flux otherwise;
+    the fluxes are integrated as ``cumulative_simpson`` integrates them.
     """
     x2 = bg.x2
     flux0 = bg.mass_flux
-    cum0 = cumulative_simpson(flux0, x=x2, initial=0.0)
+    cum0 = cumsimpson(flux0, x2)
     m_bar = float(cum0[-1])
     sigma = 0.0 if pert is None else pert.sigma
     if sigma == 0.0:
@@ -201,16 +203,20 @@ def inlet_maps(bg, pert=None):
         integrand = flux0 + sigma * rho_en * pert.u1_en(x2)
         if np.any(integrand <= 0.0):
             raise InvalidStateError("perturbed inflow reverses: mass-flux density <= 0")
-        cum = cumulative_simpson(integrand, x=x2, initial=0.0)
+        cum = cumsimpson(integrand, x2)
         m = float(cum[-1])
     # y2 = (m_bar/m) * cum(x2); strictly increasing
     y2_nodes = (m_bar / m) * cum
     y2_nodes[-1] = m_bar  # exact upper end
-    return m, m_bar, CubicSpline(y2_nodes, x2)
+    return m, m_bar, Spline.not_a_knot(y2_nodes, x2)
 
 
 def hatted_background(bg, n2) -> HattedProfiles:
-    """Sample the background in Lagrangian coordinates on n2 nodes of [0, m_bar]."""
+    """Sample the background in Lagrangian coordinates on n2 nodes of [0, m_bar].
+
+    The samples are those of ``CubicSpline`` through the background columns,
+    bit for bit.
+    """
     _, mb, x2_of_y2 = inlet_maps(bg)
     y2 = np.linspace(0.0, mb, n2)
     x2q = np.clip(x2_of_y2(y2), 0.0, 1.0)
@@ -219,7 +225,8 @@ def hatted_background(bg, n2) -> HattedProfiles:
     names = [q + "_" + side for side in ("m", "p") for q in ("u", "rho", "P", "S", "B")]
     slopes = [q + "_" + side for side in ("m", "p") for q in ("u", "S", "B")]
     cols = np.column_stack([bg.profile(n) for n in names] + [bg.deriv[n] for n in slopes])
-    at = dict(zip(names + ["d" + n for n in slopes], CubicSpline(bg.x2, cols)(x2q).T.copy()))
+    at = dict(zip(names + ["d" + n for n in slopes],
+                  Spline.not_a_knot(bg.x2, cols)(x2q).T.copy()))
     # chain rule dq/dy2 = (dq/dx2) / (rho*u), with exact x-derivatives
     flux = at["rho_m"] * at["u_m"]
     g = bg.gas.gamma

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import fd
 from .elliptic import EllipticProblem, solve
@@ -76,7 +75,7 @@ def b_coefficients(hat, side):
     if beta == 0.0:
         integ = np.zeros_like(u)
     else:
-        integ = cumulative_simpson(beta / (rho * c2), x=hat.y2, initial=0.0)
+        integ = fd.cumsimpson(beta / (rho * c2), hat.y2)
     b4 = (u / u[0]) * np.exp(-(S - S[0]) / g - integ)
     b1 = (1.0 - Msq) * b2 / (rho * u)
     b3 = b4 / (rho * u)

@@ -168,6 +168,31 @@ def test_non_finite_table_cell_exit_1(tmp_path, capsys):
     assert "error: perturbation.P_ex.table: non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, hi", [
+    ("upstream.u_minus", 1.0), ("perturbation.u1_en", 1.0), ("perturbation.u2_en", 1.0),
+    ("perturbation.S_en", 1.0), ("perturbation.B_en", 1.0), ("nozzle.g", L_DUCT),
+])
+def test_table_short_of_its_interval_exit_1(tmp_path, capsys, key, hi):
+    # a table read past its last abscissa would be extrapolated by its end cubic
+    x = np.linspace(0.0, 0.5 * hi, 9)
+    np.savetxt(tmp_path / "t.csv", np.column_stack([x, 0.0 * x + 2.0]), delimiter=",")
+    p = tmp_path / "c.json"
+    write_config(p, **{key: {"table": "t.csv"}})
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key}.table: covers [0, {0.5 * hi:g}], but {key} is read on [0, {hi:g}]" in err
+
+
+def test_table_starting_inside_its_interval_exit_1(tmp_path, capsys):
+    x = np.linspace(0.1, 1.0, 10)
+    np.savetxt(tmp_path / "t.csv", np.column_stack([x, 0.0 * x + 2.0]), delimiter=",")
+    p = tmp_path / "c.json"
+    write_config(p, **{"upstream.u_minus": {"table": "t.csv"}})
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert ("upstream.u_minus.table: covers [0.1, 1], but upstream.u_minus is read on [0, 1]"
+            in capsys.readouterr().err)
+
+
 # (config text, overrides of write_config or None for no file, text of t.csv,
 # sweep key and values, message); a sweep case runs `sweep`, every other `solve`
 BAD_INPUT = {

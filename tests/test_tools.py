@@ -93,11 +93,13 @@ def test_ladder_smoke(tmp_path):
                            "--grids", "65x33", "--repeats", "1", "--side", "smoke",
                            "--out", str(out)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("smoke 65x33: solve ")
+    assert proc.stdout.startswith("smoke: import rotshock.cli ")
+    assert proc.stdout.splitlines()[1].startswith("smoke 65x33: solve ")
     bench = json.loads(out.read_text())
     (row,) = bench["rows"]
     assert row["side"] == "smoke" and row["grid"] == "65x33" and row["repeats"] == 1
-    assert set(bench["environment"]) == {"smoke"}
+    assert set(bench["environment"]) == set(bench["import_s"]) == {"smoke"}
+    assert 0.0 < bench["import_s"]["smoke"] < 60.0
     stages = row["stage_s"]
     assert 0.0 < stages["supersonic.solve_nonlinear"] < stages["iteration.solve_transonic"]
     assert row["counts"]["shockfit.coefficients.calls"] == 1
@@ -106,6 +108,17 @@ def test_ladder_smoke(tmp_path):
     assert fp["passes"] == row["counts"]["iteration.apply_T.calls"]
     assert fp["picard_sweeps"] == row["counts"]["supersonic.picard_sweeps"]
     assert 0.35 < fp["psi_bar"] < fp["psi_sharp"] < 0.9
+
+
+def test_ladder_environment_without_scipy():
+    # the package needs no scipy, and neither does the ladder's record of the host
+    code = ("import sys; sys.modules['scipy'] = None; "
+            f"sys.path.insert(0, {os.path.join(ROOT, 'bench')!r}); import ladder; "
+            "print(ladder.environment()['scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
 
 
 SCANNED_DIRS = ("src", "tests", "demos", "tools", "bench")
@@ -162,9 +175,22 @@ def _unused_imports(rel, source):
 
 
 def test_static_name_scan():
-    # every global a function reads is bound by its module or builtins, and
-    # every import is read
+    # every global a function reads is bound by its module or builtins, every
+    # import is read, and the package imports no scipy (a test dependency only)
     problems = []
     for rel, source in _sources():
         problems += _unbound_globals(rel, source) + _unused_imports(rel, source)
+        if rel.startswith("src" + os.sep):
+            problems += _scipy_imports(rel, source)
     assert problems == []
+
+
+def _scipy_imports(rel, source):
+    """Imports of scipy or any of its modules, at any depth of the module."""
+    found = []
+    for node in ast.walk(ast.parse(source, rel)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        found += [f"{rel}:{node.lineno}: imports {name}" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
