@@ -12,8 +12,9 @@ P' = -beta*rho*u, the density from rho = gamma*P/(d*u^2), and the downstream
 (subsonic) state from the normal Rankine-Hugoniot relations applied height by
 height.  The shock position itself is arbitrary for these profiles.
 
-Profiles are sampled on a vertical grid and interpolated by cubic splines;
-first derivatives come from exact chain rules, not from differencing.
+Profiles are sampled on a vertical grid, which ``lagrangian.lagrange``
+interpolates; first derivatives come from exact chain rules, not from
+differencing.
 """
 
 from __future__ import annotations

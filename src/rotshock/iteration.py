@@ -18,8 +18,9 @@ Starting from the linear two-phase approximation, the scheme repeats:
 
 On the demo configuration the map contracts the fields and the front slope
 by about 1e-3 + 0.12 sigma per pass (measured, 65x33 to 257x129), which is
-O(sigma) only above sigma of about 1e-2; psi_sharp is re-solved in every pass
-and settles within the root tolerance of ``solve_psi_sharp``.  Sources are
+O(sigma) only above sigma of about 1e-2; psi_sharp is re-solved in every pass,
+from the second pass on by a step along the last secant slope, so that it
+is a function of the fields.  Sources are
 well balanced: the discrete residual of the exact background is subtracted,
 so sigma = 0 reproduces the background to machine precision.
 
@@ -132,18 +133,26 @@ class TransonicOptions:
 
 @dataclass
 class IterationState:
-    """Downstream perturbation on the fixed z-rectangle plus front unknowns."""
+    """Downstream perturbation on the fixed z-rectangle plus front unknowns.
+
+    ``secant_slope`` is dJ/d psi_sharp_dev of the last secant pair of
+    ``solve_psi_sharp`` outside J's rounding floor (None before one was
+    measured); ``started_on_root`` says that the pass which made this state
+    started within the root tolerance.
+    """
 
     u1: np.ndarray
     u2: np.ndarray
     S: np.ndarray
     psi_prime: np.ndarray
     psi_sharp_dev: float
+    secant_slope: float = None
+    started_on_root: bool = False
     iter: int = 0
     update_norm: float = np.inf
 
     def norm_from(self, other):
-        """Max field difference plus max slope difference plus |intercept difference|."""
+        """Max field difference plus max slope difference."""
         return (
             max(
                 np.abs(self.u1 - other.u1).max(),
@@ -151,7 +160,7 @@ class IterationState:
                 np.abs(self.S - other.S).max(),
             )
             + np.abs(self.psi_prime - other.psi_prime).max()
-        ) + abs(self.psi_sharp_dev - other.psi_sharp_dev)
+        )
 
 
 @dataclass
@@ -450,9 +459,19 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     accepted at the rounding floor of the assembled quadratures, |J| <=
     1e-13 * max|b1p| * m_bar * max|u_hat| (J scales like a velocity, b1p
     does not), tested at every evaluation, the last of
-    ``PSI_SHARP_MAX_ITER`` steps too.  A step whose front leaves the duct
-    raises ``NoAdmissibleShockError`` from ``ShockFront``.  Returns
-    (psi_sharp_dev, StepData, EllipticProblem) at the root.
+    ``PSI_SHARP_MAX_ITER`` steps too.
+
+    A state with a ``secant_slope`` takes its first step along it, s0 -
+    J(s0)/slope, and the search ends on a secant iterate: the root is then a
+    function of the fields, not of where the last pass stopped inside the
+    tolerance.  Without a slope (the first pass, or sigma = 0, where J never
+    leaves its floor) the start is returned when it is within the
+    tolerance, and the first step is ``1e-3 * max(sigma, 1e-6) * (L -
+    psi_bar)``.  A step whose front leaves the duct raises
+    ``NoAdmissibleShockError`` from ``ShockFront``.  Returns
+    (psi_sharp_dev, StepData, EllipticProblem, slope, started_on_root) at
+    the root, slope the last secant slope whose pair has a |J| above the
+    tolerance (else the state's).
     """
     psi_bar = ctx.grid_plus.y1a
     L = ctx.pert.geometry.L
@@ -469,26 +488,32 @@ def solve_psi_sharp(state: IterationState, ctx: IterationContext):
     # rounding floor of the assembled quadratures; below it J counts as zero
     tol = 1e-13 * float(np.abs(ctx.coeffs.b1p).max() * ctx.grid_plus.m_bar
                         * np.abs(ctx.hat["m", "u"]).max())
-    if abs(J0) <= tol:
-        return root
-    ds = max(1e-3 * max(sigma, 1e-6) * (L - psi_bar), 1e-9)
-    s1 = s0 + ds
+    on_root = abs(J0) <= tol
+    slope = state.secant_slope
+    if slope is None:
+        if on_root:
+            return (*root, None, True)
+        s1 = s0 + max(1e-3 * max(sigma, 1e-6) * (L - psi_bar), 1e-9)
+    else:
+        s1 = s0 - J0 / slope
     J1, root = J(s1)
     for _ in range(PSI_SHARP_MAX_ITER):
         if abs(J1) <= tol:
             break
-        dJ = (J1 - J0) / (s1 - s0)
-        if abs(dJ) * (L - psi_bar) <= 1e-3 * tol:
+        slope = (J1 - J0) / (s1 - s0)
+        if abs(slope) * (L - psi_bar) <= 1e-3 * tol:
             raise DegenerateSelectionError(
-                f"solvability functional is flat in psi_sharp (slope {dJ:.3e})"
+                f"solvability functional is flat in psi_sharp (slope {slope:.3e})"
             )
-        s0, J0, s1 = s1, J1, s1 - J1 / dJ
+        s0, J0, s1 = s1, J1, s1 - J1 / slope
         J1, root = J(s1)
     if abs(J1) > tol:
         raise NonConvergenceError(
             f"psi_sharp root search stalled at |J|={abs(J1):.3e} (tol {tol:.3e})"
         )
-    return root
+    if abs(J0) > tol:
+        slope = (J1 - J0) / (s1 - s0)
+    return (*root, slope, on_root)
 
 
 def apply_T(state: IterationState, ctx: IterationContext):
@@ -499,7 +524,7 @@ def apply_T(state: IterationState, ctx: IterationContext):
     problem, and ``solve`` raises ``IncompatibleDataError`` when it is above
     ``elliptic.DEFECT_TOL``.
     """
-    s_sharp, data, prob = solve_psi_sharp(state, ctx)
+    s_sharp, data, prob, slope, on_root = solve_psi_sharp(state, ctx)
     esol = solve(prob)
     grid = ctx.grid_plus
     psi_prime_new = (grid.m / (grid.m_bar * ctx.coeffs.P_jump)) * (esol.v2[0, :] + data.g0)
@@ -508,6 +533,8 @@ def apply_T(state: IterationState, ctx: IterationContext):
         S=np.broadcast_to(data.g1, esol.v1.shape).copy(),
         psi_prime=psi_prime_new,
         psi_sharp_dev=s_sharp,
+        secant_slope=slope,
+        started_on_root=on_root,
         iter=state.iter + 1,
     )
     new.update_norm = new.norm_from(state)
@@ -517,8 +544,10 @@ def apply_T(state: IterationState, ctx: IterationContext):
 def run(ctx: IterationContext):
     """Iterate the map to its fixed point; returns (state, log).
 
-    The loop stops at an update of at most ``FIXED_POINT_TOL`` or raises
-    ``NonConvergenceError`` after ``FIXED_POINT_MAX_ITER`` passes; inside a
+    The loop stops after a pass that started within the root tolerance of
+    ``solve_psi_sharp`` and updated the fields and the front slope by at
+    most ``FIXED_POINT_TOL``, or raises ``NonConvergenceError`` after
+    ``FIXED_POINT_MAX_ITER`` passes; inside a
     pass the front's duct check, the gas-state checks and the elliptic
     solvability gate raise their own typed errors.
     """
@@ -536,7 +565,7 @@ def run(ctx: IterationContext):
         })
         state = state_new
         prev_update = upd
-        if upd <= FIXED_POINT_TOL:
+        if upd <= FIXED_POINT_TOL and state.started_on_root:
             return state, log
     raise NonConvergenceError(
         f"fixed point not reached in {FIXED_POINT_MAX_ITER} iterations "

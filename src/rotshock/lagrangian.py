@@ -16,12 +16,10 @@ Cumulative integrals of solution fields use the trapezoid rule on grid
 nodes (``fd.cumtrap``), which preserves the discrete telescoping used in
 conservation checks; the smooth background maps use composite Simpson
 quadrature on the background grid (``fd.cumsimpson``, which is
-``scipy.integrate.cumulative_simpson`` bit for bit) and the not-a-knot
-spline ``profiles.Spline`` (``scipy.interpolate.CubicSpline`` bit for bit).
+``scipy.integrate.cumulative_simpson`` bit for bit).
 
-A field is read off the grid at given y1 positions (the shock front) by
-``Field.trace``: the degree-5 Lagrange polynomial in y1 through the six rows
-around each position.
+Values between nodes come from one interpolant, ``lagrange``: the hatted
+background, the inverse inlet maps and the front traces of ``Field.trace``.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 from .csvio import write_csv
 from .errors import ConfigError, InvalidStateError
 from .fd import cumsimpson
-from .profiles import Profile, Spline
+from .profiles import Profile
 from .thermo import GasModel, rho_P
 
 __all__ = [
@@ -43,12 +41,36 @@ __all__ = [
     "hatted_background",
     "HattedProfiles",
     "inlet_maps",
+    "lagrange",
 ]
 
-# rows of the local interpolant that ``Field.trace`` reads: degree 5
-TRACE_ROWS = 6
-_STENCIL = np.arange(TRACE_ROWS)[:, None]
-_OFF_DIAGONAL = ~np.eye(TRACE_ROWS, dtype=bool)[:, :, None]
+# nodes of the interpolant ``lagrange``: degree 5
+LAGRANGE_NODES = 6
+_STENCIL = np.arange(LAGRANGE_NODES)[:, None]
+_OFF_DIAGONAL = ~np.eye(LAGRANGE_NODES, dtype=bool)[:, :, None]
+
+
+def lagrange(x, q):
+    """(rows, w): the LAGRANGE_NODES nodes of the strictly increasing ``x``
+    around each q[j] (the first or last ones near the ends), located by
+    ``searchsorted``, and their Lagrange weights, exactly 1 and 0 at a node:
+    sum(w[:, j] * y[rows[:, j]]) is the polynomial through (x, y) at q[j].
+    """
+    m = min(LAGRANGE_NODES, x.size)
+    q = np.asarray(q, dtype=float).reshape(-1)
+    first = np.searchsorted(x, q, "right") - 1 - (m - 1) // 2
+    rows = np.clip(first, 0, x.size - m) + _STENCIL[:m]
+    xs = x[rows]
+    # l_j = prod_{k != j} (q - x_k) / prod_{k != j} (x_j - x_k)
+    off = _OFF_DIAGONAL[:m, :m]
+    return rows, (np.where(off, q - xs, 1.0).prod(axis=1)
+                  / np.where(off, xs[:, None] - xs, 1.0).prod(axis=1))
+
+
+def _sample(x, y, q):
+    """The rows of ``y`` (one per node of ``x``, any columns after) at ``q``."""
+    rows, w = lagrange(x, q)
+    return np.einsum("ij,ij...->j...", w, y[rows])
 
 
 @dataclass(frozen=True)
@@ -126,25 +148,12 @@ class Field:
         return self.data[name]
 
     def trace(self, name, psi):
-        """Component ``name`` at y1 = psi, by Lagrange interpolation in y1.
+        """Component ``name`` at y1 = psi, by ``lagrange`` in y1.
 
         ``psi`` is a scalar (one y2-profile at a fixed y1) or one abscissa
-        per y2 column.  The polynomial runs through the TRACE_ROWS rows
-        around psi: the first or last ones near the ends of the grid, all
-        rows of a smaller grid.  Its weights are formed from the stencil's
-        own node differences, so at a node they are exactly 1 and 0 and the
-        trace is the stored row.
+        per y2 column; at a node the trace is the stored row.
         """
-        g = self.grid
-        m = min(TRACE_ROWS, g.n1)
-        psi = np.asarray(psi, dtype=float).reshape(-1)
-        first = np.floor((psi - g.y1a) / g.h1).astype(int) - (m - 1) // 2
-        rows = np.clip(first, 0, g.n1 - m) + _STENCIL[:m]
-        x = g.y1[rows]
-        # l_j = prod_{k != j} (psi - x_k) / prod_{k != j} (x_j - x_k)
-        off = _OFF_DIAGONAL[:m, :m]
-        num = np.where(off, psi - x, 1.0).prod(axis=1)
-        w = num / np.where(off, x[:, None] - x, 1.0).prod(axis=1)
+        rows, w = lagrange(self.grid.y1, psi)
         return (w * np.take_along_axis(self.data[name], rows, axis=0)).sum(axis=0)
 
     def write_csv(self, path, extra_columns=None):
@@ -181,10 +190,10 @@ class HattedProfiles:
 def inlet_maps(bg, pert=None):
     """Mass fluxes and the entrance height over the mass coordinate.
 
-    Returns (m, m_bar, x2_of_y2), x2_of_y2 the not-a-knot spline of x2 over
-    y2 (as ``CubicSpline`` builds it), from the inflow flux perturbed by
-    ``pert`` when its sigma is > 0 and from the background flux otherwise;
-    the fluxes are integrated as ``cumulative_simpson`` integrates them.
+    Returns (m, m_bar, x2_of_y2), x2_of_y2 the ``lagrange`` interpolant of
+    x2 over y2, from the inflow flux perturbed by ``pert`` when its sigma is
+    > 0 and from the background flux otherwise; the fluxes are integrated
+    as ``cumulative_simpson`` integrates them.
     """
     x2 = bg.x2
     flux0 = bg.mass_flux
@@ -208,25 +217,23 @@ def inlet_maps(bg, pert=None):
     # y2 = (m_bar/m) * cum(x2); strictly increasing
     y2_nodes = (m_bar / m) * cum
     y2_nodes[-1] = m_bar  # exact upper end
-    return m, m_bar, Spline.not_a_knot(y2_nodes, x2)
+    return m, m_bar, lambda y2: _sample(y2_nodes, x2, y2)
 
 
 def hatted_background(bg, n2) -> HattedProfiles:
     """Sample the background in Lagrangian coordinates on n2 nodes of [0, m_bar].
 
-    The samples are those of ``CubicSpline`` through the background columns,
-    bit for bit.
+    Each side's five profiles and three x2-derivatives are read by
+    ``lagrange`` on ``bg.x2``.
     """
     _, mb, x2_of_y2 = inlet_maps(bg)
     y2 = np.linspace(0.0, mb, n2)
     x2q = np.clip(x2_of_y2(y2), 0.0, 1.0)
-    # one spline through all 16 columns: its coefficients equal those of one
-    # spline per column bit for bit
     names = [q + "_" + side for side in ("m", "p") for q in ("u", "rho", "P", "S", "B")]
     slopes = [q + "_" + side for side in ("m", "p") for q in ("u", "S", "B")]
     cols = np.column_stack([bg.profile(n) for n in names] + [bg.deriv[n] for n in slopes])
     at = dict(zip(names + ["d" + n for n in slopes],
-                  Spline.not_a_knot(bg.x2, cols)(x2q).T.copy()))
+                  _sample(bg.x2, cols, x2q).T.copy()))
     # chain rule dq/dy2 = (dq/dx2) / (rho*u), with exact x-derivatives
     flux = at["rho_m"] * at["u_m"]
     g = bg.gas.gamma

@@ -7,8 +7,7 @@ differentiate.  Three concrete sources are supported:
 * a two-column table ``(x, f)`` interpolated by a cubic spline,
 * an arbitrary callable (differentiated by a spline fit on demand).
 
-``Spline`` is the one not-a-knot cubic spline of the package: tables, the
-inlet map and the hatted background all use it.  It reproduces
+``Spline`` is the not-a-knot cubic spline of the tables.  It reproduces
 ``scipy.interpolate.CubicSpline`` (default ``bc_type``), its derivatives
 and their evaluation bit for bit.
 """
@@ -31,9 +30,8 @@ def is_number(v):
 
 class Spline:
     """Piecewise polynomial on the knots ``x`` (n >= 2), ``c[j, i]`` the
-    coefficient of (q - x[i])**(k - j) on interval i, k the degree; trailing
-    axes of ``c`` are independent columns.  The layout and the arithmetic
-    are those of ``scipy.interpolate.PPoly``.
+    coefficient of (q - x[i])**(k - j) on interval i, k the degree.  The
+    layout and the arithmetic are those of ``scipy.interpolate.PPoly``.
     """
 
     def __init__(self, x, c):
@@ -43,31 +41,30 @@ class Spline:
     @classmethod
     def not_a_knot(cls, x, y):
         """The not-a-knot cubic spline through (x[i], y[i]); x strictly
-        increasing with n >= 4 nodes, y of shape (n,) or (n, columns).
+        increasing with n >= 4 nodes, y of shape (n,).
 
         Knot slopes as ``CubicSpline`` solves for them (``_knot_slopes``),
         then the Hermite coefficients as ``CubicHermiteSpline`` forms them.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.size < 4 or y.shape[0] != x.size:
-            raise ValueError(f"a not-a-knot spline needs >= 4 knots and one y row per knot "
+        if x.ndim != 1 or x.size < 4 or y.shape != x.shape:
+            raise ValueError(f"a not-a-knot spline needs >= 4 knots and one value per knot "
                              f"(got x {x.shape}, y {y.shape})")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("a not-a-knot spline needs finite knots and values")
-        dxr = np.diff(x).reshape((x.size - 1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dxr
-        s = _knot_slopes(x, dxr, slope)
-        t = (s[:-1] + s[1:] - 2 * slope) / dxr
-        return cls(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        s = _knot_slopes(x, dx, slope)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
 
     def derivative(self, nu):
         """The nu-th derivative, its coefficients scaled by p!/(p-nu)! for
         each power p, as ``PPoly.derivative`` scales them."""
         k = self.c.shape[0] - 1
         factor = np.array([math.perm(k - j, nu) for j in range(k + 1 - nu)], dtype=float)
-        return Spline(self.x,
-                      self.c[:k + 1 - nu] * factor.reshape((-1,) + (1,) * (self.c.ndim - 1)))
+        return Spline(self.x, self.c[:k + 1 - nu] * factor[:, None])
 
     def __call__(self, q):
         """Values at ``q``, extrapolated by the end polynomials outside the knots.
@@ -80,7 +77,7 @@ class Spline:
         q = np.asarray(q, dtype=float)
         i = np.clip(np.searchsorted(self.x, q, "right") - 1, 0, self.x.size - 2)
         c = self.c[:, i]
-        s = np.reshape(q - self.x[i], q.shape + (1,) * (c.ndim - 1 - q.ndim))
+        s = q - self.x[i]
         out = 0.0 + c[-1]
         power = s
         for j in range(c.shape[0] - 2, -1, -1):
@@ -90,27 +87,23 @@ class Spline:
         return out
 
 
-def _knot_slopes(x, dxr, slope):
+def _knot_slopes(x, dx, slope):
     """Knot slopes of the not-a-knot spline: ``CubicSpline``'s tridiagonal
     system, solved as LAPACK ``dgtsv`` (which ``solve_banded`` calls) solves it.
 
     ``dgtsv`` eliminates row by row with ``fact = dl/d``, interchanging rows
-    i and i+1 when |dl[i]| > |d[i]|, then substitutes back.  The matrix is
-    eliminated once, in Python floats; the right-hand side then takes the
-    same steps, one float per row for one column, else one array per row
-    over all columns (with the factors of every row spread to arrays: an
-    array times an array costs less than an array times a float).  A row
-    that was not interchanged has a zero second superdiagonal, whose term
-    the back substitution leaves out: it only subtracts a zero.
+    i and i+1 when |dl[i]| > |d[i]|, then substitutes back; here in Python
+    floats, one per row.  A row that was not interchanged has a zero second
+    superdiagonal, whose term the back substitution leaves out: it only
+    subtracts a zero.
     """
     n = x.size
-    dx = dxr.reshape(-1)
-    b = np.empty((n,) + slope.shape[1:])
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     w = x[2] - x[0]
-    b[0] = ((dxr[0] + 2 * w) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / w
+    b[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / w
     w = x[-1] - x[-3]
-    b[-1] = (dxr[-1]**2 * slope[-2] + (2 * w + dxr[-1]) * dxr[-2] * slope[-1]) / w
+    b[-1] = (dx[-1]**2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
 
     d = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
     du = [float(x[2] - x[0]), *dx[:-1].tolist()]
@@ -132,24 +125,18 @@ def _knot_slopes(x, dxr, slope):
                 du[i + 1] = -fact[i] * du2[i]
             du[i] = temp
 
-    if b.ndim == 1:
-        rows = b.tolist()
-        f, dd, u = fact, d, du
-    else:
-        rows = list(b)
-        f, dd, u = (list(np.repeat(np.array(v)[:, None], b.shape[1], axis=1))
-                    for v in (fact, d, du))
+    rows = b.tolist()
     for i in range(n - 1):
         if swap[i]:
-            rows[i], rows[i + 1] = rows[i + 1], rows[i] - f[i] * rows[i + 1]
+            rows[i], rows[i + 1] = rows[i + 1], rows[i] - fact[i] * rows[i + 1]
         else:
-            rows[i + 1] -= f[i] * rows[i]
-    rows[-1] /= dd[-1]
+            rows[i + 1] -= fact[i] * rows[i]
+    rows[-1] /= d[-1]
     for i in range(n - 2, -1, -1):
-        rows[i] -= u[i] * rows[i + 1]
+        rows[i] -= du[i] * rows[i + 1]
         if i < n - 2 and du2[i]:
             rows[i] -= du2[i] * rows[i + 2]
-        rows[i] /= dd[i]
+        rows[i] /= d[i]
     return np.array(rows)
 
 

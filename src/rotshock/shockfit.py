@@ -156,8 +156,8 @@ def coefficients(hat) -> ShockCoefficients:
 class JFunctionals:
     """Position functional J1 and exit functional J2.
 
-    J1(psi_bar) uses u1dot_minus interpolated (cubic in y1) on the shock
-    line; its wall term integrates g' with the trapezoid weights of the
+    J1(psi_bar) uses u1dot_minus read on the shock line by ``Field.trace``
+    (degree 5 in y1); its wall term integrates g' with the trapezoid weights of the
     downstream grid so that sigma*(J1(psi_bar) - J2) is exactly the discrete
     compatibility defect of the linearized downstream problem.
     """

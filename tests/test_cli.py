@@ -967,7 +967,7 @@ def test_sigma_above_the_old_ceiling_is_audited(tmp_path, capsys):
 def test_demo_in_other_units_solves(tmp_path, capsys):
     # every profile times k and sigma over k is the same flow: no guard may
     # measure the data's units, and the front agrees to the root tolerance of
-    # solve_psi_sharp (its psi_sharp floor is 1.35e-8; 1.7e-9 is seen here)
+    # solve_psi_sharp (its psi_sharp floor is 1.35e-8; 6.1e-12 is seen here)
     reports = []
     for k in (1.0, 1e3):
         raw = parse_config(DEMO_CONFIG).raw
