@@ -8,9 +8,12 @@ of every pipeline stage, named as the perfbench spans are, the call counts
 of the traced layers, and the fingerprint of the result: ``psi_bar``,
 ``psi_sharp``, the four residuals, the passes and the Newton steps
 (``picard_sweeps``).  A speedup that changes the answer shows in the
-fingerprint.  Per side it also records ``import_s``, the median wall time
-of ``IMPORT_PROBES`` fresh interpreters that import ``rotshock.cli``: the
-set-up cost every process pays before its first solve.
+fingerprint.  After each solve it writes the two field files of
+``rotshock solve``, with the same extra columns, one after the other into a
+temporary directory: the ``lagrangian.Field.write_csv`` stage, outside
+``iteration.solve_transonic``.  Per side it also records ``import_s``, the
+median wall time of ``IMPORT_PROBES`` fresh interpreters that import
+``rotshock.cli``: the set-up cost every process pays before its first solve.
 
 The package is imported from ``--src`` (default: the ``src/`` next to this
 script), so one script times two checkouts into one file:
@@ -31,6 +34,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,6 +54,7 @@ STAGES = (
     "iteration.residuals",
     "iteration.run",
     "iteration.solve_transonic",
+    "lagrangian.Field.write_csv",
 )
 COUNTS = (
     "elliptic.solve.calls", "iteration.apply_T.calls", "iteration.secant_evals",
@@ -92,6 +97,16 @@ def import_seconds(src):
     return statistics.median(runs)
 
 
+def write_fields(res):
+    """Write ``fields_minus.csv`` and ``fields_plus.csv`` as ``rotshock solve``
+    does, in turn, to a directory removed afterwards."""
+    x2m, x2p = res.eulerian_heights()
+    with tempfile.TemporaryDirectory() as out:
+        res.sup.V.write_csv(os.path.join(out, "fields_minus.csv"), extra_columns={"x2": x2m})
+        res.downstream_field().write_csv(os.path.join(out, "fields_plus.csv"),
+                                         extra_columns={"x2": x2p, "y1_phys": res.front.Y1})
+
+
 def run_grid(grid, repeats):
     """One ladder row: median stage seconds, counts and fingerprint at ``grid``."""
     import dataclasses
@@ -110,6 +125,7 @@ def run_grid(grid, repeats):
             res = rotshock.solve_transonic(rotshock.build_background(cfg.upstream, cfg.gas),
                                            cfg.pert, opts)
             seconds = time.perf_counter() - t0
+            write_fields(res)
             tree = SpanTree([s for s in tracer.spans if s["op"] == op], tracer.spans)
             stages.append({name: tree.seconds(name) for name in STAGES})
             layers = layer_metrics(tree, seconds, 1, 0)
@@ -149,6 +165,7 @@ def main(argv=None):
         row = {"side": args.side, **run_grid(grid, args.repeats)}
         fp = row["fingerprint"]
         print(f"{args.side} {row['grid']}: solve {row['stage_s']['iteration.solve_transonic']:.4f} s, "
+              f"field files {row['stage_s']['lagrangian.Field.write_csv']:.4f} s, "
               f"psi_bar {fp['psi_bar']:.12f}, psi_sharp {fp['psi_sharp']:.12f}, "
               f"pde {fp['pde_residual']:.3e}, passes {fp['passes']}")
         rows.append(row)

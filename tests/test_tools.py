@@ -102,6 +102,7 @@ def test_ladder_smoke(tmp_path):
     assert 0.0 < bench["import_s"]["smoke"] < 60.0
     stages = row["stage_s"]
     assert 0.0 < stages["supersonic.solve_nonlinear"] < stages["iteration.solve_transonic"]
+    assert stages["lagrangian.Field.write_csv"] > 0.0
     assert row["counts"]["shockfit.coefficients.calls"] == 1
     assert row["counts"]["lagrangian.inlet_maps.calls"] == 2
     fp = row["fingerprint"]
