@@ -12,8 +12,6 @@ from .background import (
     build_background,
     downstream_state,
     rh_residual,
-    solve_mach_profile,
-    upstream_state,
 )
 from .elliptic import EllipticProblem, EllipticSolution, compatibility_defect
 from .elliptic import solve as solve_elliptic

@@ -4,17 +4,16 @@ With rotation the pre/post-shock states cannot be constant: they depend on
 the vertical coordinate x2 through the inverse squared Mach number
 d = 1/M^2 of the incoming flow, which must satisfy
 
-    d'(x2) = (beta*gamma/u_minus(x2)) * (d - 1),     d(1) = 1/M_top^2 < 1,
+    d'(x2) = (beta*gamma/u_minus(x2)) * (d - 1),     d(1) = 1/M_top^2 < 1.
 
-solved in closed form by an exponential of the integral of beta*gamma/u_minus.
-The upstream pressure follows from the vertical momentum balance
-P' = -beta*rho*u, the density from rho = gamma*P/(d*u^2), and the downstream
-(subsonic) state from the normal Rankine-Hugoniot relations applied height by
-height.  The shock position itself is arbitrary for these profiles.
-
-Profiles are sampled on a vertical grid, which ``lagrangian.lagrange``
-interpolates; first derivatives come from exact chain rules, not from
-differencing.
+On the mass coordinate y2 = int_0^x2 rho*u the vertical momentum balance
+reads dP/dy2 = -beta and (1 - M^2) P keeps its top-wall value, so every
+profile is an elementary function of one quadrature, the transit time
+U(x2) = int_0^x2 dx/u_minus.  The downstream (subsonic) state follows from
+the normal Rankine-Hugoniot relations height by height; the shock position
+is arbitrary for these profiles.  ``special_solution`` evaluates both sides,
+with exact chain-rule first derivatives, on [0, 1] here and on the mass
+coordinate in ``lagrangian.hatted_background``.
 """
 
 from __future__ import annotations
@@ -25,15 +24,13 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import ConfigError, DegenerateBackgroundError
-from .fd import cumsimpson
 from .profiles import Profile
 from .thermo import GasModel, GasState, entropy_bernoulli
 
 __all__ = [
     "UpstreamSpec",
     "BackgroundSolution",
-    "solve_mach_profile",
-    "upstream_state",
+    "special_solution",
     "downstream_state",
     "rh_residual",
     "build_background",
@@ -41,6 +38,14 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 1025
+# numpy.polynomial.legendre.leggauss(8), the transit time's rule on [-1, 1]; computing
+# it would start numpy's eigensolver, 0.6 MB of peak memory in every process
+GAUSS_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                        -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                        0.7966664774136267, 0.9602898564975362])
+GAUSS_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                          0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                          0.22238103445337443, 0.10122853629037706])
 
 
 @dataclass(frozen=True)
@@ -62,41 +67,6 @@ class UpstreamSpec:
         umin = float(np.min(self.u_minus(x)))
         if umin <= 0.0:
             raise ConfigError(f"u_minus must stay positive (min {umin})")
-
-
-def solve_mach_profile(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES):
-    """Inverse squared Mach number d(x2) on a uniform grid of n nodes.
-
-    Uses the closed form d = 1 + (d(1)-1) exp(-int_x2^1 beta*gamma/u_minus);
-    the integral is a composite Simpson cumulative quadrature on the grid.
-    """
-    x2 = np.linspace(0.0, 1.0, n)
-    u = spec.u_minus(x2)
-    d1 = 1.0 / spec.M_top**2
-    if m.beta == 0.0:
-        return x2, np.full(n, d1)
-    integrand = m.beta * m.gamma / u
-    cum = cumsimpson(integrand, x2)
-    tail = cum[-1] - cum  # int_x2^1
-    d = 1.0 + (d1 - 1.0) * np.exp(-tail)
-    return x2, d
-
-
-def upstream_state(spec: UpstreamSpec, x2, d, m: GasModel):
-    """Upstream (rho, u, P) profiles from d(x2).
-
-    P satisfies P' = -beta*rho*u, i.e. P = P_top * exp(int_x2^1 beta*gamma/(d*u)),
-    and rho = gamma*P/(d*u^2).
-    """
-    u = spec.u_minus(x2)
-    if m.beta == 0.0:
-        P = np.full_like(u, spec.P_top)
-    else:
-        integrand = m.beta * m.gamma / (d * u)
-        cum = cumsimpson(integrand, x2)
-        P = spec.P_top * np.exp(cum[-1] - cum)
-    rho = m.gamma * P / (d * u**2)
-    return rho, u, P
 
 
 def downstream_state(rho_m, u_m, P_m, m: GasModel):
@@ -134,13 +104,14 @@ class BackgroundSolution:
     """Sampled background profiles on [0,1].
 
     Attribute names ending in ``_m``/``_p`` hold the upstream/downstream
-    profiles; ``deriv`` maps profile names to exact chain-rule first
-    derivatives.
+    profiles; ``y2`` is the mass coordinate int_0^x2 rho_m u_m at the nodes
+    and ``deriv`` maps profile names to exact chain-rule first derivatives.
     """
 
     gas: GasModel
     spec: UpstreamSpec
     x2: np.ndarray
+    y2: np.ndarray
     d: np.ndarray
     rho_m: np.ndarray
     u_m: np.ndarray
@@ -162,51 +133,89 @@ class BackgroundSolution:
         """rho_minus * u_minus (= rho_plus * u_plus pointwise)."""
         return self.rho_m * self.u_m
 
+    @property
+    def m_bar(self):
+        """The background mass flux int_0^1 rho_minus * u_minus."""
+        return float(self.y2[-1])
 
-def build_background(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES) -> BackgroundSolution:
-    """Construct and sanity-check the full background solution."""
-    x2, d = solve_mach_profile(spec, m, n)
-    rho_m, u_m, P_m = upstream_state(spec, x2, d, m)
-    rho_p, u_p, P_p = downstream_state(rho_m, u_m, P_m, m)
+
+def _transit_time(u_minus: Profile, x2):
+    """U(x2) = int_0^x2 dx/u_minus at the increasing nodes ``x2`` (x2[0] = 0),
+    by 8-point Gauss-Legendre on every interval."""
+    half = 0.5 * np.diff(x2)
+    q = (x2[:-1] + half)[:, None] + half[:, None] * GAUSS_NODES
+    U = np.zeros_like(x2)
+    U[1:] = np.cumsum(half * (1.0 / u_minus(q) @ GAUSS_WEIGHTS))
+    return U
+
+
+def special_solution(spec: UpstreamSpec, m: GasModel, x2, P):
+    """(profiles, deriv): both sides' states and their exact x2-derivatives at
+    the heights ``x2``, where the upstream pressure is ``P``; (1 - M^2) P keeps
+    its top-wall value, so d = P / (P + (M_top^2 - 1) P_top)."""
     g = m.gamma
-    S_m, B_m = entropy_bernoulli(rho_m, u_m, 0.0, P_m, m)
+    d = P / (P + (spec.M_top**2 - 1.0) * spec.P_top)
+    u_m = spec.u_minus(x2)
+    rho_m = g * P / (d * u_m**2)
+    rho_p, u_p, P_p = downstream_state(rho_m, u_m, P, m)
+    S_m, B_m = entropy_bernoulli(rho_m, u_m, 0.0, P, m)
     S_p, B_p = entropy_bernoulli(rho_p, u_p, 0.0, P_p, m)
 
     # exact chain-rule derivatives (u' analytic from the profile)
     du = spec.u_minus.deriv(1)(x2)
     dd = m.beta * g / u_m * (d - 1.0)
     dP_m = -m.beta * rho_m * u_m
-    drho_m = rho_m * (dP_m / P_m - dd / d - 2.0 * du / u_m)
-    dB = u_m * du + g / (g - 1.0) * (dP_m * rho_m - P_m * drho_m) / rho_m**2
-    dS_m = dP_m / P_m - g * drho_m / rho_m
+    drho_m = rho_m * (dP_m / P - dd / d - 2.0 * du / u_m)
+    dB = u_m * du + g / (g - 1.0) * (dP_m * rho_m - P * drho_m) / rho_m**2
+    dS_m = dP_m / P - g * drho_m / rho_m
     du_p = 2.0 * (g - 1.0) / (g + 1.0) * (dB * u_m - B_m * du) / u_m**2
     dP_p = (2.0 * (drho_m * u_m**2 + 2.0 * rho_m * u_m * du) - (g - 1.0) * dP_m) / (g + 1.0)
     drho_p = (drho_m * u_m + rho_m * du) / u_p - rho_m * u_m * du_p / u_p**2
     dS_p = dP_p / P_p - g * drho_p / rho_p
+    profiles = {
+        "d": d, "rho_m": rho_m, "u_m": u_m, "P_m": P, "rho_p": rho_p, "u_p": u_p,
+        "P_p": P_p, "S_m": S_m, "B_m": B_m, "S_p": S_p, "B_p": B_p,
+    }
     deriv = {
         "d": dd, "u_m": du, "P_m": dP_m, "rho_m": drho_m, "B_m": dB, "S_m": dS_m,
         "u_p": du_p, "P_p": dP_p, "rho_p": drho_p, "B_p": dB, "S_p": dS_p,
     }
+    return profiles, deriv
 
-    sol = BackgroundSolution(
-        gas=m, spec=spec, x2=x2, d=d,
-        rho_m=rho_m, u_m=u_m, P_m=P_m, rho_p=rho_p, u_p=u_p, P_p=P_p,
-        S_m=S_m, B_m=B_m, S_p=S_p, B_p=B_p, deriv=deriv,
-    )
+
+def build_background(spec: UpstreamSpec, m: GasModel, n=DEFAULT_NODES) -> BackgroundSolution:
+    """Construct and sanity-check the background on n nodes of [0, 1].
+
+    With a = gamma*beta and top = P_top M_top^2, P = P_top + top expm1(a (U(1) - U))
+    and y2 = gamma top e^(a U(1)) (1 - e^(-a U)) / a.  The flow exists while
+    d(0) < 1 and y2 increases from node to node, both to round-off.
+    """
+    x2 = np.linspace(0.0, 1.0, n)
+    U = _transit_time(spec.u_minus, x2)
+    a = m.gamma * m.beta
+    top = spec.P_top * spec.M_top**2
+    # (1 - e^(-a U))/a is U to round-off once a U(1) is below eps, where a
+    # subnormal a would lose its digits; a large a U(1) overflows to inf and
+    # nan here, and the check names it
+    small = a * U[-1] <= np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = spec.P_top + top * np.expm1(a * (U[-1] - U))
+        y2 = m.gamma * top * np.exp(a * U[-1]) * (U if small else -np.expm1(-a * U) / a)
+        d0 = P[0] / (P[0] + (spec.M_top**2 - 1.0) * spec.P_top)
+        if not (np.isfinite(y2[-1]) and d0 < 1.0 and np.all(np.diff(y2) > 0.0)):
+            raise DegenerateBackgroundError(
+                "upstream not supersonic at the bottom wall, or its mass coordinate not "
+                f"increasing, to round-off: d(0) = {d0:.6g}, m_bar = {y2[-1]:.6g} "
+                f"(gamma*beta*U(1) = {a * U[-1]:.6g})"
+            )
+    profiles, deriv = special_solution(spec, m, x2, P)
+    sol = BackgroundSolution(gas=m, spec=spec, x2=x2, y2=y2, deriv=deriv, **profiles)
     _validate(sol)
     return sol
 
 
 def _validate(sol: BackgroundSolution):
     m = sol.gas
-    d = sol.d
-    d_top = d[-1]
-    if m.beta > 0.0:
-        if not (np.all(np.diff(d) < 0.0) and d[0] < 1.0 and np.all(d[:-1] > d_top)):
-            raise DegenerateBackgroundError(
-                f"d must decrease strictly within ({d_top:.6f}, 1): range "
-                f"[{d.min():.6f}, {d.max():.6f}]"
-            )
     Msq_p = sol.u_p**2 * sol.rho_p / (m.gamma * sol.P_p)
     if np.any(Msq_p >= 1.0):
         raise DegenerateBackgroundError(

@@ -232,7 +232,7 @@ def cmd_background(cfg: RunConfig, out):
         GasState(bg.rho_p, bg.u_p, 0.0, bg.P_p), cfg.gas,
     )
     report = {
-        "m_bar": inlet_maps(bg)[1],
+        "m_bar": bg.m_bar,
         "rh_residual_mass": float(np.abs(jumps[0]).max()),
         "rh_residual_momentum": float(np.abs(jumps[1]).max()),
         "rh_residual_bernoulli": float(np.abs(jumps[2]).max()),

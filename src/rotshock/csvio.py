@@ -224,9 +224,13 @@ def _lines(columns, start, stop):
 
 
 def write_csv(path, columns):
-    """Write ``columns``, an ordered mapping from name to values, to ``path``."""
+    """Write ``columns``, an ordered mapping from name to values, to ``path``;
+    columns of different sizes raise ``ValueError`` before it is opened."""
+    sizes = {name: int(np.size(v)) for name, v in columns.items()}
+    if len(set(sizes.values())) > 1:
+        raise ValueError(f"CSV columns differ in length: {sizes}")
     cols = [_column(v) for v in columns.values()]
-    n = min(np.size(v) for v in columns.values())
+    n = min(sizes.values())
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for start in range(0, n, _BLOCK):

@@ -5,9 +5,9 @@ Axis 0 is the marching/streamwise direction, axis 1 the transverse one.
 The trapezoid rule on grid nodes is stated once, here: the elliptic
 assembly, the compatibility defect, the J functionals, the front and the
 height reconstruction all use it, so the discrete identities between them
-hold exactly.  ``cumsimpson``, the cumulative Simpson rule of the smooth
-background profiles, reproduces ``scipy.integrate.cumulative_simpson`` bit
-for bit.
+hold exactly.  ``cumsimpson``, the cumulative Simpson rule of the inflow's
+flux perturbation over the background grid (``lagrangian.inlet_maps`` at
+sigma > 0), reproduces ``scipy.integrate.cumulative_simpson`` bit for bit.
 """
 
 import numpy as np

@@ -67,16 +67,12 @@ def b_coefficients(hat, side):
     u = hat[side, "u"]
     rho = hat[side, "rho"]
     S = hat[side, "S"]
-    c2 = hat[side, "c2"]
     Msq = hat[side, "Msq"]
-    beta = hat.gas.beta
+    P = hat[side, "P"]
     g = hat.gas.gamma
     b2 = u[0] / u
-    if beta == 0.0:
-        integ = np.zeros_like(u)
-    else:
-        integ = fd.cumsimpson(beta / (rho * c2), hat.y2)
-    b4 = (u / u[0]) * np.exp(-(S - S[0]) / g - integ)
+    # int_0^y2 beta/(rho c^2) = ln(P(0)/P)/gamma, since dP/dy2 = -beta
+    b4 = (u / u[0]) * np.exp(-(S - S[0]) / g - np.log(P[0] / P) / g)
     b1 = (1.0 - Msq) * b2 / (rho * u)
     b3 = b4 / (rho * u)
     return b1, b2, b3, b4

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotshock as rs
-from rotshock.background import solve_mach_profile, upstream_state, downstream_state
+from rotshock.background import GAUSS_NODES, GAUSS_WEIGHTS, downstream_state
 from rotshock.profiles import Profile
 from tests.background_oracle import extend_profile, extension_coefficients
 
@@ -28,24 +28,29 @@ def rk4_mach_ode(u_minus, gas, d_top, n):
     return x[::-1], d[::-1]
 
 
+def test_gauss_legendre_rule_is_numpys():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(GAUSS_NODES, nodes) and np.array_equal(GAUSS_WEIGHTS, weights)
+
+
 def test_mach_profile_beta_zero(upstream_spec, gas_classic):
-    _, d = solve_mach_profile(upstream_spec, gas_classic, 257)
-    assert np.abs(d - 0.25).max() == 0.0
+    bg = rs.build_background(upstream_spec, gas_classic, 257)
+    assert np.abs(bg.d - 0.25).max() == 0.0
 
 
 def test_mach_profile_constant_u_closed_form(upstream_spec, gas_rot):
-    x, d = solve_mach_profile(upstream_spec, gas_rot, 1025)
-    exact = 1.0 + (0.25 - 1.0) * np.exp(-0.1 * 1.4 * (1.0 - x) / 2.0)
-    assert np.abs(d - exact).max() <= 1e-13
+    bg = rs.build_background(upstream_spec, gas_rot, 1025)
+    exact = 1.0 + (0.25 - 1.0) * np.exp(-0.1 * 1.4 * (1.0 - bg.x2) / 2.0)
+    assert np.abs(bg.d - exact).max() <= 1e-13
 
 
 def test_mach_profile_vs_rk4_oracle(gas_rot):
     u = Profile.from_poly([2.0, 0.3, -0.2])  # nonconstant upstream speed
     spec = rs.UpstreamSpec(u, 1.8, 1.2)
     n = 513
-    x, d = solve_mach_profile(spec, gas_rot, n)
+    bg = rs.build_background(spec, gas_rot, n)
     xr, dr = rk4_mach_ode(u, gas_rot, 1.0 / 1.8**2, 4 * (n - 1) + 1)
-    assert np.abs(d - dr[::4]).max() <= 1e-10
+    assert np.abs(bg.d - dr[::4]).max() <= 1e-10
 
 
 def test_mach_profile_rejects_subsonic_top(gas_rot):
@@ -54,10 +59,9 @@ def test_mach_profile_rejects_subsonic_top(gas_rot):
 
 
 def test_upstream_state_beta_zero(upstream_spec, gas_classic):
-    x, d = solve_mach_profile(upstream_spec, gas_classic, 257)
-    rho, u, P = upstream_state(upstream_spec, x, d, gas_classic)
-    assert np.abs(P - 1.0).max() == 0.0
-    assert np.abs(rho - 1.4).max() <= 1e-14
+    bg = rs.build_background(upstream_spec, gas_classic, 257)
+    assert np.abs(bg.P_m - 1.0).max() == 0.0
+    assert np.abs(bg.rho_m - 1.4).max() <= 1e-14
 
 
 def test_upstream_momentum_balance_richardson(gas_rot):
@@ -66,10 +70,9 @@ def test_upstream_momentum_balance_richardson(gas_rot):
     spec = rs.UpstreamSpec(u, 2.0, 1.0)
     errs = []
     for n in (129, 257):
-        x, d = solve_mach_profile(spec, gas_rot, n)
-        rho, uu, P = upstream_state(spec, x, d, gas_rot)
-        dP = np.gradient(P, x, edge_order=2)
-        errs.append(np.abs(dP + gas_rot.beta * rho * uu)[1:-1].max())
+        bg = rs.build_background(spec, gas_rot, n)
+        dP = np.gradient(bg.P_m, bg.x2, edge_order=2)
+        errs.append(np.abs(dP + gas_rot.beta * bg.mass_flux)[1:-1].max())
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0
 
@@ -204,8 +207,12 @@ def test_beta_to_zero_classical_limit(upstream_spec, gas_classic):
 def test_background_beta_to_zero_limit(gamma, M_top, log_beta):
     # the distance of the profiles from the beta = 0 background is linear in
     # beta, so it halves with beta (on the demo it is 5.25 beta from beta =
-    # 1e-2 down to 1e-8); u_m is the data and does not move
-    names = ("d", "rho_m", "u_m", "P_m", "rho_p", "u_p", "P_p", "S_m", "B_m", "S_p", "B_p")
+    # 1e-2 down to 1e-13); u_m is the data and does not move.  Down at beta =
+    # 1e-13 and 1e-15, and at a subnormal 1e-320, the backgrounds build and
+    # stay on that line to within a few ulp of the largest profile (2.1 ulp
+    # over 200 random flows)
+    names = ("d", "rho_m", "u_m", "P_m", "rho_p", "u_p", "P_p", "S_m", "B_m", "S_p", "B_p",
+             "y2")
     spec = rs.UpstreamSpec(Profile.constant(2.0), M_top, 1.0)
     bg0, bg1, bg2 = (rs.build_background(spec, rs.GasModel(gamma, b))
                      for b in (0.0, 10.0**log_beta, 0.5 * 10.0**log_beta))
@@ -214,6 +221,31 @@ def test_background_beta_to_zero_limit(gamma, M_top, log_beta):
         return max(np.abs(bg.profile(n) - bg0.profile(n)).max() for n in names)
 
     assert distance(bg1) / distance(bg2) == pytest.approx(2.0, rel=0.05)
+    slope = distance(rs.build_background(spec, rs.GasModel(gamma, 1e-8))) / 1e-8
+    ulp = np.finfo(float).eps * max(np.abs(bg0.profile(n)).max() for n in names)
+    for beta in (1e-13, 1e-15, 1e-320):
+        bg = rs.build_background(spec, rs.GasModel(gamma, beta))
+        assert abs(distance(bg) - slope * beta) <= 8 * ulp, beta
+
+
+@pytest.mark.parametrize("beta", [12.0, 20.0, 400.0, 1e4])
+def test_background_refuses_a_flow_subsonic_at_the_bottom_to_round_off(beta):
+    # at u_minus = 0.5, gamma*beta*U(1) = 2.8 beta: from 36.5 on d(0) rounds to 1,
+    # from 710 on the exponentials overflow, and at 33.6 (beta = 12) the top
+    # intervals carry less than the round-off of m_bar.  Each is a named
+    # DegenerateBackgroundError, with no warning on the way (warnings are errors)
+    spec = rs.UpstreamSpec(Profile.constant(0.5), 2.0, 1.0)
+    with pytest.raises(rs.DegenerateBackgroundError, match="bottom wall"):
+        rs.build_background(spec, rs.GasModel(1.4, beta))
+
+
+def test_background_builds_just_below_the_round_off_limit():
+    # beta = 11.5 at u_minus = 0.5: d(0) = 1 - 8e-15 and m_bar = 3.4e13
+    bg = rs.build_background(rs.UpstreamSpec(Profile.constant(0.5), 2.0, 1.0),
+                             rs.GasModel(1.4, 11.5))
+    assert bg.d[0] < 1.0 and np.all(np.diff(bg.y2) > 0.0)
+    hat = rs.hatted_background(bg, 65)
+    assert all(np.isfinite(v).all() for side in hat.vals.values() for v in side.values())
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

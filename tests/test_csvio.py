@@ -36,6 +36,14 @@ def test_write_csv_matches_per_row_oracle(tmp_path, n):
     assert new.count(b"\n") == n + 1
 
 
+def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
+    # it used to write min(len) rows: here the single line "1,1.5"
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match=r"differ in length: \{'a': 3, 'b': 1\}"):
+        write_csv(path, {"a": [1, 2, 3], "b": [1.5]})
+    assert not path.exists()
+
+
 def test_text_cells_are_rfc4180_quoted(tmp_path):
     text = ["plain", "[-0.058, 0.001]", 'say "hi"', "two\nlines"]
     write_csv(tmp_path / "t.csv", {"i": np.arange(4), "text": text, "x": np.ones(4)})
