@@ -343,10 +343,10 @@ def cmd_verify(cfg: RunConfig, out):
     again.  The grid sizes come from the stored files.  Their y1/y2 nodes
     must be those of this configuration's grids, the stored inflow (u1, u2
     on the first row, S and B on every row) the one the Newton march
-    imposes (``supersonic.inflow_state``), the downstream B the upstream
-    one carried across the front, and the stored front psi the
-    ``ShockFront`` of its psi_prime and its last psi; otherwise
-    ``ConfigError``.
+    imposes (``supersonic.inflow_state``), the downstream S one y2-row
+    repeated (the residuals read row 0), the downstream B the upstream one
+    carried across the front, and the stored front psi the ``ShockFront``
+    of its psi_prime and its last psi; otherwise ``ConfigError``.
     """
     missing = [name for name in _STORED if not os.path.isfile(os.path.join(out, name))]
     if missing:
@@ -384,10 +384,12 @@ def cmd_verify(cfg: RunConfig, out):
     if np.any(front_csv["psi"] != front.psi):
         raise ConfigError("front.csv: its psi is not the front of its psi_prime and its "
                           "last psi")
+    if np.any(V_plus["S"] != V_plus["S"][0]):
+        raise ConfigError("fields_plus.csv: the stored S is not one y2-row carried along y1")
     state = IterationState(
         u1=V_plus["u1"] - hat["p", "u"][None, :],
         u2=V_plus["u2"],
-        S=V_plus["S"] - hat["p", "S"][None, :],
+        S=V_plus["S"][0] - hat["p", "S"],
         psi_prime=front.psi_prime,
         psi_sharp_dev=front.psi_sharp_dev,
     )

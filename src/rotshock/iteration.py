@@ -49,11 +49,11 @@ downstream one), L elsewhere from ``pert.geometry`` and the gas from
 ``hat``; nothing keeps copies.
 
 Within one pass the downstream state is fixed and only the front moves:
-``solve_psi_sharp`` builds the state's ``_PassTerms`` (full state, front
-row, z-derivatives and linear operators) once and every secant evaluation
-of ``assemble_step_data`` combines them with the current ``ShockFront``.  The
-residual audit evaluates both regions with the same operator; the upstream
-region is its own identity map.
+``solve_psi_sharp`` builds the state's ``_PassTerms`` once, and every
+secant evaluation of ``assemble_step_data`` combines its residual parts
+with the per-column fac1, tilt of the current ``ShockFront`` (N = fac1 A +
+B - tilt C).  The audit evaluates both regions with the same operator; the
+upstream region is its own identity map.
 """
 
 from __future__ import annotations
@@ -135,10 +135,11 @@ class TransonicOptions:
 class IterationState:
     """Downstream perturbation on the fixed z-rectangle plus front unknowns.
 
-    ``secant_slope`` is dJ/d psi_sharp_dev of the last secant pair of
-    ``solve_psi_sharp`` outside J's rounding floor (None before one was
-    measured); ``started_on_root`` says that the pass which made this state
-    started within the root tolerance.
+    ``S`` is a y2-row: the entropy rides along z1.  ``secant_slope`` is
+    dJ/d psi_sharp_dev of the last secant pair of ``solve_psi_sharp``
+    outside J's rounding floor (None before one was measured);
+    ``started_on_root`` says that the pass which made this state started
+    within the root tolerance.
     """
 
     u1: np.ndarray
@@ -222,10 +223,11 @@ def _background_defect(hat, side, grid):
 
 
 def _full_plus(ctx, state):
+    """The full downstream state; S and B are their y2-rows repeated along z1."""
     hat = ctx.hat
     u1 = state.u1 + hat["p", "u"][None, :]
     u2 = state.u2
-    S = state.S + hat["p", "S"][None, :]
+    S = np.broadcast_to(state.S + hat["p", "S"], u1.shape)
     B = np.broadcast_to(ctx.B_row + hat["p", "B"], u1.shape)
     rho, P = rho_P(S, B, u1, u2, hat.gas)
     return {"u1": u1, "u2": u2, "S": S, "B": B, "rho": rho, "P": P}
@@ -283,7 +285,7 @@ class _PassTerms:
         rup_du = hat["p", "rho"] * hat["p", "du"]
         lam1 = ((1.0 - hat["p", "Msq"])[None, :] * fd.d1(state.u1, h1)
                 - rup_du[None, :] * state.u2 + rup[None, :] * fd.d2(state.u2, h2))
-        sb_cur = subsonic_sb_source(hat, state.S[0, :], ctx.B_row, h2)
+        sb_cur = subsonic_sb_source(hat, state.S, ctx.B_row, h2)
         lam2 = (fd.d1(state.u2, h1) - rup[None, :] * fd.d2(state.u1, h2)
                 + ctx.cc_plus[None, :] * state.u1)
         return lam1, lam2 - sb_cur[None, :]
@@ -312,41 +314,36 @@ def _heights(grid, rho, u1):
 class _ResidualTerms:
     """N1, N2 of the transformed system on ``grid`` for one full state of ``gas``.
 
-    The z-derivatives of u1, u2, S, B and their coefficients depend on the
-    state alone; ``N(fac1, cross)`` combines them with the factors of a
-    ``ShockFront``, d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1.  The
-    upstream region passes fac1 = 1, cross = 0 (the identity map).
+    With a ``ShockFront``'s d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - (L - z1)
+    tilt d/dz1, each equation is N = fac1 A + B - tilt C: A holds the
+    z1-derivatives of its y1-terms, C those of its y2-terms times (L - z1),
+    B the z2-derivatives and the zero-order term.  A, B, C depend on the
+    state alone, fac1 and tilt (per column) on the front alone.  S and the
+    Bernoulli function ride along y1 and enter B only, through the d2 of
+    their y2-rows (row 0 of ``full``).  Upstream: fac1 = 1, tilt = 0.
     """
 
     def __init__(self, grid, gas, full):
-        g = gas.gamma
-        self.beta = gas.beta
-        self.mfac = mfac = grid.m_bar / grid.m
+        g, mfac = gas.gamma, grid.m_bar / grid.m
         u1, u2, rho, P = full["u1"], full["u2"], full["rho"], full["P"]
-        c2 = g * P / rho
-        M1 = u1 / np.sqrt(c2)
-        M2 = u2 / np.sqrt(c2)
-        self.d1 = {k: fd.d1(full[k], grid.h1) for k in ("u1", "u2", "S", "B")}
-        self.d2 = {k: fd.d2(full[k], grid.h2) for k in ("u1", "u2", "S", "B")}
-        self.a11 = 1.0 - M1**2
-        self.a12 = M1 * M2
-        self.ru1 = mfac * rho * u1
-        self.ru2 = mfac * rho * u2
-        self.P_g = P / (g - 1.0)
-        self.rho = rho
+        c = np.sqrt(g * P / rho)
+        M1, M2 = u1 / c, u2 / c
+        d1u1, d1u2 = fd.d1(u1, grid.h1), fd.d1(u2, grid.h1)
+        d2u1, d2u2 = fd.d2(u1, grid.h2), fd.d2(u2, grid.h2)
+        ru1, ru2 = mfac * rho * u1, mfac * rho * u2
+        to_exit = (grid.y1b - grid.y1)[:, None]
+        self.A1 = (1.0 - M1**2) * d1u1 - M1 * M2 * d1u2
+        self.B1 = -ru2 * d2u1 + ru1 * d2u2
+        self.C1 = to_exit * (ru1 * d1u2 - ru2 * d1u1)
+        self.A2 = d1u2
+        self.B2 = (-ru2 * d2u2 - ru1 * d2u1 + gas.beta
+                   - mfac * (P / (g - 1.0) * fd.d2(full["S"][0], grid.h2)
+                             - rho * fd.d2(full["B"][0], grid.h2)))
+        self.C2 = -to_exit * (ru2 * d1u2 + ru1 * d1u1)
 
-    def N(self, fac1, cross):
-        def dy1(k):
-            return fac1 * self.d1[k]
-
-        def dy2(k):
-            return self.d2[k] - cross * self.d1[k]
-
-        N1 = (self.a11 * dy1("u1") - self.a12 * dy1("u2")
-              - self.ru2 * dy2("u1") + self.ru1 * dy2("u2"))
-        N2 = (dy1("u2") - self.ru2 * dy2("u2") - self.ru1 * dy2("u1")
-              + self.beta - self.mfac * (self.P_g * dy2("S") - self.rho * dy2("B")))
-        return N1, N2
+    def N(self, fac1, tilt):
+        return (fac1 * self.A1 + self.B1 - tilt * self.C1,
+                fac1 * self.A2 + self.B2 - tilt * self.C2)
 
 
 @dataclass
@@ -408,7 +405,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     corr_u1 = (-d2v / (g - 1.0)) / det
     corr_S = (-(Mp - 1.0) / (g * Mp) * d1v + (Mp - 1.0) / up * d2v) / det
     g2 = state.u1[0, :] - corr_u1
-    g1 = state.S[0, :] - corr_S
+    g1 = state.S - corr_S
 
     # ---- exit datum
     PL = full["P"][-1, :]
@@ -419,7 +416,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
         -sigma * ctx.pert.P_ex(arg) / rup
         - Pp_hat * g1 / ((g - 1.0) * rup)
         + ctx.B_row / up
-        + (PL - Pp_hat + rup * state.u1[-1, :] + Pp_hat * state.S[-1, :] / (g - 1.0)
+        + (PL - Pp_hat + rup * state.u1[-1, :] + Pp_hat * state.S / (g - 1.0)
            - hat["p", "rho"] * ctx.B_row) / rup
     )
 
@@ -427,7 +424,7 @@ def assemble_step_data(state: IterationState, ctx: IterationContext,
     g0 = (grid.m_bar * co.P_jump / grid.m) * state.psi_prime - state.u2[0, :] + G0
 
     # ---- interior sources: operator defects of the two momentum equations
-    N1, N2 = terms.residual.N(front.fac1, front.cross)
+    N1, N2 = terms.residual.N(front.fac1, front.tilt)
     lam1, lam2 = terms.linear_ops
     f1 = lam1 - N1
     f2 = lam2 - N2 + ctx.E2[None, :]
@@ -530,7 +527,7 @@ def apply_T(state: IterationState, ctx: IterationContext):
     psi_prime_new = (grid.m / (grid.m_bar * ctx.coeffs.P_jump)) * (esol.v2[0, :] + data.g0)
     new = IterationState(
         u1=esol.v1, u2=esol.v2,
-        S=np.broadcast_to(data.g1, esol.v1.shape).copy(),
+        S=data.g1,
         psi_prime=psi_prime_new,
         psi_sharp_dev=s_sharp,
         secant_slope=slope,
@@ -595,7 +592,7 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
         return R[core].max(), max(np.abs(N1)[core].max(), np.abs(N2)[core].max()), R.max()
 
     # Each region's _ResidualTerms is a temporary, so the two sets of
-    # derivative arrays are never alive at once.
+    # residual parts are never alive at once.
     # --- upstream region (identity map)
     rho_m, P_m = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], gas)
     fullm = {"u1": Vm["u1"], "u2": Vm["u2"], "S": Vm["S"], "B": Vm["B"],
@@ -608,7 +605,7 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     front, minus = _front(ctx, state.psi_sharp_dev, state.psi_prime)
     terms = _PassTerms(ctx, state)
     full, plus = terms.full, terms.plus
-    wb_p, raw_p, frame_p = region_maxima(*terms.residual.N(front.fac1, front.cross), ctx.E2)
+    wb_p, raw_p, frame_p = region_maxima(*terms.residual.N(front.fac1, front.tilt), ctx.E2)
 
     # --- jump conditions on the front
     k = (gp_grid.m_bar / gp_grid.m) * state.psi_prime
@@ -750,7 +747,7 @@ def build_context(bg, pert, opts: TransonicOptions, setup=None):
         initial = initial_approximation(coeffs, lin, pert, hat, opts.psi_bracket)
         V_plus = initial.V_plus
         grid_plus = V_plus.grid
-        init_state = IterationState(u1=V_plus["u1"], u2=V_plus["u2"], S=V_plus["S"],
+        init_state = IterationState(u1=V_plus["u1"], u2=V_plus["u2"], S=V_plus["S"][0],
                                     psi_prime=initial.front.psi_prime, psi_sharp_dev=0.0)
     else:
         lo, hi = position_bracket(opts.psi_bracket, L)
@@ -759,7 +756,7 @@ def build_context(bg, pert, opts: TransonicOptions, setup=None):
         grid_plus = LagrangianGrid(n1, opts.ny, psi_bar, L, grid_minus.m, grid_minus.m_bar)
         shape = (n1, opts.ny)
         init_state = IterationState(u1=np.zeros(shape), u2=np.zeros(shape),
-                                    S=np.zeros(shape), psi_prime=np.zeros(opts.ny),
+                                    S=np.zeros(opts.ny), psi_prime=np.zeros(opts.ny),
                                     psi_sharp_dev=0.0)
     return IterationContext(hat=hat, coeffs=coeffs, pert=pert, grid_plus=grid_plus, sup=sup,
                             initial_state=init_state)

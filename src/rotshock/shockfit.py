@@ -336,9 +336,9 @@ class ShockFront:
     psi_bar + psi_sharp_dev - int_{y2}^{m_bar} psi_prime, with psi(m_bar) =
     psi_bar + psi_sharp_dev exact by construction.  Y1(z1, y2) = z1 +
     (L - z1) (psi(y2) - psi_bar) / (L - psi_bar) sends z1 = psi_bar onto the
-    front and z1 = L onto the exit.  The front carries ``psi``, the factors
-    of the transformed derivatives d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 -
-    cross d/dz1, and the top-wall abscissa ``Y1_wall``, taken from
+    front and z1 = L onto the exit.  The front carries ``psi``, the
+    per-column factors of d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - (L - z1)
+    tilt d/dz1, and the top-wall abscissa ``Y1_wall``, taken from
     psi_sharp_dev itself rather than from the wall row of ``Y1`` (the two
     differ in the last bit).  The full-grid arrays ``Y1`` and ``dY1_dz2``
     are built on first use.  Construction validates the front: it must stay
@@ -360,7 +360,7 @@ class ShockFront:
         self._span = L - psi_bar
         gap = L - psi
         self.fac1 = self._span / gap
-        self.cross = (self._to_exit[:, None] / gap) * psi_prime
+        self.tilt = psi_prime / gap
         self.Y1_wall = z1 + self._to_exit * psi_sharp_dev / self._span
 
     @property

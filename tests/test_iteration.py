@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rotshock as rs
-from rotshock import elliptic, iteration, shockfit
+from rotshock import elliptic, fd, iteration, shockfit
 from rotshock.cli import build_config, main, parse_config
 from rotshock.elliptic import compatibility_defect
 from rotshock.iteration import (
@@ -43,7 +43,7 @@ def test_front_map_identity():
     assert np.all(fm.Y1 == z1[:, None])
     assert np.all(fm.Y1_wall == z1)
     assert np.all(fm.fac1 == 1.0)
-    assert np.all(fm.cross == 0.0)
+    assert np.all((2.0 - z1)[:, None] * fm.tilt == 0.0)
     assert np.all(fm.dY1_dz2 == 0.0)
 
 
@@ -63,7 +63,7 @@ def test_front_map_wall_row(accept_run):
 
 
 def _front_map_factor_errors(n2):
-    """Max errors of fac1 and cross against centred differences of z1(y1, y2)."""
+    """Max errors of fac1 and (L - z1) tilt against centred differences of z1(y1, y2)."""
     L, psi_bar, dev, a, m = 2.0, 0.7, 5e-4, 0.05, 2.9
     y2 = np.linspace(0.0, m, n2)
     fm = ShockFront(rs.LagrangianGrid(17, n2, psi_bar, L, m, m), dev,
@@ -78,8 +78,9 @@ def _front_map_factor_errors(n2):
     d = y2[1] - y2[0]
     dz_dy1 = (z1(fm.Y1 + d, y2) - z1(fm.Y1 - d, y2)) / (2 * d)
     dz_dy2 = (z1(fm.Y1, y2 + d) - z1(fm.Y1, y2 - d)) / (2 * d)
-    # d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - cross d/dz1
-    return np.abs(fm.fac1 - dz_dy1).max(), np.abs(fm.cross + dz_dy2).max()
+    # d/dy1 = fac1 d/dz1 and d/dy2 = d/dz2 - (L - z1) tilt d/dz1
+    cross = (L - fm.grid.y1)[:, None] * fm.tilt
+    return np.abs(fm.fac1 - dz_dy1).max(), np.abs(cross + dz_dy2).max()
 
 
 def test_front_map_derivative_factors():
@@ -92,6 +93,48 @@ def test_front_map_derivative_factors():
 def test_front_map_rejects_front_at_exit():
     with pytest.raises(rs.NoAdmissibleShockError):
         ShockFront(rs.LagrangianGrid(5, 33, 1.9, 2.0, 2.9, 2.9), 0.2, np.zeros(33))
+
+
+def _chain_rule_N(grid, gas, full, fac1, cross):
+    """N1, N2 of the transformed system by the chain rule on the 2-D state,
+    S and B included: d/dy1 = fac1 d/dz1, d/dy2 = d/dz2 - cross d/dz1."""
+    g, mfac = gas.gamma, grid.m_bar / grid.m
+    dy1 = {k: fac1 * fd.d1(full[k], grid.h1) for k in ("u1", "u2", "S", "B")}
+    dy2 = {k: fd.d2(full[k], grid.h2) - cross * fd.d1(full[k], grid.h1)
+           for k in ("u1", "u2", "S", "B")}
+    u1, u2, rho, P = full["u1"], full["u2"], full["rho"], full["P"]
+    c2 = g * P / rho
+    N1 = ((1.0 - u1**2 / c2) * dy1["u1"] - u1 * u2 / c2 * dy1["u2"]
+          + mfac * rho * (u1 * dy2["u2"] - u2 * dy2["u1"]))
+    N2 = (dy1["u2"] - mfac * rho * (u2 * dy2["u2"] + u1 * dy2["u1"]) + gas.beta
+          - mfac * (P / (g - 1.0) * dy2["S"] - rho * dy2["B"]))
+    return N1, N2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_residual_terms_match_the_chain_rule(accept_run, seed):
+    # N = fac1 A + B - tilt C of the residual parts equals the chain rule on
+    # the 2-D state, S and B included, for random states and random fronts
+    ctx = accept_run.ctx
+    grid, hat = ctx.grid_plus, ctx.hat
+    n1, n2 = grid.n1, grid.n2
+    rng = np.random.default_rng(seed)
+    state = dataclasses.replace(
+        ctx.initial_state, u1=1e-2 * rng.standard_normal((n1, n2)),
+        u2=1e-2 * rng.standard_normal((n1, n2)), S=1e-2 * rng.standard_normal(n2))
+    terms = _PassTerms(ctx, state)
+    full = {k: np.array(v) for k, v in terms.full.items()}  # S and B as 2-D copies
+    L = grid.y1b
+    for _ in range(2):
+        dev = 0.05 * (L - grid.y1a) * rng.uniform(-1.0, 1.0)
+        psi_prime = 0.05 * rng.standard_normal(n2)
+        front = ShockFront(grid, dev, psi_prime)
+        fac1 = (L - grid.y1a) / (L - front.psi)
+        cross = (L - grid.y1)[:, None] / (L - front.psi) * psi_prime
+        want = _chain_rule_N(grid, hat.gas, full, fac1, cross)
+        got = terms.residual.N(front.fac1, front.tilt)
+        for w, h in zip(want, got):
+            assert np.abs(h - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_step_data_zero_perturbation(ctx_zero):
@@ -475,7 +518,7 @@ def test_residuals_detect_pressure_violation(accept_run):
     Pp = ctx.hat["p", "P"]
     for k, fac in ((1, eps), (2, 2 * eps)):
         st = dataclasses.replace(res.state)
-        st.S = st.S - (1.4 - 1.0) * fac / Pp[None, :]
+        st.S = st.S - (1.4 - 1.0) * fac / Pp
         rep = residuals(ctx, st)
         if k == 1:
             jump1 = rep.rh_residual - base.rh_residual

@@ -9,7 +9,9 @@ gated residual) at the cells below leaves `verify` at ``OK`` with the
 residuals of the untouched run.
 
 Each strict xfail states that `verify` fails such a corrupted run; each
-control shows that it does when the cell lies in the audited core.
+control shows that it does when the cell lies in the audited core.  The
+downstream entropy has no such hole: the audit reads its first row, and
+`verify` refuses a stored ``S`` that is not one row repeated.
 """
 
 import json
@@ -32,13 +34,14 @@ def demo_solved(tmp_path_factory):
     return out
 
 
-def verify_with_kicked_cell(solved, tmp_path, name, i, j):
-    """(exit code, verify report) of a copy of ``solved`` with u1 + 1e-4 at node (i, j) of ``name``."""
+def verify_with_kicked_cell(solved, tmp_path, name, i, j, column="u1"):
+    """(exit code, verify report) of a copy of ``solved`` with ``column`` +
+    1e-4 at node (i, j) of ``name``."""
     out = tmp_path / "out"
     shutil.copytree(solved, out)
     path = out / name
     lines = path.read_text().splitlines(True)
-    k = lines[0].rstrip("\n").split(",").index("u1")
+    k = lines[0].rstrip("\n").split(",").index(column)
     cells = lines[i * N2 + j + 1].rstrip("\n").split(",")
     cells[k] = "%.17g" % (float(cells[k]) + 1e-4)
     lines[i * N2 + j + 1] = ",".join(cells) + "\n"
@@ -60,3 +63,13 @@ def test_verify_fails_a_corrupted_cell(demo_solved, tmp_path, capsys, name, i, j
     assert code == 4
     assert report["pde_residual"] > 1e-3
     assert capsys.readouterr().out.rstrip().endswith("FAIL")
+
+
+@pytest.mark.parametrize("i,j", [(1, 10), (40, 32)])
+def test_verify_refuses_a_downstream_S_that_varies_along_y1(demo_solved, tmp_path, capsys, i, j):
+    # S rides along y1 and the residuals read only the first row of the
+    # stored downstream S, so a kick on any other row, in the audit's frame
+    # (1, 10) or in its core (40, 32), is refused before the audit
+    code, _ = verify_with_kicked_cell(demo_solved, tmp_path, "fields_plus.csv", i, j, "S")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: fields_plus.csv: the stored S")
