@@ -165,9 +165,9 @@ def _merge_validate(data):
 def parse_config(path) -> RunConfig:
     """Read, validate, and instantiate a run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -324,8 +324,9 @@ _STORED = {"fields_plus.csv": ("y1", "y2", "u1", "u2", "S", "B"),
 
 
 def _stored_field(name, data, grid):
-    """``Field`` on ``grid`` of the columns ``data`` read from ``name``;
-    ``ConfigError`` unless the file's y1/y2 nodes are those of ``grid``."""
+    """``Field`` on ``grid`` of the columns ``data`` read from ``name``, S and
+    B as their y2-rows; ``ConfigError`` unless the file's y1/y2 nodes are
+    those of ``grid`` and S and B repeat one y2-row on every y1 node."""
     shape = (grid.n1, grid.n2)
     if (data["y1"].size != grid.n1 * grid.n2
             or np.any(data["y1"] != np.repeat(grid.y1, grid.n2))
@@ -333,7 +334,13 @@ def _stored_field(name, data, grid):
         raise ConfigError(
             f"{name}: its y1/y2 nodes are not those of the {grid.n1}x{grid.n2} grid on "
             f"[{grid.y1a:g}, {grid.y1b:g}] x [0, {grid.m_bar:g}] of this configuration")
-    return Field(grid, {k: data[k].reshape(shape) for k in ("u1", "u2", "S", "B")})
+    components = {k: data[k].reshape(shape) for k in ("u1", "u2")}
+    for k in ("S", "B"):
+        row = data[k][:grid.n2]
+        if np.any(data[k].reshape(shape) != row):
+            raise ConfigError(f"{name}: the stored {k} is not one y2-row carried along y1")
+        components[k] = row
+    return Field(grid, components)
 
 
 def cmd_verify(cfg: RunConfig, out):
@@ -341,10 +348,10 @@ def cmd_verify(cfg: RunConfig, out):
 
     The upstream flow is ``fields_minus.csv`` as stored; nothing is marched
     again.  The grid sizes come from the stored files.  Their y1/y2 nodes
-    must be those of this configuration's grids, the stored inflow (u1, u2
-    on the first row, S and B on every row) the one the Newton march
-    imposes (``supersonic.inflow_state``), the downstream S one y2-row
-    repeated (the residuals read row 0), the downstream B the upstream one
+    must be those of this configuration's grids, S and B in each field file
+    one y2-row repeated (``_stored_field``), the stored inflow (u1, u2 on
+    the first row, the S and B rows) the one the Newton march imposes
+    (``supersonic.inflow_state``), the downstream B row the upstream one
     carried across the front, and the stored front psi the ``ShockFront``
     of its psi_prime and its last psi; otherwise ``ConfigError``.
     """
@@ -369,11 +376,10 @@ def cmd_verify(cfg: RunConfig, out):
     L = cfg.pert.geometry.L
     V_minus = _stored_field("fields_minus.csv", minus,
                             LagrangianGrid(opts.nx, n2, 0.0, L, m, hat.m_bar))
-    marched = {"u1": V_minus["u1"][0], "u2": V_minus["u2"][0],
-               "S": V_minus["S"], "B": V_minus["B"]}
+    marched = {**V_minus.data, "u1": V_minus["u1"][0], "u2": V_minus["u2"][0]}
     if any(np.any(marched[k] != v) for k, v in entry.items()):
         raise ConfigError("fields_minus.csv: the stored inflow is not the inflow of this "
-                          "configuration (u1, u2 on the first row, S and B on every row)")
+                          "configuration (u1, u2 on the first row, the S and B rows)")
     psi_bar = plus["y1"][0]
     V_plus = _stored_field("fields_plus.csv", plus,
                            LagrangianGrid(plus["y1"].size // n2, n2, psi_bar, L, m, hat.m_bar))
@@ -384,12 +390,10 @@ def cmd_verify(cfg: RunConfig, out):
     if np.any(front_csv["psi"] != front.psi):
         raise ConfigError("front.csv: its psi is not the front of its psi_prime and its "
                           "last psi")
-    if np.any(V_plus["S"] != V_plus["S"][0]):
-        raise ConfigError("fields_plus.csv: the stored S is not one y2-row carried along y1")
     state = IterationState(
         u1=V_plus["u1"] - hat["p", "u"][None, :],
         u2=V_plus["u2"],
-        S=V_plus["S"][0] - hat["p", "S"],
+        S=V_plus["S"] - hat["p", "S"],
         psi_prime=front.psi_prime,
         psi_sharp_dev=front.psi_sharp_dev,
     )

@@ -210,7 +210,7 @@ class IterationContext:
         hat = self.hat
         self.cc_plus = eq2_zero_order(hat, "p")
         self.E2 = _background_defect(hat, "p", self.grid_plus)
-        self.B_row = self.sup.V["B"][0, :] - hat["m", "B"]
+        self.B_row = self.sup.V["B"] - hat["m", "B"]
 
 
 def _background_defect(hat, side, grid):
@@ -223,12 +223,12 @@ def _background_defect(hat, side, grid):
 
 
 def _full_plus(ctx, state):
-    """The full downstream state; S and B are their y2-rows repeated along z1."""
+    """The full downstream state; S and B are y2-rows, as they ride along z1."""
     hat = ctx.hat
     u1 = state.u1 + hat["p", "u"][None, :]
     u2 = state.u2
-    S = np.broadcast_to(state.S + hat["p", "S"], u1.shape)
-    B = np.broadcast_to(ctx.B_row + hat["p", "B"], u1.shape)
+    S = state.S + hat["p", "S"]
+    B = ctx.B_row + hat["p", "B"]
     rho, P = rho_P(S, B, u1, u2, hat.gas)
     return {"u1": u1, "u2": u2, "S": S, "B": B, "rho": rho, "P": P}
 
@@ -237,12 +237,12 @@ def _front(ctx, psi_sharp_dev, psi_prime):
     """(ShockFront, upstream state on the front) for one front.
 
     The upstream velocities are read on the front by ``Field.trace``; S and B
-    are transported along y1, so their front values are the entrance rows.
+    are transported along y1, so their front values are the stored rows.
     """
     front = ShockFront(ctx.grid_plus, psi_sharp_dev, psi_prime)
     V = ctx.sup.V
     minus = {"u1": V.trace("u1", front.psi), "u2": V.trace("u2", front.psi),
-             "S": V["S"][0], "B": V["B"][0]}
+             "S": V["S"], "B": V["B"]}
     minus["rho"], minus["P"] = rho_P(minus["S"], minus["B"], minus["u1"], minus["u2"],
                                      ctx.hat.gas)
     return front, minus
@@ -268,7 +268,7 @@ class _PassTerms:
 
     @cached_property
     def plus(self):
-        return {k: v[0, :] for k, v in self.full.items()}
+        return {k: v[0] if v.ndim == 2 else v for k, v in self.full.items()}
 
     @cached_property
     def residual(self):
@@ -320,7 +320,7 @@ class _ResidualTerms:
     B the z2-derivatives and the zero-order term.  A, B, C depend on the
     state alone, fac1 and tilt (per column) on the front alone.  S and the
     Bernoulli function ride along y1 and enter B only, through the d2 of
-    their y2-rows (row 0 of ``full``).  Upstream: fac1 = 1, tilt = 0.
+    the y2-rows that ``full`` holds for them.  Upstream: fac1 = 1, tilt = 0.
     """
 
     def __init__(self, grid, gas, full):
@@ -337,8 +337,8 @@ class _ResidualTerms:
         self.C1 = to_exit * (ru1 * d1u2 - ru2 * d1u1)
         self.A2 = d1u2
         self.B2 = (-ru2 * d2u2 - ru1 * d2u1 + gas.beta
-                   - mfac * (P / (g - 1.0) * fd.d2(full["S"][0], grid.h2)
-                             - rho * fd.d2(full["B"][0], grid.h2)))
+                   - mfac * (P / (g - 1.0) * fd.d2(full["S"], grid.h2)
+                             - rho * fd.d2(full["B"], grid.h2)))
         self.C2 = -to_exit * (ru2 * d1u2 + ru1 * d1u1)
 
     def N(self, fac1, tilt):
@@ -595,8 +595,7 @@ def residuals(ctx: IterationContext, state: IterationState, last_defect=0.0) -> 
     # residual parts are never alive at once.
     # --- upstream region (identity map)
     rho_m, P_m = rho_P(Vm["S"], Vm["B"], Vm["u1"], Vm["u2"], gas)
-    fullm = {"u1": Vm["u1"], "u2": Vm["u2"], "S": Vm["S"], "B": Vm["B"],
-             "rho": rho_m, "P": P_m}
+    fullm = {**Vm.data, "rho": rho_m, "P": P_m}
     wb_m, raw_m, frame_m = region_maxima(
         *_ResidualTerms(gm, gas, fullm).N(1.0, 0.0),
         _background_defect(hat, "m", gm))
@@ -747,7 +746,7 @@ def build_context(bg, pert, opts: TransonicOptions, setup=None):
         initial = initial_approximation(coeffs, lin, pert, hat, opts.psi_bracket)
         V_plus = initial.V_plus
         grid_plus = V_plus.grid
-        init_state = IterationState(u1=V_plus["u1"], u2=V_plus["u2"], S=V_plus["S"][0],
+        init_state = IterationState(u1=V_plus["u1"], u2=V_plus["u2"], S=V_plus["S"],
                                     psi_prime=initial.front.psi_prime, psi_sharp_dev=0.0)
     else:
         lo, hi = position_bracket(opts.psi_bracket, L)

@@ -134,17 +134,19 @@ class LagrangianGrid:
 
 @dataclass
 class Field:
-    """Named nodal components on a LagrangianGrid (axis 0 = y1, axis 1 = y2)."""
+    """Named nodal components on a LagrangianGrid (axis 0 = y1, axis 1 = y2):
+    (n1, n2) arrays, or the (n2,) y2-row of a component that rides along y1,
+    as S and B do.  ``write_csv`` repeats a row on every y1 node."""
 
     grid: LagrangianGrid
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        shape = (self.grid.n1, self.grid.n2)
+        shapes = ((self.grid.n1, self.grid.n2), (self.grid.n2,))
         for name, arr in self.data.items():
-            if arr.shape != shape:
+            if arr.shape not in shapes:
                 raise InvalidStateError(
-                    f"component {name!r} has shape {arr.shape}, expected {shape}"
+                    f"component {name!r} has shape {arr.shape}, expected one of {shapes}"
                 )
 
     def __getitem__(self, name):
@@ -154,18 +156,21 @@ class Field:
         """Component ``name`` at y1 = psi, by ``lagrange`` in y1.
 
         ``psi`` is a scalar (one y2-profile at a fixed y1) or one abscissa
-        per y2 column; at a node the trace is the stored row.
+        per y2 column; at a node the trace is the stored row.  A y2-row
+        component has no y1-dependence to trace: ``InvalidStateError``.
         """
+        arr = self.data[name]
+        if arr.ndim == 1:
+            raise InvalidStateError(f"component {name!r} is a y2-row; it rides along y1")
         rows, w = lagrange(self.grid.y1, psi)
-        return (w * np.take_along_axis(self.data[name], rows, axis=0)).sum(axis=0)
+        return (w * np.take_along_axis(arr, rows, axis=0)).sum(axis=0)
 
     def write_csv(self, path, extra_columns=None):
         """Dump as CSV with columns y1, y2, <components...>[, extras]."""
         g = self.grid
-        shape = (g.n1, g.n2)
-        write_csv(path, {"y1": np.broadcast_to(g.y1[:, None], shape),
-                         "y2": np.broadcast_to(g.y2, shape),
-                         **self.data, **(extra_columns or {})})
+        columns = {"y1": g.y1[:, None], "y2": g.y2, **self.data}
+        write_csv(path, {**{k: np.broadcast_to(v, (g.n1, g.n2)) for k, v in columns.items()},
+                         **(extra_columns or {})})
 
 
 @dataclass
@@ -174,7 +179,7 @@ class HattedProfiles:
 
     For each side s in {"m", "p"} (upstream/downstream) the dict ``vals[s]``
     holds nodal arrays on ``y2`` for u, rho, P, S, B, c2 (sound speed
-    squared), Msq, and exact-chain derivatives du, dS, dB (d/dy2).  ``x2``
+    squared), Msq, and exact-chain derivatives du, dS (d/dy2).  ``x2``
     is the inverse Lagrangian map X2(y2); the mass flux rho*u agrees on the
     two sides by construction, to round-off.
     """
@@ -241,6 +246,6 @@ def hatted_background(bg, n2) -> HattedProfiles:
         vals[side] = {
             "u": u, "rho": rho, "P": P, "S": at["S_" + side], "B": at["B_" + side],
             "c2": c2, "Msq": u * u / c2, "du": deriv["u_" + side] / flux,
-            "dS": deriv["S_" + side] / flux, "dB": deriv["B_" + side] / flux,
+            "dS": deriv["S_" + side] / flux,
         }
     return HattedProfiles(y2=y2, m_bar=mb, x2=x2q, vals=vals, gas=bg.gas)

@@ -211,10 +211,20 @@ def profile_from_json(value, key, base_dir=".", interval=None):
         if not isinstance(path, str):
             raise ConfigError(f"{key}.table: expected a file path string")
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        if not os.path.exists(full):
-            raise ConfigError(f"{key}.table: file not found: {full}")
         try:
-            data = np.loadtxt(full, delimiter=",", skiprows=_header_rows(full))
+            with open(full) as fh:
+                # the lines numpy reads as data: not blank once a comment is cut
+                rows = [line for line in fh if line.split("#", 1)[0].strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{key}.table: cannot read {full}: {exc}") from exc
+        try:  # a first line whose first two cells are not numbers is a header
+            [float(v) for v in (rows or [""])[0].split(",")[:2]]
+        except ValueError:
+            rows = rows[1:]
+        if not rows:
+            raise ConfigError(f"{key}.table: no data rows in {full}")
+        try:
+            data = np.loadtxt(rows, delimiter=",")
         except ValueError as exc:
             raise ConfigError(f"{key}.table: cannot parse {full}: {exc}") from exc
         if data.ndim != 2 or data.shape[1] < 2:
@@ -228,13 +238,3 @@ def profile_from_json(value, key, base_dir=".", interval=None):
                               f"[{interval[0]:g}, {interval[1]:g}]")
         return prof
     raise ConfigError(f"{key}: expected number, coefficient list, or {{'table': path}}")
-
-
-def _header_rows(path):
-    with open(path) as fh:
-        first = fh.readline()
-    try:
-        [float(v) for v in first.strip().split(",")[:2]]
-        return 0
-    except ValueError:
-        return 1

@@ -280,8 +280,9 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin: Field, pert, 
 
     Shock trace data come from the linearized jump conditions, the exit data
     from the linearized pressure condition, the wall data from the slip
-    condition; S and B ride along y1.  Delegates to the elliptic solver with
-    the b-coefficients, which gates the data defect at ``DEFECT_TOL``.
+    condition; S and B ride along y1, and ``V`` holds their y2-rows.
+    Delegates to the elliptic solver with the b-coefficients, which gates
+    the data defect at ``DEFECT_TOL``.
     """
     sigma, L = pert.sigma, pert.geometry.L
     g = hat.gas.gamma
@@ -305,8 +306,7 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin: Field, pert, 
     )
     gp = pert.geometry.g.deriv(1)
     h3_data = sigma * hat["p", "u"][-1] * gp(grid.y1)
-    H2 = np.broadcast_to(coeffs.b3p * subsonic_sb_source(hat, Sdot, Bdot, h2),
-                         (n1_sub, n2)).copy()
+    H2 = np.broadcast_to(coeffs.b3p * subsonic_sb_source(hat, Sdot, Bdot, h2), (n1_sub, n2))
     prob = EllipticProblem(
         psi_bar, L, hat.m_bar, n1_sub, n2,
         coeffs.b1p, coeffs.b2p, coeffs.b3p, coeffs.b4p,
@@ -319,11 +319,7 @@ def solve_linear_subsonic(coeffs: ShockCoefficients, psi_bar, lin: Field, pert, 
             f"shock position psi_bar={psi_bar:.8f} inconsistent with the data",
             exc.defect,
         ) from None
-    V = Field(grid, {
-        "u1": sol.v1, "u2": sol.v2,
-        "S": np.broadcast_to(Sdot, (n1_sub, n2)).copy(),
-        "B": np.broadcast_to(Bdot, (n1_sub, n2)).copy(),
-    })
+    V = Field(grid, {"u1": sol.v1, "u2": sol.v2, "S": Sdot, "B": Bdot})
     return V, sol
 
 

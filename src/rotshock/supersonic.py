@@ -84,9 +84,9 @@ class PerturbationConfig:
 class SupersonicSolution:
     """Result of ``solve_nonlinear``.
 
-    V holds the full flow state and ``update_history`` the max-norm of each
-    Newton step's update (one march each).  ``picard_iters``, its length,
-    predates the Newton solve.
+    V holds the full flow state (S and B as the entrance rows, which ride
+    along y1) and ``update_history`` the max-norm of each Newton step's
+    update (one march each).  ``picard_iters``, its length, predates it.
     """
 
     V: Field
@@ -139,7 +139,7 @@ def inflow_state(hat, pert: PerturbationConfig, inlet):
     """(m, entrance state) that ``solve_nonlinear`` imposes on the upstream grid.
 
     The entrance state maps u1 and u2, the first row of the march, and S and
-    B, which ride along y1 and so fill every row, to their y2-profiles.
+    B, the rows that ride along y1, to their y2-profiles.
     ``inlet`` is ``inlet_maps(bg, pert)``; at sigma = 0 the background map
     is used instead, so m is m_bar.
     """
@@ -267,7 +267,7 @@ def _march(grid, K, L_pred, L_corr, s_f, s_b, inflow, wa, wb, L_impl=None):
 
 def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid) -> Field:
     """March the linearized system; returns the dotted solution as a ``Field``
-    (u1, u2, S, B are the dotted variables, all O(sigma)).
+    (u1, u2, S, B are the dotted variables, all O(sigma); S, B are y2-rows).
 
     All data enter proportionally to sigma (the entrance re-parametrisation
     uses the background map), so the solution is exactly linear in sigma.
@@ -301,11 +301,7 @@ def solve_linear(hat, pert: PerturbationConfig, grid: LagrangianGrid) -> Field:
     inflow = (sigma * en["u1_en"], sigma * en["u2_en"])
     u1dot, u2dot = _march(grid, K, Lc, Lc, s_f, s_b, inflow, np.zeros(grid.n1), wall)
 
-    return Field(grid, {
-        "u1": u1dot, "u2": u2dot,
-        "S": np.broadcast_to(Sdot, u1dot.shape).copy(),
-        "B": np.broadcast_to(Bdot, u1dot.shape).copy(),
-    })
+    return Field(grid, {"u1": u1dot, "u2": u2dot, "S": Sdot, "B": Bdot})
 
 
 def flux_identity(lin: Field, hat, pert: PerturbationConfig):
@@ -474,8 +470,7 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
 
     def freeze(U):
         u1, u2 = U
-        rho, P = rho_P(np.broadcast_to(S_row, u1.shape),
-                       np.broadcast_to(B_row, u1.shape), u1, u2, gas)
+        rho, P = rho_P(S_row, B_row, u1, u2, gas)
         f = _frozen(u1, u2, rho, P, g, mfac)
         Mtot = f.M1sq + u2 * u2 / f.c2
         if np.any(Mtot <= 1.0):
@@ -539,9 +534,5 @@ def solve_nonlinear(hat, pert: PerturbationConfig, grid: LagrangianGrid, bg,
         )
 
     freeze(U)  # final supersonicity + CFL audit
-    V = Field(grid, {
-        "u1": U[0], "u2": U[1],
-        "S": np.broadcast_to(S_row, (n1, n2)).copy(),
-        "B": np.broadcast_to(B_row, (n1, n2)).copy(),
-    })
+    V = Field(grid, {"u1": U[0], "u2": U[1], "S": S_row, "B": B_row})
     return SupersonicSolution(V=V, update_history=history)

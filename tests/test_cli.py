@@ -193,8 +193,10 @@ def test_table_starting_inside_its_interval_exit_1(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-# (config text, overrides of write_config or None for no file, text of t.csv,
-# sweep key and values, message); a sweep case runs `sweep`, every other `solve`
+# (config text or bytes, overrides of write_config or None for no file, text
+# or bytes of t.csv, sweep key and values, message); a sweep case runs
+# `sweep`, every other `solve`.  pytest turns warnings into errors, so a
+# case passes only if nothing warns on the way to the error.
 BAD_INPUT = {
     "top-level-list": ("[1, 2]", None, None, "top level must be a JSON object"),
     "unknown-top-level-key": ('{"schema": 1, "extra": {}}', None, None,
@@ -232,6 +234,16 @@ BAD_INPUT = {
                          "perturbation.P_ex.table: cannot parse"),
     "table-one-column": ({"perturbation.P_ex": {"table": "t.csv"}}, "0\n0.5\n1\n1.5\n", None,
                          "perturbation.P_ex.table: expected two columns"),
+    "table-is-a-directory": ({"perturbation.P_ex": {"table": "."}}, None, None,
+                             "perturbation.P_ex.table: cannot read"),
+    "table-empty": ({"perturbation.P_ex": {"table": "t.csv"}}, "", None,
+                    "perturbation.P_ex.table: no data rows"),
+    "table-header-only": ({"perturbation.P_ex": {"table": "t.csv"}}, "x2,P_ex\n", None,
+                          "perturbation.P_ex.table: no data rows"),
+    "table-not-utf8": ({"perturbation.P_ex": {"table": "t.csv"}}, b"0,-0.0561\n0.5,\xff\n",
+                       None, "perturbation.P_ex.table: cannot read"),
+    "config-not-utf8": (b'{"schema": 1, "nozzle": {"L": 2.0\xff}}', None, None,
+                        "cannot read config"),
     "nozzle-L-zero": ({"nozzle.L": 0.0}, None, None, "nozzle length must be positive, got 0.0"),
 }
 
@@ -242,10 +254,14 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, case):
     p = tmp_path / "c.json"
     if isinstance(config, str):
         p.write_text(config)
+    elif isinstance(config, bytes):
+        p.write_bytes(config)
     elif isinstance(config, dict):
         write_config(p, **config)
-    if table is not None:
+    if isinstance(table, str):
         (tmp_path / "t.csv").write_text(table)
+    elif isinstance(table, bytes):
+        (tmp_path / "t.csv").write_bytes(table)
     argv = ["--config", str(p), "--out", str(tmp_path / "o")]
     if sweep is None:
         argv = ["solve", *argv]

@@ -123,7 +123,8 @@ def test_residual_terms_match_the_chain_rule(accept_run, seed):
         ctx.initial_state, u1=1e-2 * rng.standard_normal((n1, n2)),
         u2=1e-2 * rng.standard_normal((n1, n2)), S=1e-2 * rng.standard_normal(n2))
     terms = _PassTerms(ctx, state)
-    full = {k: np.array(v) for k, v in terms.full.items()}  # S and B as 2-D copies
+    # S and B, y2-rows in ``full``, as 2-D copies
+    full = {k: np.array(np.broadcast_to(v, (n1, n2))) for k, v in terms.full.items()}
     L = grid.y1b
     for _ in range(2):
         dev = 0.05 * (L - grid.y1a) * rng.uniform(-1.0, 1.0)

@@ -113,7 +113,7 @@ def test_hatted_profiles_match_per_column_splines(bg_rot, n2):
         for name in ("u", "rho", "P", "S", "B"):
             ref = CubicSpline(bg_rot.x2, bg_rot.profile(f"{name}_{side}"))(x2q)
             assert close(hat[side, name], ref), (side, name)
-        for name in ("u", "S", "B"):
+        for name in ("u", "S"):
             ref = CubicSpline(bg_rot.x2, bg_rot.deriv[f"{name}_{side}"])(x2q) / flux
             assert close(hat[side, "d" + name], ref), (side, name)
         c2 = bg_rot.gas.gamma * hat[side, "P"] / hat[side, "rho"]
@@ -202,6 +202,38 @@ def test_field_csv_round_trip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (35, 4)
     assert np.abs(data[:, 2].reshape(5, 7) - f["u1"]).max() == 0.0
+
+
+@pytest.mark.parametrize("n1,n2", [(5, 7), (7, 7), (700, 5)])
+def test_field_csv_writes_a_row_component_on_every_y1_node(tmp_path, n1, n2):
+    # a field holding the y2-rows of S and B writes the bytes of the same
+    # field with (n1, n2) copies, -0.0 included, past the writer's blocks too
+    grid = rs.LagrangianGrid(n1, n2, 0.0, 1.0, 2.0, 2.0)
+    rng = np.random.default_rng(1)
+    u1, u2 = rng.standard_normal((2, n1, n2))
+    S = np.append(rng.standard_normal(n2 - 1), -0.0)
+    B = 3.0 + rng.standard_normal(n2)
+    rows = rs.Field(grid, {"u1": u1, "u2": u2, "S": S, "B": B})
+    copies = rs.Field(grid, {"u1": u1, "u2": u2, "S": np.tile(S, (n1, 1)),
+                             "B": np.tile(B, (n1, 1))})
+    rows.write_csv(tmp_path / "rows.csv", extra_columns={"x2": 2.0 * u1})
+    copies.write_csv(tmp_path / "copies.csv", extra_columns={"x2": 2.0 * u1})
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
+
+
+def test_field_holds_rows_and_grids_only():
+    grid = rs.LagrangianGrid(9, 5, 0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(rs.InvalidStateError, match="component 'S' has shape"):
+        rs.Field(grid, {"S": np.zeros(9)})
+
+
+def test_field_trace_refuses_a_row_component():
+    # a y2-row rides along y1: there is nothing to trace
+    grid = rs.LagrangianGrid(9, 5, 0.0, 1.0, 1.0, 1.0)
+    f = rs.Field(grid, {"u1": np.zeros((9, 5)), "S": np.zeros(5)})
+    assert np.array_equal(f.trace("u1", 0.5), np.zeros(5))
+    with pytest.raises(rs.InvalidStateError, match="'S' is a y2-row"):
+        f.trace("S", 0.5)
 
 
 def test_jacobian_positivity_guard():

@@ -10,8 +10,10 @@ residuals of the untouched run.
 
 Each strict xfail states that `verify` fails such a corrupted run; each
 control shows that it does when the cell lies in the audited core.  The
-downstream entropy has no such hole: the audit reads its first row, and
-`verify` refuses a stored ``S`` that is not one row repeated.
+entropy S and the Bernoulli function B have no such hole in either field
+file: they ride along y1, the audit reads their y2-rows, and `verify`
+refuses a stored S or B that is not one row repeated, in the frame and in
+the core alike.
 """
 
 import json
@@ -35,10 +37,12 @@ def demo_solved(tmp_path_factory):
 
 
 def verify_with_kicked_cell(solved, tmp_path, name, i, j, column="u1"):
-    """(exit code, verify report) of a copy of ``solved`` with ``column`` +
-    1e-4 at node (i, j) of ``name``."""
+    """(exit code, verify report or None) of a copy of ``solved`` with
+    ``column`` + 1e-4 at node (i, j) of ``name``; None when `verify` refuses
+    the files before it writes a report."""
     out = tmp_path / "out"
     shutil.copytree(solved, out)
+    (out / "verify_report.json").unlink()  # the untouched run's
     path = out / name
     lines = path.read_text().splitlines(True)
     k = lines[0].rstrip("\n").split(",").index(column)
@@ -47,7 +51,8 @@ def verify_with_kicked_cell(solved, tmp_path, name, i, j, column="u1"):
     lines[i * N2 + j + 1] = ",".join(cells) + "\n"
     path.write_text("".join(lines))
     code = main(["verify", "--config", DEMO_CONFIG, "--out", str(out)])
-    return code, json.loads((out / "verify_report.json").read_text())
+    report = out / "verify_report.json"
+    return code, json.loads(report.read_text()) if report.exists() else None
 
 
 @pytest.mark.parametrize("name,i,j", [
@@ -66,10 +71,13 @@ def test_verify_fails_a_corrupted_cell(demo_solved, tmp_path, capsys, name, i, j
 
 
 @pytest.mark.parametrize("i,j", [(1, 10), (40, 32)])
-def test_verify_refuses_a_downstream_S_that_varies_along_y1(demo_solved, tmp_path, capsys, i, j):
-    # S rides along y1 and the residuals read only the first row of the
-    # stored downstream S, so a kick on any other row, in the audit's frame
-    # (1, 10) or in its core (40, 32), is refused before the audit
-    code, _ = verify_with_kicked_cell(demo_solved, tmp_path, "fields_plus.csv", i, j, "S")
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: fields_plus.csv: the stored S")
+@pytest.mark.parametrize("column", ["S", "B"])
+@pytest.mark.parametrize("name", ["fields_plus.csv", "fields_minus.csv"])
+def test_verify_refuses_an_S_or_B_that_varies_along_y1(demo_solved, tmp_path, capsys, name,
+                                                       column, i, j):
+    # S and B ride along y1 and the residuals read only their y2-rows, so a
+    # kick on any row but the first, in the audit's frame (1, 10) or in its
+    # core (40, 32), is refused before the audit
+    code, report = verify_with_kicked_cell(demo_solved, tmp_path, name, i, j, column)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"error: {name}: the stored {column}")
